@@ -7,9 +7,10 @@ For the inverse-linear family both legs are closed-form:
 
 i.e. the return leg is the member of the same family that starts where the
 outbound leg stopped and runs at rate -v until the scale is back to 1.  For
-the power-law and exponential families only the outbound leg has a closed
-form; the return leg runs the outbound profile backwards in time and is
-integrated numerically.
+the power-law and exponential families the return leg runs the outbound
+profile backwards in time, which needs no integration: with P = diag(1, -1)
+the reversed leg is P S^-1 P = [[d, b], [c, a]] for an outbound S =
+[[a, b], [c, d]], and the cycle gain is R = 1 + 2 (ac + bd)^2.
 
 All gains are computed in cycle-normalized units omega(0) = 1: a physical
 omega0 is absorbed by rescaling t -> omega0 t, v -> v/omega0, under which
@@ -49,6 +50,7 @@ __all__ = [
     "GridAxis",
     "ScanRow",
     "ScanResult",
+    "leg",
     "build_cycle",
     "cycle_gain",
     "scan_gain",
@@ -93,12 +95,52 @@ class CycleSpec:
         if self.family == "custom":
             if self.profile is None or self.duration is None:
                 raise DomainError("custom cycles need a profile and a duration")
-        elif not self.v > 0.0:
-            raise DomainError(f"v must be a positive rate magnitude, got {self.v!r}")
-        if self.family == "power-law" and self.k in (0.0, 2.0):
-            # k = 2 is constant frequency (no scale is reachable); k = 0 is a
-            # different one-parameter family handled by "inverse-linear".
-            raise DomainError(f"power-law cycles need k not in {{0, 2}}, got {self.k!r}")
+        else:
+            _check_leg_args(self.family, self.v, self.k)
+
+
+def _check_leg_args(family: str, v: float, k: float, method: str = "closed") -> None:
+    if not v > 0.0:
+        raise DomainError(f"v must be a positive rate magnitude, got {v!r}")
+    if family == "power-law" and k in (0.0, 2.0):
+        # k = 2 is constant frequency (no scale is reachable); k = 0 is a
+        # different one-parameter family handled by "inverse-linear".
+        raise DomainError(f"power-law needs k not in {{0, 2}}, got {k!r}")
+    if method not in ("closed", "ode"):
+        raise DomainError(f"method must be closed or ode, got {method!r}")
+
+
+def leg(family: str, v: float, lam: float, k: float = -2.0, method: str = "closed") -> EvolutionMatrix:
+    """Evolution matrix of one leg of a family from omega = 1 to omega = 1/lam.
+
+    v is the rate magnitude; its sign is chosen so the family's running
+    scale reaches its turning value: lam itself for inverse-linear,
+    z = lam^(-2/(k-2)) for power-law and z = 1/lam for exponential.
+    method "closed" evaluates the closed form, "ode" integrates the profile.
+    """
+    _check_leg_args(family, v, k, method)
+    closed = method == "closed"
+    if family == "inverse-linear":
+        u = v if lam > 1.0 else -v
+        if closed:
+            return propagate_inverse_linear(1.0, u, lam)
+        prof = InverseLinear(1.0, u)
+        return propagate_ode(prof, prof.t_for_scale(lam))
+    if family == "power-law":
+        z_t = lam ** (-2.0 / (k - 2.0))
+        u = v if z_t > 1.0 else -v
+        if closed:
+            return propagate_power_law(k, u, z_t)
+        prof = PowerLaw(k, u)
+        return propagate_ode(prof, prof.t_for_z(z_t))
+    if family == "exponential":
+        z_t = 1.0 / lam
+        u = v if z_t > 1.0 else -v
+        if closed:
+            return propagate_exponential(u, z_t)
+        prof = Exponential(u)
+        return propagate_ode(prof, prof.t_for_z(z_t))
+    raise DomainError(f"family {family!r} has no single-leg form")
 
 
 def _one_cycle(spec: CycleSpec, cfg: IntegratorConfig) -> EvolutionMatrix:
@@ -113,25 +155,13 @@ def _one_cycle(spec: CycleSpec, cfg: IntegratorConfig) -> EvolutionMatrix:
         out = propagate_inverse_linear(1.0, u_out, lam)
         back = propagate_inverse_linear(1.0 / lam, -u_out, 1.0 / lam)
         return compose(back, out)
-    if spec.family == "power-law":
-        z_t = lam ** (-2.0 / (spec.k - 2.0))
-        u_out = u if z_t > 1.0 else -u
-        out = propagate_power_law(spec.k, u_out, z_t)
-        t_out = (z_t - 1.0) / u_out
-        back_profile = TimeReversed(PowerLaw(spec.k, u_out), t_out)
-        back = propagate_ode(back_profile, t_out, cfg)
-        return compose(back, out)
-    # exponential: omega = e^(u t), turning scale z_t = 1/lambda
-    z_t = 1.0 / lam
-    u_out = u if z_t > 1.0 else -u
-    out = propagate_exponential(u_out, z_t)
-    t_out = math.log(z_t) / u_out
-    back = propagate_ode(TimeReversed(Exponential(u_out), t_out), t_out, cfg)
-    return compose(back, out)
+    # the return leg is the outbound profile run backwards: P S^-1 P
+    out = leg(spec.family, u, lam, spec.k)
+    return compose(EvolutionMatrix(out.d, out.b, out.c, out.a), out)
 
 
 def build_cycle(spec: CycleSpec, cfg: IntegratorConfig = DEFAULT_CONFIG) -> EvolutionMatrix:
-    """Evolution matrix of the full (possibly repeated) cycle."""
+    """Evolution matrix of the full (possibly repeated) cycle; cfg applies to custom cycles."""
     once = _one_cycle(spec, cfg)
     total = once
     for _ in range(spec.n_cycles - 1):
@@ -338,9 +368,9 @@ def random_cycle_gain(
 ) -> Tuple[CycleSpec, float, float]:
     """Draw a random closed cycle, mixing all families; return (spec, gain, det_err).
 
-    Closed-form families use the full advertised parameter ranges; the
-    families whose return leg is integrated numerically are drawn from
-    ranges that keep the accumulated phase (and hence runtime) moderate.
+    Inverse-linear cycles use the full advertised parameter ranges.  The
+    power-law and exponential ranges stay narrower: widening them waits on
+    a map of where their Bessel closed forms lose accuracy.
     """
     kind = rng.integers(0, 4)
     if kind == 0:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import EvolutionMatrix, StationaryState, compose, final_energy
 from .errors import DomainError, IntegrationError
@@ -64,6 +63,17 @@ class ForcedResult:
     matrix: EvolutionMatrix
     qc: float
     qc_dot: float
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on the first call.
+
+    scipy.integrate (with the scipy.optimize it loads) is most of the
+    package's import time and memory, and closed-form runs never need it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _first_step(profile: FrequencyProfile, t_start: float, span: float) -> float:

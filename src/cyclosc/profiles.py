@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError
 
@@ -202,9 +201,13 @@ class Tabulated(FrequencyProfile):
 
     times: Tuple[float, ...]
     omegas: Tuple[float, ...]
-    _interp: PchipInterpolator = field(init=False, repr=False, compare=False)
+    _interp: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # Imported on first use, so importing the package (and every CLI
+        # call) does not pay for scipy.interpolate.
+        from scipy.interpolate import PchipInterpolator
+
         t = np.asarray(self.times, dtype=float)
         w = np.asarray(self.omegas, dtype=float)
         if t.ndim != 1 or t.shape != w.shape or t.size < 2:

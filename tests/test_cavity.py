@@ -212,6 +212,20 @@ class TestPlanck:
         with pytest.raises(DomainError):
             shift_planck_spectrum(spec, n_points=8)
 
+    def test_fastest_valid_wall_is_adiabatic(self):
+        # |V|/c < 1e-3 already implies Omega_1 = pi c / |V| > 1000 pi
+        spec = CavitySpec(L0=1.0, T=300.0, lam=0.5, v=0.999e-3 * LIGHT_C)
+        assert spec.mode_adiabaticity(1) > 1e3
+        assert len(shift_planck_spectrum(spec, n_points=16).after) == 16
+
+    def test_non_adiabatic_wall_rejected(self):
+        # Omega_1 = pi c / |V| < 1e3 lies past the constructor's wall-speed
+        # bound, so the field is set after construction
+        spec = CavitySpec(L0=1.0, T=300.0, lam=0.5, v=1.0)
+        object.__setattr__(spec, "v", 1.0e-2 * LIGHT_C)
+        with pytest.raises(DomainError, match="mode n = 1 is not adiabatic"):
+            shift_planck_spectrum(spec)
+
 
 class TestSonoluminescence:
     def test_bubble_scale_numbers(self):

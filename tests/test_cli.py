@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cyclosc
 import cyclosc.cli as cli
 from cyclosc import __version__
 from cyclosc.cli import main
@@ -44,6 +49,17 @@ class TestParser:
         rc, _, err = run(capsys, "propagate", "--family", "linear")
         assert rc == 2
         assert json.loads(err)["error"] == "config"
+
+    def test_import_loads_no_scipy_solver_packages(self):
+        # closed-form runs use none of these, so importing the CLI must not pay for them
+        src = str(Path(cyclosc.__file__).resolve().parents[1])
+        code = (
+            "import sys, cyclosc.cli; "
+            "sys.exit(any(m in sys.modules for m in "
+            "('scipy.interpolate', 'scipy.integrate', 'scipy.optimize')))"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestPropagate:
@@ -86,6 +102,18 @@ class TestPropagate:
         rc, _, err = run(capsys, "propagate", "--family", "power", "--k", "2")
         assert rc == 2
         assert "k" in json.loads(err)["message"]
+
+    def test_bad_rate_and_method_rejected(self, tmp_path, capsys):
+        assert run(capsys, "propagate", "--v=-1")[0] == 2
+        assert run(capsys, "propagate", "--v-grid=-1:1:3")[0] == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"method": "euler"}))
+        assert run(capsys, "propagate", "--config", str(cfg))[0] == 2
+
+    def test_bessel_order_out_of_range_exits_3(self, capsys):
+        rc, _, err = run(capsys, "propagate", "--family", "power", "--k", "0.05")
+        assert rc == 3
+        assert json.loads(err)["error"] == "numeric"
 
 
 class TestCycleAndScan:

@@ -18,10 +18,14 @@ from cyclosc import (
     InverseLinear,
     IntegratorConfig,
     Piecewise,
+    PowerLaw,
+    StationaryState,
     TimeReversed,
+    asymptotic_energy,
     build_cycle,
     compose,
     cycle_gain,
+    final_energy,
     find_unity_points,
     gain_factor,
     propagate_inverse_linear,
@@ -31,6 +35,7 @@ from cyclosc import (
     random_piecewise_cycle,
     scan_gain,
 )
+from cyclosc.cycles import leg
 
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
@@ -80,30 +85,34 @@ class TestBuildCycle:
         cyc = build_cycle(CycleSpec("inverse-linear", v=v, lam=lam), TIGHT)
         assert np.max(np.abs(cyc.as_array() - compose(back, out).as_array())) < 1e-12
 
-    @pytest.mark.parametrize("family,k,out_matrix", [
-        ("power-law", -3.0, None),
-        ("exponential", -2.0, None),
-    ])
-    def test_reversed_return_leg_is_flipped_outbound(self, family, k, out_matrix):
-        # families integrated backwards: back leg = K S_out^-1 K, i.e. the
-        # outbound matrix with a and d swapped
-        from cyclosc import propagate_exponential, propagate_power_law
-
+    @pytest.mark.parametrize("n_cycles", [1, 3])
+    @pytest.mark.parametrize(
+        "family,k",
+        [("power-law", k) for k in (-4.0, -3.0, -2.0, -1.0, 1.0, 3.0)] + [("exponential", -2.0)],
+    )
+    def test_reversed_return_leg_matches_ode_oracle(self, family, k, n_cycles):
+        # the outbound profile and its mirror image integrated as one
+        # Piecewise profile; independent of the closed-form time reversal
         v, lam = 0.8, 2.5
         if family == "power-law":
             z_t = lam ** (-2.0 / (k - 2.0))
-            u = v if z_t > 1.0 else -v
-            out = propagate_power_law(k, u, z_t)
+            out = PowerLaw(k, v if z_t > 1.0 else -v)
         else:
             z_t = 1.0 / lam
-            u = v if z_t > 1.0 else -v
-            out = propagate_exponential(u, z_t)
-        flip = EvolutionMatrix(out.d, out.b, out.c, out.a)
-        expect = compose(flip, out)
-        cyc = build_cycle(CycleSpec(family, v=v, lam=lam, k=k), TIGHT)
-        assert np.max(np.abs(cyc.as_array() - expect.as_array())) < 1e-8
+            out = Exponential(v if z_t > 1.0 else -v)
+        t_out = out.t_for_z(z_t)
+        loop = Piecewise(((out, t_out), (TimeReversed(out, t_out), t_out)))
+        once = propagate_ode(loop, 2.0 * t_out, TIGHT).as_array()
+        expect = np.linalg.matrix_power(once, n_cycles)
+        cyc = build_cycle(CycleSpec(family, v=v, lam=lam, k=k, n_cycles=n_cycles))
+        assert np.max(np.abs(cyc.as_array() - expect)) < 1e-9 * max(1.0, np.max(np.abs(expect)))
         assert cyc.det_error() < 1e-9
         assert gain_factor(cyc) >= 1.0 - 1e-12
+
+    def test_slow_power_law_cycle_never_loses_energy(self):
+        # an integrated return leg left R - 1 = -8.6e-9 here, below R >= 1
+        spec = CycleSpec("power-law", v=0.1297208104265089, lam=0.1, k=3.0)
+        assert cycle_gain(spec) >= 1.0 - 1e-12
 
     def test_repeat_is_matrix_power(self):
         spec1 = CycleSpec("inverse-linear", v=1.3, lam=4.0)
@@ -130,6 +139,43 @@ class TestBuildCycle:
         prof = random_fourier_profile(rng)
         spec = CycleSpec("custom", profile=prof, duration=prof.duration)
         assert cycle_gain(spec, TIGHT) >= 1.0 - 1e-12
+
+
+class TestLeg:
+    @pytest.mark.parametrize("family,k,lam", [
+        ("inverse-linear", -2.0, 3.0),
+        ("inverse-linear", -2.0, 0.4),
+        ("power-law", -3.0, 0.4),
+        ("power-law", 3.0, 2.5),
+        ("exponential", -2.0, 0.4),
+        ("exponential", -2.0, 2.5),
+    ])
+    def test_closed_and_ode_routes_agree(self, family, k, lam):
+        closed = leg(family, 0.8, lam, k)
+        numeric = leg(family, 0.8, lam, k, method="ode")
+        assert np.max(np.abs(closed.as_array() - numeric.as_array())) < 1e-7
+
+    @pytest.mark.parametrize("family,k", [
+        ("inverse-linear", -2.0), ("power-law", -3.0), ("power-law", 3.0), ("exponential", -2.0),
+    ])
+    @pytest.mark.parametrize("lam", [0.4, 2.5])
+    def test_sudden_leg_ends_at_frequency_one_over_lambda(self, family, k, lam):
+        # a sudden leg leaves the ground state frozen, so its energy read at
+        # the final frequency 1/lam is (1 + 1/lam^2)/4 for every family
+        s = leg(family, 1.0e4, lam, k)
+        energy = final_energy(s, StationaryState(0), 1.0 / lam)
+        assert energy == pytest.approx(asymptotic_energy(lam), rel=1e-6)
+
+    @pytest.mark.parametrize("family,v,k,method", [
+        ("power-law", 1.0, 2.0, "closed"),
+        ("power-law", 1.0, 0.0, "ode"),
+        ("exponential", 0.0, -2.0, "closed"),
+        ("inverse-linear", 1.0, -2.0, "euler"),
+        ("custom", 1.0, -2.0, "closed"),
+    ])
+    def test_rejects_bad_arguments(self, family, v, k, method):
+        with pytest.raises(DomainError):
+            leg(family, v, 2.0, k, method)
 
 
 class TestScan:
