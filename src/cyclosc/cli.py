@@ -2,9 +2,9 @@
 
 Subcommands: propagate, cycle, scan, forced, perturb, spectrum, verify.
 Every option can also come from a JSON config file (--config), with
-explicit flags taking precedence.  Outputs are byte-identical for the same
-configuration regardless of worker count or repetition: the only entropy
-sources are explicit seeds.
+explicit flags taking precedence.  Outputs are byte-identical across
+repeat runs of the same configuration: the only entropy sources are
+explicit seeds.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numeric or domain failure.  Errors print one JSON line on stderr.
@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -93,7 +92,7 @@ _DEFAULTS: Dict[str, Dict[str, object]] = {
     },
     "verify": {"seed": 42},
 }
-_COMMON_DEFAULTS: Dict[str, object] = {"output": "-", "format": "csv", "workers": None}
+_COMMON_DEFAULTS: Dict[str, object] = {"output": "-", "format": "csv"}
 
 _FAMILY_ALIASES = {
     "inverse-linear": "inverse-linear",
@@ -301,7 +300,6 @@ def _cmd_scan(ns: argparse.Namespace) -> int:
         omega0_axis,
         n_cycles=_to_int(ns.cycles, "cycles", minimum=1),
         k=_to_float(ns.k, "k"),
-        workers=_worker_count(ns),
     )
     rows = [
         [r.omega0, r.lam, r.v, r.gain, r.det_err, r.error] for r in result.rows
@@ -583,25 +581,10 @@ _HANDLERS: Dict[str, Callable[[argparse.Namespace], int]] = {
 # --- argument plumbing ----------------------------------------------------
 
 
-def _worker_count(ns: argparse.Namespace) -> int:
-    if ns.workers is not None:
-        value = ns.workers
-    else:
-        value = os.environ.get("CYCLOSC_WORKERS", "1")
-    try:
-        workers = int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"workers must be an integer, got {value!r}") from None
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-    return workers
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
     sub.add_argument("--output", "-o", help="output path, - for stdout (default)")
     sub.add_argument("--format", choices=["csv", "json"], help="artifact format (default csv)")
-    sub.add_argument("--workers", help="worker count (default $CYCLOSC_WORKERS or 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -171,6 +171,17 @@ def _bessel_order_check(nu: float) -> None:
         )
 
 
+def _wronskian_map(start: np.ndarray, end: np.ndarray) -> EvolutionMatrix:
+    """Evolution matrix end @ start^-1 between two fundamental frames.
+
+    start is inverted through its adjugate over its determinant, the
+    Wronskian, which is constant along the frame.
+    """
+    det = start[0, 0] * start[1, 1] - start[0, 1] * start[1, 0]
+    inv = np.array([[start[1, 1], -start[0, 1]], [-start[1, 0], start[0, 0]]]) / det
+    return EvolutionMatrix.from_array(end @ inv)
+
+
 def _power_law_frame(z: float, k: float, v: float) -> np.ndarray:
     """Fundamental-solution frame [[q1, q2], [p1, p2]] at scale z.
 
@@ -209,11 +220,7 @@ def propagate_power_law(k: float, v: float, z_final: float) -> EvolutionMatrix:
         raise DomainError(
             f"z_final = {z_final!r} is not reachable with rate v = {v!r}"
         )
-    start = _power_law_frame(1.0, k, v)
-    end = _power_law_frame(z_final, k, v)
-    det = start[0, 0] * start[1, 1] - start[0, 1] * start[1, 0]
-    inv = np.array([[start[1, 1], -start[0, 1]], [-start[1, 0], start[0, 0]]]) / det
-    return EvolutionMatrix.from_array(end @ inv)
+    return _wronskian_map(_power_law_frame(1.0, k, v), _power_law_frame(z_final, k, v))
 
 
 def _exponential_frame(z: float, v: float) -> np.ndarray:
@@ -242,11 +249,7 @@ def propagate_exponential(v: float, z_final: float) -> EvolutionMatrix:
         raise DomainError(
             f"z_final = {z_final!r} is not reachable with rate v = {v!r}"
         )
-    start = _exponential_frame(1.0, v)
-    end = _exponential_frame(z_final, v)
-    det = start[0, 0] * start[1, 1] - start[0, 1] * start[1, 0]
-    inv = np.array([[start[1, 1], -start[0, 1]], [-start[1, 0], start[0, 0]]]) / det
-    return EvolutionMatrix.from_array(end @ inv)
+    return _wronskian_map(_exponential_frame(1.0, v), _exponential_frame(z_final, v))
 
 
 def asymptotic_energy(lam: float, omega: float = 1.0) -> float:

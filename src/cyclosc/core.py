@@ -74,7 +74,7 @@ class EvolutionMatrix:
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (2, 2):
             raise ValueError(f"expected a 2x2 array, got shape {arr.shape}")
-        return cls(arr[0, 0], arr[0, 1], arr[1, 0], arr[1, 1])
+        return cls(float(arr[0, 0]), float(arr[0, 1]), float(arr[1, 0]), float(arr[1, 1]))
 
     @classmethod
     def identity(cls) -> "EvolutionMatrix":

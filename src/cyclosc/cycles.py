@@ -20,7 +20,6 @@ the gain factor is invariant.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -32,7 +31,7 @@ from .closed_form import (
     propagate_power_law,
 )
 from .core import EvolutionMatrix, compose, gain_factor
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, SymplecticError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, propagate_ode
 from .profiles import (
     Custom,
@@ -215,17 +214,6 @@ class ScanResult:
     rows: Tuple[ScanRow, ...] = field(default_factory=tuple)
 
 
-def _scan_point(args) -> ScanRow:
-    index, family, k, v, lam, omega0, n_cycles = args
-    try:
-        spec = CycleSpec(family=family, v=v, lam=lam, omega0=omega0, n_cycles=n_cycles, k=k)
-        s = build_cycle(spec)
-        return ScanRow(index, v, lam, omega0, n_cycles, gain_factor(s), s.det_error())
-    except (DomainError, IntegrationError) as exc:
-        # Failed points are kept in place so grids stay rectangular.
-        return ScanRow(index, v, lam, omega0, n_cycles, math.nan, math.nan, str(exc))
-
-
 def scan_gain(
     family: str,
     v_axis: GridAxis,
@@ -233,25 +221,24 @@ def scan_gain(
     omega0_axis: GridAxis = GridAxis(1.0, 1.0, 1),
     n_cycles: int = 1,
     k: float = -2.0,
-    workers: int = 1,
 ) -> ScanResult:
     """Gain factor over the grid omega0 x lambda x v (v fastest).
 
-    Every grid point is an independent cycle computation, so the result is
-    identical for any worker count; rows are ordered by grid index.
+    Rows are ordered by grid index.  A point whose cycle cannot be built
+    stays in place as a NaN row carrying the reason in ``error``, so the
+    grid stays rectangular.
     """
-    jobs = []
-    index = 0
-    for omega0 in omega0_axis.values():
-        for lam in lam_axis.values():
-            for v in v_axis.values():
-                jobs.append((index, family, k, float(v), float(lam), float(omega0), n_cycles))
-                index += 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, jobs, chunksize=32))
-    else:
-        rows = [_scan_point(j) for j in jobs]
+    rows = []
+    for omega0 in omega0_axis.values().tolist():
+        for lam in lam_axis.values().tolist():
+            for v in v_axis.values().tolist():
+                try:
+                    spec = CycleSpec(family, v=v, lam=lam, omega0=omega0, n_cycles=n_cycles, k=k)
+                    s = build_cycle(spec)
+                    gain, det_err, note = gain_factor(s), s.det_error(), ""
+                except (DomainError, IntegrationError, SymplecticError) as exc:
+                    gain, det_err, note = math.nan, math.nan, str(exc)
+                rows.append(ScanRow(len(rows), v, lam, omega0, n_cycles, gain, det_err, note))
     return ScanResult(family=family, k=k, rows=tuple(rows))
 
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -143,26 +145,45 @@ class TestCycleAndScan:
         rc, _, _ = run(capsys, "scan", "--v-grid=-1:2:5:log")
         assert rc == 2
 
-    def test_worker_validation(self, capsys):
-        for bad in ("0", "x"):
-            rc, _, _ = run(capsys, "scan", "--v-grid", "0.1:1:2", "--workers", bad)
-            assert rc == 2
+    def test_non_symplectic_points_become_nan_rows(self, capsys):
+        # 30 stacked resonant cycles trip compose's absolute det tolerance
+        # at v = 1 and 1.25; the README promises NaN rows, not exit 3
+        doc = run_json(capsys, "scan", "--v-grid", "1:1.5:3", "--lambda", "10", "--cycles", "30")
+        gains, notes = column(doc, "gain"), column(doc, "note")
+        assert all(math.isnan(g) for g in gains[:2])
+        assert all(note.startswith("compose: det") for note in notes[:2])
+        assert gains[2] == 18.038492822866395 and notes[2] == ""
+
+    def test_power_law_note_prints_plain_floats(self, capsys):
+        rc, out, err = run(
+            capsys, "scan", "--family", "power", "--k", "-3",
+            "--v-grid", "0.05:5:4:log", "--lambda", "6", "--cycles", "40",
+        )
+        assert rc == 0, err
+        assert "compose: det = 1.0000038146972656 deviates" in out
+        assert "np.float64" not in out
 
 
 class TestDeterminism:
     ARGS = ["scan", "--family", "inverse-linear", "--lambda", "6",
             "--v-grid", "0.05:5:8:log"]
 
-    def _emit_to(self, tmp_path, name, *extra, env=None, monkeypatch=None):
+    GOLDEN = (
+        f"#cyclosc {__version__} scan cycles=1 family=inverse-linear k=-2\n"
+        "omega0,lambda,v,gain,det_error,note\n"
+        "1,6,0.050000000000000003,1.0108179271051252,2.2204460492503131e-16,\n"
+        "1,6,0.096534886444162471,1.0035290572018851,0,\n"
+        "1,6,0.18637968601574698,1.8556039796023656,4.4408920985006262e-16,\n"
+        "1,6,0.35984283650057591,3.5223053031186478,4.4408920985006262e-16,\n"
+        "1,6,0.69474774718656862,4.6121103695672572,0,\n"
+        "1,6,1.3413478976398621,5.0589298454625728,4.4408920985006262e-16,\n"
+        "1,6,2.5897373396156045,2.552272021085753,1.1102230246251565e-16,\n"
+        "1,6,5,1.4569131502066768,6.6613381477509392e-16,\n"
+    )
+
+    def _emit_to(self, tmp_path, name):
         path = tmp_path / name
-        if env and monkeypatch:
-            for k, v in env.items():
-                monkeypatch.setenv(k, v)
-        rc = main(self.ARGS + ["--output", str(path), *extra])
-        if env and monkeypatch:
-            for k in env:
-                monkeypatch.delenv(k)
-        assert rc == 0
+        assert main(self.ARGS + ["--output", str(path)]) == 0
         return path.read_bytes()
 
     def test_repeat_runs_identical(self, tmp_path, capsys):
@@ -170,13 +191,22 @@ class TestDeterminism:
         b = self._emit_to(tmp_path, "b.csv")
         assert a == b
 
+    def test_scan_output_matches_golden_bytes(self, tmp_path):
+        assert self._emit_to(tmp_path, "g.csv") == self.GOLDEN.encode()
+
     def test_worker_count_invisible_in_output(self, tmp_path, capsys, monkeypatch):
-        serial = self._emit_to(tmp_path, "w1.csv", "--workers", "1")
-        parallel = self._emit_to(tmp_path, "w2.csv", "--workers", "2")
-        via_env = self._emit_to(
-            tmp_path, "env.csv", env={"CYCLOSC_WORKERS": "2"}, monkeypatch=monkeypatch
-        )
-        assert serial == parallel == via_env
+        # scans are serial: a worker count in the environment is ignored and
+        # a --workers option is an argparse error that writes nothing
+        for n in ("1", "2"):
+            monkeypatch.setenv("CYCLOSC_WORKERS", n)
+            assert self._emit_to(tmp_path, f"env{n}.csv") == self.GOLDEN.encode()
+        monkeypatch.delenv("CYCLOSC_WORKERS")
+        path = tmp_path / "w2.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--output", str(path), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_stdout_matches_file(self, tmp_path, capsys):
         from_file = self._emit_to(tmp_path, "f.csv")
@@ -293,3 +323,51 @@ class TestVerify:
         assert rc == 1
         doc = json.loads(out)
         assert column(doc, "status") == ["FAIL"]
+
+
+def _readme_examples():
+    """(argv, shown lines) for each `$ cyclosc ...` block in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for block in text.split("```text\n")[1:]:
+        lines = block.split("```")[0].splitlines()
+        if lines and lines[0].startswith("$ cyclosc "):
+            examples.append((shlex.split(lines[0])[2:], lines[1:]))
+    return examples
+
+
+def _cell_matches(shown: str, actual: str) -> bool:
+    """A trailing ... shows a prefix; a bare number shows a value rounded to its digits."""
+    if shown.endswith("..."):
+        return actual.startswith(shown[:-3])
+    if shown == actual:
+        return True
+    try:
+        value = float(shown)
+    except ValueError:
+        return False
+    mantissa = shown.lower().split("e")[0].lstrip("+-").replace(".", "")
+    digits = len(mantissa.lstrip("0")) or 1
+    return float(f"{float(actual):.{digits}g}") == value
+
+
+_README_EXAMPLES = _readme_examples()
+
+
+@pytest.mark.parametrize(
+    "argv,shown", _README_EXAMPLES, ids=[argv[0] for argv, _ in _README_EXAMPLES]
+)
+def test_readme_example_matches_real_output(capsys, argv, shown):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 0, err
+    actual = out.splitlines()
+    if shown[-1] == "...":
+        shown = shown[:-1]
+        assert len(actual) > len(shown)
+    else:
+        assert len(actual) == len(shown)
+    for shown_line, actual_line in zip(shown, actual):
+        shown_cells, actual_cells = shown_line.split(","), actual_line.split(",")
+        assert len(shown_cells) == len(actual_cells), (shown_line, actual_line)
+        for s_cell, a_cell in zip(shown_cells, actual_cells):
+            assert _cell_matches(s_cell, a_cell), (s_cell, a_cell)

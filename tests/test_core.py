@@ -55,6 +55,11 @@ class TestEvolutionMatrix:
         s = EvolutionMatrix(2.0, 3.0, 1.0, 2.0)  # det = 1
         assert EvolutionMatrix.from_array(s.as_array()) == s
 
+    def test_from_array_stores_python_floats(self):
+        # numpy scalars would print as np.float64(...) in error messages
+        s = EvolutionMatrix.from_array(np.array([[2.0, 3.0], [1.0, 2.0]], dtype=np.float32))
+        assert [type(x) for x in (s.a, s.b, s.c, s.d)] == [float] * 4
+
     def test_inverse(self):
         s = sp2(0.4, 1.7, -0.9)
         prod = compose(s, s.inverse())

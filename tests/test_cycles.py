@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,10 +193,16 @@ class TestScan:
         assert [r.index for r in res.rows] == list(range(6))
 
     def test_worker_count_does_not_change_rows(self):
+        # a row depends on its own grid point only: scanning each point on
+        # its own, as any split of the grid among workers would, gives the
+        # same rows as the whole scan
         axes = (GridAxis(0.05, 2.0, 8, "log"), GridAxis(10.0, 10.0, 1))
-        serial = scan_gain("inverse-linear", *axes, workers=1)
-        parallel = scan_gain("inverse-linear", *axes, workers=3)
-        assert serial == parallel
+        whole = scan_gain("inverse-linear", *axes)
+        for row in whole.rows:
+            alone = scan_gain(
+                "inverse-linear", GridAxis(row.v, row.v, 1), GridAxis(row.lam, row.lam, 1)
+            ).rows[0]
+            assert alone == replace(row, index=0)
 
     def test_failed_point_reported_not_raised(self):
         # v <= 0 is invalid for a closed-form family; the row carries the
@@ -204,6 +211,18 @@ class TestScan:
         bad, good = res.rows
         assert math.isnan(bad.gain) and bad.error != ""
         assert good.error == "" and good.gain >= 1.0
+
+    def test_non_symplectic_point_reported_not_raised(self):
+        # 30 stacked resonant cycles trip compose's absolute det tolerance
+        # at v = 1 and 1.25; the scan keeps going
+        res = scan_gain(
+            "inverse-linear", GridAxis(1.0, 1.5, 3), GridAxis(10.0, 10.0, 1), n_cycles=30
+        )
+        for row in res.rows[:2]:
+            assert math.isnan(row.gain) and math.isnan(row.det_err)
+            assert row.error.startswith("compose: det")
+        assert res.rows[2].error == ""
+        assert res.rows[2].gain == 18.038492822866395
 
     def test_all_gains_bounded_below(self):
         res = scan_gain(
