@@ -16,7 +16,6 @@ from .errors import (
 )
 from .core import (
     DET_TOL_INPUT,
-    DET_TOL_PROPAGATOR,
     BogoliubovPair,
     EvolutionMatrix,
     MomentTriple,
@@ -112,7 +111,6 @@ __all__ = [
     "SymplecticError",
     # core
     "DET_TOL_INPUT",
-    "DET_TOL_PROPAGATOR",
     "BogoliubovPair",
     "EvolutionMatrix",
     "MomentTriple",

@@ -1,10 +1,10 @@
 """Command-line front end emitting deterministic CSV/JSON artifacts.
 
 Subcommands: propagate, cycle, scan, forced, perturb, spectrum, verify.
-Every option can also come from a JSON config file (--config), with
-explicit flags taking precedence.  Outputs are byte-identical across
-repeat runs of the same configuration: the only entropy sources are
-explicit seeds.
+Every option can also come from a JSON config file (--config), keyed by
+its flag name, with explicit flags taking precedence.  Outputs are
+byte-identical across repeat runs of the same configuration: the only
+entropy sources are explicit seeds.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numeric or domain failure.  Errors print one JSON line on stderr.
@@ -65,34 +65,9 @@ class ConfigError(ValueError):
 
 _NUMERIC_ERRORS = (DomainError, SymplecticError, IntegrationError, QuadratureError)
 
-# Hard defaults, applied after flags and config file.  None marks options
-# with no default that stay optional.
-_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "propagate": {
-        "family": "inverse-linear", "k": -2.0, "v": 1.0, "lam": 2.0,
-        "v_grid": None, "state_n": 0, "method": "closed",
-    },
-    "cycle": {
-        "family": "inverse-linear", "k": -2.0, "v": 1.0, "lam": 2.0,
-        "omega0": 1.0, "cycles": 1,
-    },
-    "scan": {
-        "family": "inverse-linear", "k": -2.0, "v_grid": "0.01:10:100:log",
-        "lam": 10.0, "lambda_grid": None, "omega0_grid": "1:1:1",
-        "cycles": 1,
-    },
-    "forced": {"seed": 0, "samples": 10, "state_n": 0},
-    "perturb": {
-        "power": 2, "epsilon": 1e-3, "duration": 6.0, "drive_freq": 2.0,
-        "n_max": 10,
-    },
-    "spectrum": {
-        "size": 7e-3, "temperature": 300.0, "lam": 1e-4, "rate": 1.0,
-        "n_modes": 100, "points": 257,
-    },
-    "verify": {"seed": 42},
-}
-_COMMON_DEFAULTS: Dict[str, object] = {"output": "-", "format": "csv"}
+# A converter turns a flag, config or default value into the handler's typed
+# value, naming the flag in any ConfigError it raises.
+Convert = Callable[[object, str], object]
 
 _FAMILY_ALIASES = {
     "inverse-linear": "inverse-linear",
@@ -102,25 +77,29 @@ _FAMILY_ALIASES = {
 }
 
 
-def _to_float(value: object, name: str) -> float:
+def _float(value: object, name: str) -> float:
     try:
         return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise ConfigError(f"{name}: expected a number, got {value!r}") from None
 
 
-def _to_int(value: object, name: str, minimum: Optional[int] = None) -> int:
-    try:
-        out = int(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}: expected an integer, got {value!r}") from None
-    if minimum is not None and out < minimum:
-        raise ConfigError(f"{name}: must be >= {minimum}, got {out}")
-    return out
+def _int(minimum: int) -> Convert:
+    def convert(value: object, name: str) -> int:
+        try:
+            out = int(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            raise ConfigError(f"{name}: expected an integer, got {value!r}") from None
+        if out < minimum:
+            raise ConfigError(f"{name}: must be >= {minimum}, got {out}")
+        return out
+
+    return convert
 
 
-def _parse_grid(text: str, name: str) -> GridAxis:
+def _grid(value: object, name: str) -> GridAxis:
     """start:stop:count[:lin|log] -> GridAxis."""
+    text = str(value)
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ConfigError(f"{name}: expected start:stop:count[:lin|log], got {text!r}")
@@ -141,13 +120,26 @@ def _parse_grid(text: str, name: str) -> GridAxis:
     return axis
 
 
-def _family(name: object) -> str:
-    fam = _FAMILY_ALIASES.get(str(name))
+def _family(value: object, name: str) -> str:
+    fam = _FAMILY_ALIASES.get(str(value))
     if fam is None:
         raise ConfigError(
-            f"unknown family {name!r}; expected one of {sorted(_FAMILY_ALIASES)}"
+            f"unknown family {value!r}; expected one of {sorted(_FAMILY_ALIASES)}"
         )
     return fam
+
+
+def _choice(*allowed: str) -> Convert:
+    def convert(value: object, name: str) -> str:
+        if value not in allowed:
+            raise ConfigError(f"{name} must be {' or '.join(allowed)}, got {value!r}")
+        return str(value)
+
+    return convert
+
+
+def _text(value: object, name: str) -> str:
+    return str(value)
 
 
 def _py(value: object) -> object:
@@ -185,7 +177,7 @@ def _emit(
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
         text = buf.getvalue()
-    elif fmt == "json":
+    else:
         doc = {
             "tool": "cyclosc",
             "version": __version__,
@@ -195,8 +187,6 @@ def _emit(
             "rows": [[_py(x) for x in row] for row in rows],
         }
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-    else:
-        raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
     if output == "-":
         sys.stdout.write(text)
     else:
@@ -218,111 +208,72 @@ def _random_forced(rng: np.random.Generator) -> Tuple[float, ForcedResult]:
 
 
 # --- subcommand handlers -------------------------------------------------
+#
+# Each handler gets the typed values of its option table and returns the
+# artifact as (columns, rows, meta); verify adds its pass/fail flag.
+
+Artifact = Tuple[Sequence[str], List[Sequence[object]], Dict[str, object]]
 
 
-def _cmd_propagate(ns: argparse.Namespace) -> int:
-    family = _family(ns.family)
-    lam = _to_float(ns.lam, "lambda")
+def _cmd_propagate(ns: argparse.Namespace) -> Artifact:
+    lam = ns.lam
     if not lam > 0.0 or lam == 1.0:
         raise ConfigError(f"lambda must be positive and != 1, got {lam!r}")
-    state = StationaryState(_to_int(ns.state_n, "state-n", minimum=0))
+    state = StationaryState(ns.state_n)
     omega_f = 1.0 / lam
-    k = _to_float(ns.k, "k")
-    if ns.v_grid is not None:
-        vs = [float(x) for x in _parse_grid(str(ns.v_grid), "v-grid").values()]
-    else:
-        vs = [_to_float(ns.v, "v")]
+    vs = [ns.v] if ns.v_grid is None else ns.v_grid.values().tolist()
     try:
         for v in vs:
-            _check_leg_args(family, v, k, ns.method)
+            _check_leg_args(ns.family, v, ns.k, ns.method)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     rows: List[Sequence[object]] = []
     for v in vs:
-        s = leg(family, v, lam, k, ns.method)
+        s = leg(ns.family, v, lam, ns.k, ns.method)
         e_fin = final_energy(s, state, omega_f)
         rows.append(
             [v, lam, omega_f, s.a, s.b, s.c, s.d, s.det_error(), e_fin]
         )
-    meta = {"family": family, "method": ns.method, "state_n": state.n}
-    if family == "power-law":
-        meta["k"] = k
-    _emit(
-        "propagate",
-        ["v", "lambda", "omega_final", "a", "b", "c", "d", "det_error", "final_energy"],
-        rows,
-        meta,
-        ns.format,
-        ns.output,
-    )
-    return 0
+    meta = {"family": ns.family, "method": ns.method, "state_n": state.n}
+    if ns.family == "power-law":
+        meta["k"] = ns.k
+    columns = ["v", "lambda", "omega_final", "a", "b", "c", "d", "det_error", "final_energy"]
+    return columns, rows, meta
 
 
-def _cmd_cycle(ns: argparse.Namespace) -> int:
-    family = _family(ns.family)
+def _cmd_cycle(ns: argparse.Namespace) -> Artifact:
     try:
         spec = CycleSpec(
-            family,
-            v=_to_float(ns.v, "v"),
-            lam=_to_float(ns.lam, "lambda"),
-            omega0=_to_float(ns.omega0, "omega0"),
-            n_cycles=_to_int(ns.cycles, "cycles", minimum=1),
-            k=_to_float(ns.k, "k"),
+            ns.family, v=ns.v, lam=ns.lam, omega0=ns.omega0, n_cycles=ns.cycles, k=ns.k
         )
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     s = build_cycle(spec)
-    meta = {"family": family, "k": spec.k, "cycles": spec.n_cycles}
-    _emit(
-        "cycle",
+    meta = {"family": spec.family, "k": spec.k, "cycles": spec.n_cycles}
+    return (
         ["v", "lambda", "omega0", "a", "b", "c", "d", "det_error", "gain"],
         [[spec.v, spec.lam, spec.omega0, s.a, s.b, s.c, s.d, s.det_error(), gain_factor(s)]],
         meta,
-        ns.format,
-        ns.output,
     )
-    return 0
 
 
-def _cmd_scan(ns: argparse.Namespace) -> int:
-    family = _family(ns.family)
-    v_axis = _parse_grid(str(ns.v_grid), "v-grid")
-    if ns.lambda_grid is not None:
-        lam_axis = _parse_grid(str(ns.lambda_grid), "lambda-grid")
-    else:
-        lam = _to_float(ns.lam, "lambda")
-        lam_axis = GridAxis(lam, lam, 1)
-    omega0_axis = _parse_grid(str(ns.omega0_grid), "omega0-grid")
+def _cmd_scan(ns: argparse.Namespace) -> Artifact:
+    lam_axis = ns.lambda_grid if ns.lambda_grid is not None else GridAxis(ns.lam, ns.lam, 1)
     result = scan_gain(
-        family,
-        v_axis,
-        lam_axis,
-        omega0_axis,
-        n_cycles=_to_int(ns.cycles, "cycles", minimum=1),
-        k=_to_float(ns.k, "k"),
+        ns.family, ns.v_grid, lam_axis, ns.omega0_grid, n_cycles=ns.cycles, k=ns.k
     )
     rows = [
         [r.omega0, r.lam, r.v, r.gain, r.det_err, r.error] for r in result.rows
     ]
-    meta = {"family": family, "k": result.k, "cycles": int(ns.cycles)}
-    _emit(
-        "scan",
-        ["omega0", "lambda", "v", "gain", "det_error", "note"],
-        rows,
-        meta,
-        ns.format,
-        ns.output,
-    )
-    return 0
+    meta = {"family": ns.family, "k": result.k, "cycles": ns.cycles}
+    return ["omega0", "lambda", "v", "gain", "det_error", "note"], rows, meta
 
 
-def _cmd_forced(ns: argparse.Namespace) -> int:
-    seed = _to_int(ns.seed, "seed", minimum=0)
-    samples = _to_int(ns.samples, "samples", minimum=1)
-    rng = np.random.default_rng(seed)
-    state = StationaryState(_to_int(ns.state_n, "state-n", minimum=0))
+def _cmd_forced(ns: argparse.Namespace) -> Artifact:
+    rng = np.random.default_rng(ns.seed)
+    state = StationaryState(ns.state_n)
     rows: List[Sequence[object]] = []
-    for i in range(samples):
+    for i in range(ns.samples):
         t0, res = _random_forced(rng)
         e_free = final_energy(res.matrix, state, 1.0)
         e_shift = 0.5 * (res.qc_dot**2 + res.qc**2)
@@ -330,24 +281,12 @@ def _cmd_forced(ns: argparse.Namespace) -> int:
         rows.append(
             [i, t0, state.energy, e_free, e_shift, e_total, e_total / state.energy]
         )
-    meta = {"seed": seed, "samples": samples, "state_n": state.n}
-    _emit(
-        "forced",
-        ["sample", "duration", "e_initial", "e_free", "e_drive", "e_final", "gain"],
-        rows,
-        meta,
-        ns.format,
-        ns.output,
-    )
-    return 0
+    meta = {"seed": ns.seed, "samples": ns.samples, "state_n": state.n}
+    return ["sample", "duration", "e_initial", "e_free", "e_drive", "e_final", "gain"], rows, meta
 
 
-def _cmd_perturb(ns: argparse.Namespace) -> int:
-    power = _to_int(ns.power, "power", minimum=1)
-    n_max = _to_int(ns.n_max, "n-max", minimum=0)
-    eps = _to_float(ns.epsilon, "epsilon")
-    t_end = _to_float(ns.duration, "duration")
-    w_drive = _to_float(ns.drive_freq, "drive-freq")
+def _cmd_perturb(ns: argparse.Namespace) -> Artifact:
+    power, eps, t_end, w_drive = ns.power, ns.epsilon, ns.duration, ns.drive_freq
     if not t_end > 0.0:
         raise ConfigError(f"duration must be positive, got {t_end!r}")
 
@@ -356,7 +295,7 @@ def _cmd_perturb(ns: argparse.Namespace) -> int:
 
     drive = Drive.from_callable(g, t_end)
     rows: List[Sequence[object]] = []
-    for n in range(n_max + 1):
+    for n in range(ns.n_max + 1):
         shift = first_order_energy_shift(drive, n, power)
         p_up = transition_probability(drive, n, n + power, power)
         p_down = transition_probability(drive, n, n - power, power) if n >= power else 0.0
@@ -364,29 +303,15 @@ def _cmd_perturb(ns: argparse.Namespace) -> int:
     meta = {
         "power": power, "epsilon": eps, "duration": t_end, "drive_freq": w_drive,
     }
-    _emit(
-        "perturb",
-        ["n", "energy_shift", "p_up", "p_down"],
-        rows,
-        meta,
-        ns.format,
-        ns.output,
-    )
-    return 0
+    return ["n", "energy_shift", "p_up", "p_down"], rows, meta
 
 
-def _cmd_spectrum(ns: argparse.Namespace) -> int:
+def _cmd_spectrum(ns: argparse.Namespace) -> Artifact:
     try:
-        spec = CavitySpec(
-            L0=_to_float(ns.size, "size"),
-            T=_to_float(ns.temperature, "temperature"),
-            lam=_to_float(ns.lam, "lambda"),
-            v=_to_float(ns.rate, "rate"),
-            n_max=_to_int(ns.n_modes, "n-modes", minimum=1),
-        )
+        spec = CavitySpec(L0=ns.size, T=ns.temperature, lam=ns.lam, v=ns.rate, n_max=ns.n_modes)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
-    shift = shift_planck_spectrum(spec, _to_int(ns.points, "points", minimum=16))
+    shift = shift_planck_spectrum(spec, ns.points)
     rows: List[Sequence[object]] = []
     for samp in shift.before:
         rows.append(["before", samp.nu, samp.u])
@@ -398,15 +323,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
         "lambda": spec.lam,
         "fitted_temperature": shift.fitted_temperature,
     }
-    _emit(
-        "spectrum",
-        ["stage", "nu", "u"],
-        rows,
-        meta,
-        ns.format,
-        ns.output,
-    )
-    return 0
+    return ["stage", "nu", "u"], rows, meta
 
 
 # --- verify suites --------------------------------------------------------
@@ -545,46 +462,92 @@ _SUITES: Tuple[Tuple[str, Callable[[np.random.Generator], Tuple[int, int, float]
 )
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
-    seed = _to_int(ns.seed, "seed", minimum=0)
+def _cmd_verify(
+    ns: argparse.Namespace,
+) -> Tuple[Sequence[str], List[Sequence[object]], Dict[str, object], bool]:
     rows: List[Sequence[object]] = []
     all_ok = True
     for index, (name, suite) in enumerate(_SUITES):
-        rng = np.random.default_rng([seed, index])
+        rng = np.random.default_rng([ns.seed, index])
         passed, total, worst = suite(rng)
         ok = passed == total
         all_ok = all_ok and ok
         rows.append([name, passed, total, worst, "ok" if ok else "FAIL"])
-    meta = {"seed": seed}
-    _emit(
-        "verify",
-        ["suite", "passed", "total", "worst_deviation", "status"],
-        rows,
-        meta,
-        ns.format,
-        ns.output,
-    )
-    return 0 if all_ok else 1
+    return ["suite", "passed", "total", "worst_deviation", "status"], rows, {"seed": ns.seed}, all_ok
 
 
-_HANDLERS: Dict[str, Callable[[argparse.Namespace], int]] = {
-    "propagate": _cmd_propagate,
-    "cycle": _cmd_cycle,
-    "scan": _cmd_scan,
-    "forced": _cmd_forced,
-    "perturb": _cmd_perturb,
-    "spectrum": _cmd_spectrum,
-    "verify": _cmd_verify,
+# --- options ----------------------------------------------------------------
+#
+# Each option is declared once, as (flag, default, converter, help).  The
+# flag gives the namespace attribute and the config-file key (- or _, and
+# --lambda is ns.lam, keyed "lambda" or "lam"); the converter types the
+# resolved value and names the flag in its errors.
+
+Option = Tuple[str, object, Convert, str]
+
+_FAMILY_HELP = "inverse-linear | power | exponential"
+_COMMON: Tuple[Option, ...] = (
+    ("output", "-", _text, "output path, - for stdout (default)"),
+    ("format", "csv", _choice("csv", "json"), "artifact format: csv (default) or json"),
+)
+
+_COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], tuple], str, Tuple[Option, ...]]] = {
+    "propagate": (_cmd_propagate, "one closed-form leg: matrix and final energy", (
+        ("family", "inverse-linear", _family, _FAMILY_HELP),
+        ("k", -2.0, _float, "power-law exponent (power family only)"),
+        ("v", 1.0, _float, "rate magnitude"),
+        ("lambda", 2.0, _float, "frequency scale omega0/omega_final"),
+        ("v-grid", None, _grid, "start:stop:count[:lin|log] to sweep v"),
+        ("state-n", 0, _int(0), "initial stationary-state index (default 0)"),
+        ("method", "closed", _choice("closed", "ode"), "evaluation route: closed or ode"),
+    )),
+    "cycle": (_cmd_cycle, "closed cycle: matrix and gain factor", (
+        ("family", "inverse-linear", _family, _FAMILY_HELP),
+        ("k", -2.0, _float, "power-law exponent"),
+        ("v", 1.0, _float, "rate magnitude"),
+        ("lambda", 2.0, _float, "cycle scale"),
+        ("omega0", 1.0, _float, "initial frequency"),
+        ("cycles", 1, _int(1), "number of repetitions"),
+    )),
+    "scan": (_cmd_scan, "gain over a (omega0, lambda, v) grid", (
+        ("family", "inverse-linear", _family, _FAMILY_HELP),
+        ("k", -2.0, _float, "power-law exponent"),
+        ("v-grid", "0.01:10:100:log", _grid, "start:stop:count[:lin|log]"),
+        ("lambda", 10.0, _float, "fixed lambda (ignored with --lambda-grid)"),
+        ("lambda-grid", None, _grid, "start:stop:count[:lin|log]"),
+        ("omega0-grid", "1:1:1", _grid, "start:stop:count[:lin|log] (default 1:1:1)"),
+        ("cycles", 1, _int(1), "cycles per grid point"),
+    )),
+    "forced": (_cmd_forced, "random cyclic profiles with endpoint-vanishing drives", (
+        ("seed", 0, _int(0), "RNG seed"),
+        ("samples", 10, _int(1), "number of (profile, drive) pairs"),
+        ("state-n", 0, _int(0), "initial stationary-state index"),
+    )),
+    "perturb": (_cmd_perturb, "x^N transition probabilities and energy shifts", (
+        ("power", 2, _int(1), "operator power N"),
+        ("epsilon", 1e-3, _float, "drive amplitude"),
+        ("duration", 6.0, _float, "drive duration"),
+        ("drive-freq", 2.0, _float, "drive carrier frequency"),
+        ("n-max", 10, _int(0), "largest initial level to report"),
+    )),
+    "spectrum": (_cmd_spectrum, "Planck spectrum before/after adiabatic contraction", (
+        ("size", 7e-3, _float, "cavity edge L0 in cm"),
+        ("temperature", 300.0, _float, "wall temperature in K"),
+        ("lambda", 1e-4, _float, "contraction scale"),
+        ("rate", 1.0, _float, "fractional contraction rate 1/s"),
+        ("n-modes", 100, _int(1), "adiabaticity check cutoff"),
+        ("points", 257, _int(16), "samples per stage"),
+    )),
+    "verify": (_cmd_verify, "run the seeded invariant suites", (
+        ("seed", 42, _int(0), "RNG seed (default 42)"),
+    )),
 }
 
 
-# --- argument plumbing ----------------------------------------------------
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--output", "-o", help="output path, - for stdout (default)")
-    sub.add_argument("--format", choices=["csv", "json"], help="artifact format (default csv)")
+def _dest(key: str) -> str:
+    """Namespace attribute of a flag or config key."""
+    norm = key.replace("-", "_")
+    return "lam" if norm == "lambda" else norm
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,67 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cyclosc {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("propagate", help="one closed-form leg: matrix and final energy")
-    p.add_argument("--family", help="inverse-linear | power | exponential")
-    p.add_argument("--k", help="power-law exponent (power family only)")
-    p.add_argument("--v", help="rate magnitude")
-    p.add_argument("--lambda", dest="lam", help="frequency scale omega0/omega_final")
-    p.add_argument("--v-grid", help="start:stop:count[:lin|log] to sweep v")
-    p.add_argument("--state-n", help="initial stationary-state index (default 0)")
-    p.add_argument("--method", choices=["closed", "ode"], help="evaluation route")
-    _add_common(p)
-
-    p = subs.add_parser("cycle", help="closed cycle: matrix and gain factor")
-    p.add_argument("--family", help="inverse-linear | power | exponential")
-    p.add_argument("--k", help="power-law exponent")
-    p.add_argument("--v", help="rate magnitude")
-    p.add_argument("--lambda", dest="lam", help="cycle scale")
-    p.add_argument("--omega0", help="initial frequency")
-    p.add_argument("--cycles", help="number of repetitions")
-    _add_common(p)
-
-    p = subs.add_parser("scan", help="gain over a (omega0, lambda, v) grid")
-    p.add_argument("--family", help="inverse-linear | power | exponential")
-    p.add_argument("--k", help="power-law exponent")
-    p.add_argument("--v-grid", help="start:stop:count[:lin|log]")
-    p.add_argument("--lambda", dest="lam", help="fixed lambda (ignored with --lambda-grid)")
-    p.add_argument("--lambda-grid", help="start:stop:count[:lin|log]")
-    p.add_argument("--omega0-grid", help="start:stop:count[:lin|log] (default 1:1:1)")
-    p.add_argument("--cycles", help="cycles per grid point")
-    _add_common(p)
-
-    p = subs.add_parser("forced", help="random cyclic profiles with endpoint-vanishing drives")
-    p.add_argument("--seed", help="RNG seed")
-    p.add_argument("--samples", help="number of (profile, drive) pairs")
-    p.add_argument("--state-n", help="initial stationary-state index")
-    _add_common(p)
-
-    p = subs.add_parser("perturb", help="x^N transition probabilities and energy shifts")
-    p.add_argument("--power", help="operator power N")
-    p.add_argument("--epsilon", help="drive amplitude")
-    p.add_argument("--duration", help="drive duration")
-    p.add_argument("--drive-freq", help="drive carrier frequency")
-    p.add_argument("--n-max", help="largest initial level to report")
-    _add_common(p)
-
-    p = subs.add_parser("spectrum", help="Planck spectrum before/after adiabatic contraction")
-    p.add_argument("--size", help="cavity edge L0 in cm")
-    p.add_argument("--temperature", help="wall temperature in K")
-    p.add_argument("--lambda", dest="lam", help="contraction scale")
-    p.add_argument("--rate", help="fractional contraction rate 1/s")
-    p.add_argument("--n-modes", help="adiabaticity check cutoff")
-    p.add_argument("--points", help="samples per stage")
-    _add_common(p)
-
-    p = subs.add_parser("verify", help="run the seeded invariant suites")
-    p.add_argument("--seed", help="RNG seed (default 42)")
-    _add_common(p)
-
+    for name, (_, summary, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=summary)
+        for flag, _, _, text in options + _COMMON:
+            aliases = ["-o"] if flag == "output" else []
+            sub.add_argument(f"--{flag}", *aliases, dest=_dest(flag), help=text)
+        sub.add_argument("--config", help="JSON config file; flags override its values")
     return parser
 
 
-def _load_config(path: str, allowed: Dict[str, object]) -> Dict[str, object]:
+def _load_config(path: str, allowed: Sequence[str]) -> Dict[str, object]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -664,9 +576,7 @@ def _load_config(path: str, allowed: Dict[str, object]) -> Dict[str, object]:
         raise ConfigError(f"config {path!r} must hold a JSON object")
     out: Dict[str, object] = {}
     for key, value in raw.items():
-        norm = str(key).replace("-", "_")
-        if norm == "lambda":
-            norm = "lam"
+        norm = _dest(str(key))
         if norm not in allowed:
             raise ConfigError(f"config key {key!r} not valid for this subcommand")
         out[norm] = value
@@ -674,14 +584,20 @@ def _load_config(path: str, allowed: Dict[str, object]) -> Dict[str, object]:
 
 
 def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
-    defaults = dict(_DEFAULTS[ns.subcommand])
-    defaults.update(_COMMON_DEFAULTS)
+    """Flag > config file > default, then each value through its converter."""
+    options = _COMMANDS[ns.subcommand][2] + _COMMON
     config: Dict[str, object] = {}
-    if getattr(ns, "config", None):
-        config = _load_config(ns.config, defaults)
-    for key, hard in defaults.items():
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, config.get(key, hard))
+    if ns.config:
+        config = _load_config(ns.config, [_dest(flag) for flag, *_ in options])
+    for flag, default, convert, _ in options:
+        dest = _dest(flag)
+        value = getattr(ns, dest)
+        if value is None:
+            value = config.get(dest, default)
+        # an option whose default is None stays absent unless given
+        if value is not None or default is not None:
+            value = convert(value, flag)
+        setattr(ns, dest, value)
     return ns
 
 
@@ -689,8 +605,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        ns = _resolve(ns)
-        return _HANDLERS[ns.subcommand](ns)
+        columns, rows, meta, *ok = _COMMANDS[ns.subcommand][0](_resolve(ns))
+        _emit(ns.subcommand, columns, rows, meta, ns.format, ns.output)
+        return 0 if all(ok) else 1
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)
         return 2

@@ -30,7 +30,6 @@ from .errors import SymplecticError
 
 __all__ = [
     "DET_TOL_INPUT",
-    "DET_TOL_PROPAGATOR",
     "EvolutionMatrix",
     "StationaryState",
     "MomentTriple",
@@ -45,10 +44,9 @@ __all__ = [
     "random_symplectic",
 ]
 
-# Composed products may accumulate roundoff; single propagator outputs are
-# held to the tighter bound.
+# Largest |det S - 1| accepted from a matrix passed to this module's
+# functions; loose because composed products accumulate roundoff.
 DET_TOL_INPUT = 1e-6
-DET_TOL_PROPAGATOR = 1e-9
 
 
 @dataclass(frozen=True)

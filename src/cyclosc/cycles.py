@@ -89,8 +89,8 @@ class CycleSpec:
             raise DomainError(f"lambda must be positive, got {self.lam!r}")
         if not self.omega0 > 0.0:
             raise DomainError(f"omega0 must be positive, got {self.omega0!r}")
-        if self.n_cycles < 1:
-            raise DomainError(f"n_cycles must be >= 1, got {self.n_cycles!r}")
+        if not isinstance(self.n_cycles, (int, np.integer)) or self.n_cycles < 1:
+            raise DomainError(f"n_cycles must be an integer >= 1, got {self.n_cycles!r}")
         if self.family == "custom":
             if self.profile is None or self.duration is None:
                 raise DomainError("custom cycles need a profile and a duration")

@@ -39,9 +39,16 @@ class FrequencyProfile:
         return math.sqrt(self.omega_sq(t))
 
     def check_domain(self, t_final: float) -> None:
-        """Raise DomainError if [0, t_final] leaves the validity domain."""
+        """Raise DomainError if [0, t_final] leaves the validity domain.
+
+        A profile with a ``duration`` is defined on [0, duration]; one
+        without is defined for all t >= 0.
+        """
         if not (t_final >= 0.0 and math.isfinite(t_final)):
             raise DomainError(f"t_final must be finite and >= 0, got {t_final!r}")
+        duration = getattr(self, "duration", math.inf)
+        if t_final > duration * (1.0 + 1e-12):
+            raise DomainError(f"t_final = {t_final!r} beyond the domain [0, {duration!r}]")
 
 
 @dataclass(frozen=True)
@@ -184,13 +191,6 @@ class Piecewise(FrequencyProfile):
             rem -= dur
         raise DomainError(f"t = {t!r} beyond the piecewise domain [0, {self.duration!r}]")
 
-    def check_domain(self, t_final: float) -> None:
-        super().check_domain(t_final)
-        if t_final > self.duration * (1.0 + 1e-12):
-            raise DomainError(
-                f"t_final = {t_final!r} beyond the piecewise domain [0, {self.duration!r}]"
-            )
-
 
 @dataclass(frozen=True)
 class Tabulated(FrequencyProfile):
@@ -232,13 +232,6 @@ class Tabulated(FrequencyProfile):
     def omega_sq(self, t: float) -> float:
         return self.omega(t) ** 2
 
-    def check_domain(self, t_final: float) -> None:
-        super().check_domain(t_final)
-        if t_final > self.duration * (1.0 + 1e-12):
-            raise DomainError(
-                f"t_final = {t_final!r} beyond the tabulated domain [0, {self.duration!r}]"
-            )
-
 
 @dataclass(frozen=True)
 class Custom(FrequencyProfile):
@@ -249,13 +242,6 @@ class Custom(FrequencyProfile):
 
     def omega_sq(self, t: float) -> float:
         return float(self.omega_sq_fn(t))
-
-    def check_domain(self, t_final: float) -> None:
-        super().check_domain(t_final)
-        if t_final > self.duration * (1.0 + 1e-12):
-            raise DomainError(
-                f"t_final = {t_final!r} beyond the profile domain [0, {self.duration!r}]"
-            )
 
 
 @dataclass(frozen=True)
@@ -274,10 +260,3 @@ class TimeReversed(FrequencyProfile):
         # Clamp to kill roundoff excursions just outside [0, duration].
         s = min(max(self.duration - t, 0.0), self.duration)
         return self.base.omega_sq(s)
-
-    def check_domain(self, t_final: float) -> None:
-        super().check_domain(t_final)
-        if t_final > self.duration * (1.0 + 1e-12):
-            raise DomainError(
-                f"t_final = {t_final!r} beyond the reversed domain [0, {self.duration!r}]"
-            )

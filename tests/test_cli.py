@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -266,6 +267,109 @@ class TestConfigFile:
         assert run(capsys, "propagate", "--config", str(tmp_path / "nope.json"))[0] == 2
 
 
+# A valid value and a second valid value for every option in the tables.
+_SAMPLES = {
+    "family": ("power", "exponential"),
+    "k": ("-3", "-4"),
+    "v": ("0.5", "0.25"),
+    "lambda": ("3", "0.5"),
+    "v-grid": ("0.1:1:3:log", "1:2:2"),
+    "state-n": ("2", "1"),
+    "method": ("ode", "closed"),
+    "omega0": ("2", "3"),
+    "cycles": ("3", "2"),
+    "lambda-grid": ("2:4:3", "5:6:2"),
+    "omega0-grid": ("1:2:2", "0.5:1:3:log"),
+    "seed": ("7", "3"),
+    "samples": ("3", "2"),
+    "power": ("3", "1"),
+    "epsilon": ("0.01", "0.02"),
+    "duration": ("5", "4"),
+    "drive-freq": ("1.5", "2.5"),
+    "n-max": ("4", "5"),
+    "size": ("0.01", "0.02"),
+    "temperature": ("200", "100"),
+    "rate": ("0.5", "0.25"),
+    "n-modes": ("50", "60"),
+    "points": ("32", "64"),
+    "output": ("a.csv", "b.csv"),
+    "format": ("json", "csv"),
+}
+_TEXT_OPTIONS = {"family", "method", "format", "output"}
+_TABLE = [
+    (sub, flag)
+    for sub, (_, _, options) in cli._COMMANDS.items()
+    for flag, *_ in options + cli._COMMON
+]
+
+
+def _resolved(tmp_path, sub, flag, argv=(), config=None):
+    """Typed value of one option after flag > config > default resolution."""
+    args = [sub, *argv]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    ns = cli._resolve(cli.build_parser().parse_args(args))
+    return getattr(ns, cli._dest(flag))
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize("sub,flag", _TABLE)
+    def test_flag_and_config_spellings_agree_and_flag_wins(self, tmp_path, sub, flag):
+        good, other = _SAMPLES[flag]
+        from_flag = _resolved(tmp_path, sub, flag, [f"--{flag}={good}"])
+        assert from_flag != _resolved(tmp_path, sub, flag)
+        assert flag in _TEXT_OPTIONS or not isinstance(from_flag, str)
+        keys = {flag, flag.replace("-", "_")} | ({"lam"} if flag == "lambda" else set())
+        for key in keys:
+            assert _resolved(tmp_path, sub, flag, config={key: good}) == from_flag, key
+        beaten = _resolved(tmp_path, sub, flag, [f"--{flag}={other}"], config={flag: good})
+        assert beaten == _resolved(tmp_path, sub, flag, [f"--{flag}={other}"])
+        assert beaten != from_flag
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "sub,flag", [(sub, flag) for sub, flag in _TABLE if flag not in _TEXT_OPTIONS]
+    )
+    def test_malformed_number_or_grid_names_the_flag(self, tmp_path, capsys, sub, flag, source):
+        if source == "flag":
+            rc, out, err = run(capsys, sub, f"--{flag}=x")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: "x"}))
+            rc, out, err = run(capsys, sub, "--config", str(cfg))
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "config"
+        assert doc["message"].startswith(f"{flag}: ")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "sub,flag", [(sub, flag) for sub, flag in _TABLE if flag in ("format", "method")]
+    )
+    def test_bad_choice_is_a_json_config_error(self, tmp_path, capsys, sub, flag, source):
+        if source == "flag":
+            rc, out, err = run(capsys, sub, f"--{flag}", "xml")
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag: "xml"}))
+            rc, out, err = run(capsys, sub, "--config", str(cfg))
+        assert rc == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "config"
+        assert doc["message"].startswith(f"{flag} must be ")
+
+    @pytest.mark.parametrize("sub", list(cli._COMMANDS))
+    def test_help_lists_exactly_the_table(self, capsys, sub):
+        with pytest.raises(SystemExit) as exc:
+            main([sub, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z0-9][\w-]*", capsys.readouterr().out))
+        options = cli._COMMANDS[sub][2] + cli._COMMON
+        assert listed - {"--help"} == {f"--{flag}" for flag, *_ in options} | {"--config"}
+
+
 class TestForced:
     def test_sampled_gains_respect_theorem(self, capsys):
         doc = run_json(capsys, "forced", "--samples", "4", "--seed", "3")
@@ -371,3 +475,10 @@ def test_readme_example_matches_real_output(capsys, argv, shown):
         assert len(shown_cells) == len(actual_cells), (shown_line, actual_line)
         for s_cell, a_cell in zip(shown_cells, actual_cells):
             assert _cell_matches(s_cell, a_cell), (s_cell, a_cell)
+
+
+def test_readme_library_quickstart_runs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md:quickstart", "exec"), {})

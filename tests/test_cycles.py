@@ -59,6 +59,16 @@ class TestCycleSpec:
         with pytest.raises(DomainError):
             CycleSpec("custom")
 
+    @pytest.mark.parametrize("n_cycles", [2.5, 2.0, "2", 0, -1])
+    def test_rejects_non_integer_or_nonpositive_cycle_count(self, n_cycles):
+        with pytest.raises(DomainError, match="n_cycles"):
+            CycleSpec("inverse-linear", v=1.0, lam=2.0, n_cycles=n_cycles)
+
+    def test_numpy_integer_cycle_count_accepted(self):
+        spec = CycleSpec("inverse-linear", v=1.0, lam=2.0, n_cycles=np.int64(2))
+        once = build_cycle(CycleSpec("inverse-linear", v=1.0, lam=2.0))
+        assert build_cycle(spec) == compose(once, once)
+
 
 class TestBuildCycle:
     def test_unit_scale_is_identity(self):
@@ -211,6 +221,11 @@ class TestScan:
         bad, good = res.rows
         assert math.isnan(bad.gain) and bad.error != ""
         assert good.error == "" and good.gain >= 1.0
+
+    def test_non_integer_cycle_count_becomes_nan_rows(self):
+        res = scan_gain("inverse-linear", GridAxis(0.5, 1.0, 2), GridAxis(2.0, 2.0, 1), n_cycles=2.5)
+        for row in res.rows:
+            assert math.isnan(row.gain) and "n_cycles" in row.error
 
     def test_non_symplectic_point_reported_not_raised(self):
         # 30 stacked resonant cycles trip compose's absolute det tolerance

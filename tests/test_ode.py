@@ -137,6 +137,28 @@ class TestTabulated:
         assert np.max(np.abs(s_tab.as_array() - s_smooth.as_array())) < 1e-5
 
 
+class TestProfileDomain:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Piecewise(((InverseLinear(1.0, 0.5), 1.0), (Exponential(0.2), 1.0))),
+            lambda: Tabulated((0.0, 1.0, 2.0), (1.0, 1.2, 1.0)),
+            lambda: Custom(lambda t: 1.0, duration=2.0),
+            lambda: TimeReversed(InverseLinear(1.0, 0.5), 2.0),
+        ],
+        ids=["piecewise", "tabulated", "custom", "reversed"],
+    )
+    def test_container_profile_ends_at_its_duration(self, make):
+        prof = make()
+        prof.check_domain(2.0)
+        with pytest.raises(DomainError, match=r"beyond the domain \[0, 2.0\]"):
+            propagate_ode(prof, 2.1)
+
+    def test_profile_without_duration_is_unbounded(self):
+        for prof in (InverseLinear(1.0, 0.5), PowerLaw(-3.0, 0.5), Exponential(0.5), Custom(math.cos)):
+            prof.check_domain(1e6)
+
+
 class TestForced:
     def test_endpoint_drive_must_vanish(self):
         prof = Custom(lambda t: 1.0, duration=2.0)
