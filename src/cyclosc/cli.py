@@ -77,8 +77,12 @@ _FAMILY_ALIASES = {
 }
 
 
+# A config value converts exactly as its flag text would: JSON true is not
+# the number 1, and 2.7 or 3.0 is no integer, as "--cycles 3.0" is not.
 def _float(value: object, name: str) -> float:
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
         raise ConfigError(f"{name}: expected a number, got {value!r}") from None
@@ -87,6 +91,8 @@ def _float(value: object, name: str) -> float:
 def _int(minimum: int) -> Convert:
     def convert(value: object, name: str) -> int:
         try:
+            if isinstance(value, (bool, float)):
+                raise TypeError
             out = int(value)  # type: ignore[arg-type]
         except (TypeError, ValueError):
             raise ConfigError(f"{name}: expected an integer, got {value!r}") from None

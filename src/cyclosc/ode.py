@@ -76,20 +76,18 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _first_step(profile: FrequencyProfile, t_start: float, span: float) -> float:
-    w0 = math.sqrt(max(profile.omega_sq(t_start), 0.0))
-    step = 0.1 / max(w0, 1.0)
-    return min(step, span)
-
-
 def _integrate(
     rhs: Callable,
     y0: np.ndarray,
     t_start: float,
     t_final: float,
-    profile: FrequencyProfile,
+    omega_start: float,
     cfg: IntegratorConfig,
 ) -> np.ndarray:
+    """Final state of dy/dt = rhs(t, y), held to cfg's tolerances and step budget.
+
+    The first step is 0.1 / max(omega_start, 1), capped at the span.
+    """
     span = t_final - t_start
     if span == 0.0:
         return y0.copy()
@@ -111,7 +109,7 @@ def _integrate(
         method=cfg.method,
         rtol=cfg.rtol,
         atol=cfg.atol,
-        first_step=_first_step(profile, t_start, span),
+        first_step=min(0.1 / max(omega_start, 1.0), span),
         dense_output=False,
     )
     if not sol.success:
@@ -142,7 +140,8 @@ def propagate_ode(
         w2 = profile.omega_sq(t)
         return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2]])
 
-    y = _integrate(rhs, np.array([1.0, 0.0, 0.0, 1.0]), t_start, t_final, profile, cfg)
+    w0 = math.sqrt(max(profile.omega_sq(t_start), 0.0))
+    y = _integrate(rhs, np.array([1.0, 0.0, 0.0, 1.0]), t_start, t_final, w0, cfg)
     return EvolutionMatrix(y[0], y[2], y[1], y[3])
 
 
@@ -192,14 +191,8 @@ def propagate_forced(
             [y[1], -w2 * y[0], y[3], -w2 * y[2], y[5], -w2 * y[4] + kt]
         )
 
-    y = _integrate(
-        rhs,
-        np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]),
-        0.0,
-        t_final,
-        profile,
-        cfg,
-    )
+    w0 = math.sqrt(max(profile.omega_sq(0.0), 0.0))
+    y = _integrate(rhs, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.0, t_final, w0, cfg)
     return ForcedResult(EvolutionMatrix(y[0], y[2], y[1], y[3]), y[4], y[5])
 
 

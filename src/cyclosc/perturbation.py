@@ -10,24 +10,22 @@ endpoints.  First order in delta gives
 
     P(n -> f) = | integral dt (delta(t)/2) e^(i (f-n) t) |^2 |(x^N)_fn|^2.
 
-Powers of x are computed on a truncated basis; entries within N rows of the
-truncation edge are polluted by the cutoff and are never reported, which is
-why every routine takes (or derives) a cutoff comfortably above the states
-it touches.
+Powers of x are computed on a truncated basis whose last N rows are polluted
+by the edge and never reported.  An N-step ladder walk from |n> never rises
+above |n + N>, so a basis reaching N rows past the highest state involved
+already gives exact elements; every routine builds exactly that one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 from .errors import DomainError, QuadratureError
 
 __all__ = [
-    "DEFAULT_CUTOFF_MARGIN",
     "OperatorMatrix",
     "Drive",
     "x_power_matrix",
@@ -36,10 +34,6 @@ __all__ = [
     "InequalityReport",
     "first_order_energy_shift",
 ]
-
-# Rows this far below the truncation edge are unaffected by it: a length-N
-# ladder walk from row n cannot feel the edge unless n + N reaches it.
-DEFAULT_CUTOFF_MARGIN = 32
 
 
 @dataclass(frozen=True)
@@ -61,10 +55,6 @@ class OperatorMatrix:
         return float(self.matrix[m, n])
 
 
-def _default_cutoff(n_max: int, power: int) -> int:
-    return n_max + power + DEFAULT_CUTOFF_MARGIN
-
-
 def x_power_matrix(power: int, cutoff: int) -> OperatorMatrix:
     """Matrix of x^power on the states |0> .. |cutoff-1>.
 
@@ -83,20 +73,25 @@ def x_power_matrix(power: int, cutoff: int) -> OperatorMatrix:
     return OperatorMatrix(np.linalg.matrix_power(x, power), power, cutoff - power)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Drive:
     """Uniformly sampled drive delta(t) on [0, T] with delta(0) = delta(T) = 0.
 
     The sample count is 4m + 1 so composite Simpson can be compared against
-    its half-resolution restriction (Richardson check).
+    its half-resolution restriction (Richardson check).  Any sequences are
+    accepted; they are stored as read-only float64 arrays.
     """
 
-    times: Tuple[float, ...]
-    values: Tuple[float, ...]
+    times: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        w = np.asarray(self.values, dtype=float)
+        t = np.array(self.times, dtype=float)
+        w = np.array(self.values, dtype=float)
+        t.setflags(write=False)
+        w.setflags(write=False)
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "values", w)
         if t.ndim != 1 or t.shape != w.shape:
             raise DomainError("times and values must be matching 1-d sequences")
         if t.size < 5 or (t.size - 1) % 4 != 0:
@@ -136,11 +131,11 @@ class Drive:
                     f"drive deviates from its sampled interpolant by {dev!r} "
                     f"(scale {scale!r}); raise n_samples to resolve the carrier"
                 )
-        return cls(tuple(t), tuple(w))
+        return cls(t, w)
 
     @property
     def t_final(self) -> float:
-        return self.times[-1]
+        return float(self.times[-1])
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -154,16 +149,16 @@ def _simpson(values: np.ndarray, h: float) -> complex:
 
 def _oscillatory_integral(drive: Drive, omega_fi: float) -> complex:
     """integral dt (delta(t)/2) exp(i omega_fi t), Simpson with a half-grid check."""
-    t = np.asarray(drive.times)
-    w = np.asarray(drive.values)
+    t, w = drive.times, drive.values
+    scale = drive.scale()
     # Sample-to-sample swings of order the drive scale mean the carrier is
     # not resolved; grid halving alone cannot see this when the alias lands
     # on a smooth curve, so it is checked directly.
     jump = float(np.max(np.abs(np.diff(w)), initial=0.0))
-    if jump > 0.5 * drive.scale():
+    if jump > 0.5 * scale:
         raise QuadratureError(
             f"drive swings by {jump!r} between adjacent samples (scale "
-            f"{drive.scale()!r}); sample the drive more densely"
+            f"{scale!r}); sample the drive more densely"
         )
     f = 0.5 * w * np.exp(1j * omega_fi * t)
     h = t[1] - t[0]
@@ -172,7 +167,7 @@ def _oscillatory_integral(drive: Drive, omega_fi: float) -> complex:
     err = abs(full - half) / 15.0
     # compare against the a priori magnitude scale, not |full|: the integral
     # may legitimately cancel to zero at a frequency the drive barely excites
-    floor = 0.5 * drive.scale() * drive.t_final
+    floor = 0.5 * scale * drive.t_final
     if err > 1e-10 * max(abs(full), floor):
         raise QuadratureError(
             f"Simpson error estimate {err!r} exceeds the 1e-10 relative target; "
@@ -181,13 +176,26 @@ def _oscillatory_integral(drive: Drive, omega_fi: float) -> complex:
     return full
 
 
-def transition_probability(
-    drive: Drive,
-    n_from: int,
-    n_to: int,
-    power: int,
-    cutoff: Optional[int] = None,
+def _allowed(dm: int, power: int) -> bool:
+    """Selection rule: (x^N)_{n+dm, n} != 0 iff |dm| <= N with the parity of N."""
+    return abs(dm) <= power and (power - dm) % 2 == 0
+
+
+def _exact_operator(power: int, n_top: int) -> OperatorMatrix:
+    """x^power with exact elements between every pair of states <= n_top."""
+    return x_power_matrix(power, n_top + power + 1)
+
+
+def _weighted_probability(
+    drive: Drive, op: OperatorMatrix, n_from: int, n_to: int, weight: int
 ) -> float:
+    """weight * P(n_from -> n_to) for a channel that passes the selection rule."""
+    element = op.element(n_to, n_from)
+    amp = _oscillatory_integral(drive, float(n_to - n_from))
+    return weight * abs(amp) ** 2 * element**2
+
+
+def transition_probability(drive: Drive, n_from: int, n_to: int, power: int) -> float:
     """First-order probability of |n_from> -> |n_to> under (delta/2) x^power.
 
     Zero exactly when the selection rule |n_to - n_from| <= power with
@@ -195,15 +203,10 @@ def transition_probability(
     """
     if min(n_from, n_to) < 0:
         raise DomainError("state indices must be nonnegative")
-    dm = n_to - n_from
-    if abs(dm) > power or (power - dm) % 2 != 0:
+    if not _allowed(n_to - n_from, power):
         return 0.0
-    if cutoff is None:
-        cutoff = _default_cutoff(max(n_from, n_to), power)
-    op = x_power_matrix(power, cutoff)
-    element = op.element(n_to, n_from)
-    amp = _oscillatory_integral(drive, float(dm))
-    return abs(amp) ** 2 * element**2
+    op = _exact_operator(power, max(n_from, n_to))
+    return _weighted_probability(drive, op, n_from, n_to, 1)
 
 
 @dataclass(frozen=True)
@@ -218,24 +221,18 @@ class InequalityReport:
         return len(self.violations) == 0
 
 
-def check_inequality(
-    power: int, n_max: int, cutoff: Optional[int] = None
-) -> InequalityReport:
+def check_inequality(power: int, n_max: int) -> InequalityReport:
     """Exhaustively verify |(x^N)_{n+m,n}| >= |(x^N)_{n-m,n}| for n <= n_max.
 
     Upward matrix elements dominate their downward mirrors; this is the
     mechanism that makes the first-order energy shift nonnegative.
     """
-    if cutoff is None:
-        cutoff = _default_cutoff(n_max + power, power)
-    op = x_power_matrix(power, cutoff)
+    op = _exact_operator(power, n_max + power)
     checked = 0
     violations = []
     for n in range(n_max + 1):
-        for m in range(1, power + 1):
-            if (power - m) % 2 != 0:
-                continue
-            if n - m < 0:
+        for m in range(1, min(n, power) + 1):
+            if not _allowed(m, power):
                 continue
             up = abs(op.element(n + m, n))
             down = abs(op.element(n - m, n))
@@ -245,9 +242,7 @@ def check_inequality(
     return InequalityReport(power, n_max, checked, tuple(violations))
 
 
-def first_order_energy_shift(
-    drive: Drive, n: int, power: int, cutoff: Optional[int] = None
-) -> float:
+def first_order_energy_shift(drive: Drive, n: int, power: int) -> float:
     """sum_f (E_f - E_n) P(n -> f) at first order.
 
     Nonnegative for any real drive: the +m and -m time integrals have equal
@@ -256,19 +251,9 @@ def first_order_energy_shift(
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if cutoff is None:
-        cutoff = _default_cutoff(n + power, power)
-    op = x_power_matrix(power, cutoff)
+    op = _exact_operator(power, n + power)
     shift = 0.0
-    for m in range(-power, power + 1):
-        if m == 0 or (power - m) % 2 != 0:
-            continue
-        f = n + m
-        if f < 0:
-            continue
-        element = op.element(f, n)
-        if element == 0.0:
-            continue
-        amp = _oscillatory_integral(drive, float(m))
-        shift += m * abs(amp) ** 2 * element**2
+    for m in range(-min(n, power), power + 1):
+        if m != 0 and _allowed(m, power):
+            shift += _weighted_probability(drive, op, n, n + m, m)
     return shift

@@ -16,6 +16,7 @@ from cyclosc import (
     WIEN_X,
     CavitySpec,
     DomainError,
+    IntegrationError,
     IntegratorConfig,
     MultimodeBogoliubov,
     multimode_from_hamiltonian,
@@ -54,6 +55,12 @@ class TestMultimode:
         )
         assert abs(bg.A[0, 0] - pair.alpha) < 1e-9
         assert abs(bg.B[0, 0] - pair.beta) < 1e-9
+
+    def test_step_budget_applies(self):
+        # ~46 steps at the default tolerances; the budget allows 10
+        coupling = random_coupling(np.random.default_rng(3), 3, 10.0)
+        with pytest.raises(IntegrationError, match="step budget"):
+            multimode_from_hamiltonian(coupling, 10.0, IntegratorConfig(max_steps=10))
 
     @pytest.mark.parametrize("n_modes", [2, 4])
     def test_random_coupling_preserves_commutators(self, n_modes):

@@ -303,6 +303,26 @@ _TABLE = [
 ]
 
 
+_INT_OPTIONS = {
+    flag
+    for _, _, options in cli._COMMANDS.values()
+    for flag, default, *_ in options
+    if isinstance(default, int)
+}
+# A malformed value per numeric or grid option: "x" from either source, JSON
+# true from a config file, and for integer options 3.0 as flag text and 2.7
+# or 3.0 from a config file, which must be refused, not truncated.
+_MALFORMED = [
+    pytest.param(sub, flag, source, bad, id=f"{sub}-{flag}-{tag}")
+    for sub, flag in _TABLE
+    if flag not in _TEXT_OPTIONS
+    for source, bad, tag in [("flag", "x", "flag"), ("config", "x", "config"),
+                             ("config", True, "config-true")]
+    + ([("flag", "3.0", "flag-3.0"), ("config", 2.7, "config-2.7"),
+        ("config", 3.0, "config-3.0")] if flag in _INT_OPTIONS else [])
+]
+
+
 def _resolved(tmp_path, sub, flag, argv=(), config=None):
     """Typed value of one option after flag > config > default resolution."""
     args = [sub, *argv]
@@ -328,16 +348,15 @@ class TestOptionTable:
         assert beaten == _resolved(tmp_path, sub, flag, [f"--{flag}={other}"])
         assert beaten != from_flag
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
-    @pytest.mark.parametrize(
-        "sub,flag", [(sub, flag) for sub, flag in _TABLE if flag not in _TEXT_OPTIONS]
-    )
-    def test_malformed_number_or_grid_names_the_flag(self, tmp_path, capsys, sub, flag, source):
+    @pytest.mark.parametrize("sub,flag,source,bad", _MALFORMED)
+    def test_malformed_number_or_grid_names_the_flag(
+        self, tmp_path, capsys, sub, flag, source, bad
+    ):
         if source == "flag":
-            rc, out, err = run(capsys, sub, f"--{flag}=x")
+            rc, out, err = run(capsys, sub, f"--{flag}={bad}")
         else:
             cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({flag: "x"}))
+            cfg.write_text(json.dumps({flag: bad}))
             rc, out, err = run(capsys, sub, "--config", str(cfg))
         assert rc == 2 and out == ""
         doc = json.loads(err)
@@ -393,6 +412,16 @@ class TestPerturb:
         assert all(s >= 0.0 for s in column(doc, "energy_shift"))
         p_down = column(doc, "p_down")
         assert p_down[0] == 0.0 and p_down[1] == 0.0  # below the N = 2 ladder
+
+    @pytest.mark.parametrize("power", [1, 2, 3, 4])
+    def test_output_matches_golden_bytes(self, tmp_path, power):
+        # frozen from a basis 32 rows wider than needed; the bytes must not
+        # depend on the basis size
+        path = tmp_path / "p.csv"
+        argv = ["perturb", "--power", str(power), "--epsilon", "0.0007", "--drive-freq", "1.9"]
+        assert main(argv + ["--output", str(path)]) == 0
+        golden = Path(__file__).resolve().parent / "golden" / f"perturb_power{power}.csv"
+        assert path.read_bytes() == golden.read_bytes()
 
     def test_undersampled_drive_exits_3(self, capsys):
         rc, _, err = run(capsys, "perturb", "--drive-freq", "4000", "--n-max", "0")

@@ -23,6 +23,7 @@ from cyclosc import (
     transition_probability,
     x_power_matrix,
 )
+from cyclosc.perturbation import _exact_operator
 
 EPS = 1e-3
 T_DRIVE = 6.0
@@ -71,6 +72,22 @@ class TestOperatorMatrix:
         with pytest.raises(DomainError):
             op.element(0, -1)
 
+    @pytest.mark.parametrize("power", range(1, 7))
+    def test_exact_size_operator_matches_a_wide_basis(self, power):
+        # a basis N rows past the higher state already has no truncation error
+        wide = x_power_matrix(power, 200)
+        for n in range(41):
+            for f in range(max(n - power, 0), n + power + 1):
+                if (power - (f - n)) % 2:
+                    continue
+                exact = _exact_operator(power, max(n, f)).element(f, n)
+                if f != n:
+                    assert exact == wide.element(f, n), (n, f)
+                else:
+                    # a diagonal is a sum of squares, which the matrix product
+                    # may round differently at different sizes
+                    assert abs(exact - wide.element(f, n)) <= math.ulp(exact), n
+
     def test_bad_construction(self):
         with pytest.raises(DomainError):
             x_power_matrix(0, 10)
@@ -84,6 +101,14 @@ class TestDrive:
         assert d.t_final == T_DRIVE
         assert d.values[0] == 0.0 and d.values[-1] == pytest.approx(0.0, abs=1e-18)
         assert d.scale() > 0.0
+
+    def test_samples_are_stored_once_as_read_only_arrays(self):
+        t = np.linspace(0.0, 1.0, 5)
+        d = Drive(t, [0.0, 1.0, 1.0, 1.0, 0.0])
+        for samples in (d.times, d.values):
+            assert samples.dtype == np.float64 and not samples.flags.writeable
+        assert t.flags.writeable  # the caller's array is copied, not frozen
+        assert d.t_final == 1.0 and d.scale() == 1.0
 
     def test_rejects_nonuniform_times(self):
         with pytest.raises(DomainError):

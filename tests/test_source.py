@@ -1,0 +1,45 @@
+"""Static checks on the package source."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import cyclosc
+
+PACKAGE = Path(cyclosc.__file__).resolve().parent
+
+# Imported but not referenced on purpose: bench/tracing.py wraps these names
+# in these modules.
+TRACED_IMPORTS = {
+    ("cli", "propagate_exponential"),
+    ("cli", "propagate_inverse_linear"),
+    ("cli", "propagate_power_law"),
+    ("cli", "propagate_ode"),
+    ("cavity", "solve_ivp"),
+}
+
+
+def _unused_imports(path: Path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.add((alias.asname or alias.name).split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names re-exported through __all__
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts}
+    return {(path.stem, name) for name in imported - used}
+
+
+def test_every_module_level_import_is_referenced():
+    unused = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        unused |= _unused_imports(path)
+    assert unused == TRACED_IMPORTS
