@@ -204,7 +204,7 @@ def _random_forced(rng: np.random.Generator) -> Tuple[float, ForcedResult]:
     """Random closed profile driven by a 3-term sine force; returns (duration, result)."""
     profile = random_fourier_profile(rng)
     t0 = profile.duration
-    coef = rng.normal(0.0, 0.5, size=3)
+    coef = rng.normal(0.0, 0.5, size=3).tolist()
 
     def kappa(t: float) -> float:
         phase = math.pi * t / t0

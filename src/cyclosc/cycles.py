@@ -12,6 +12,13 @@ profile backwards in time, which needs no integration: with P = diag(1, -1)
 the reversed leg is P S^-1 P = [[d, b], [c, a]] for an outbound S =
 [[a, b], [c, d]], and the cycle gain is R = 1 + 2 (ac + bd)^2.
 
+A custom cycle is integrated numerically unless its profile is a Piecewise
+run over its whole duration whose segments are all family members
+(InverseLinear, Exponential, PowerLaw with omega0 = 1 and |1/k| <=
+MAX_BESSEL_ORDER, each at a rate of at least _SLOW_RATE times its starting
+frequency) or full-length TimeReversed mirrors of them.  Such a cycle is
+the product of the segments' closed forms, each mirror by the same P S^-1 P.
+
 All gains are computed in cycle-normalized units omega(0) = 1: a physical
 omega0 is absorbed by rescaling t -> omega0 t, v -> v/omega0, under which
 the gain factor is invariant.
@@ -26,6 +33,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .closed_form import (
+    MAX_BESSEL_ORDER,
     propagate_exponential,
     propagate_inverse_linear,
     propagate_power_law,
@@ -61,6 +69,11 @@ __all__ = [
 
 FAMILIES = ("inverse-linear", "power-law", "exponential", "custom")
 
+# A Piecewise segment slower than this fraction of its starting frequency
+# is integrated: the closed forms lose about eps omega(0)/|v| of phase
+# (~1e-10 here), and at v = 0 they would return the identity.
+_SLOW_RATE = 1e-6
+
 
 @dataclass(frozen=True)
 class CycleSpec:
@@ -70,7 +83,9 @@ class CycleSpec:
     the family (lambda > 1 expands an inverse-linear profile but contracts
     the exponential z, and so on).  k only matters for the power-law family.
     For family "custom", profile must itself close (omega(duration) =
-    omega(0)) and is integrated numerically as-is.
+    omega(0)); a Piecewise profile of family segments is composed from
+    closed forms (see the module docstring), any other is integrated
+    numerically as-is.
     """
 
     family: str
@@ -142,10 +157,50 @@ def leg(family: str, v: float, lam: float, k: float = -2.0, method: str = "close
     raise DomainError(f"family {family!r} has no single-leg form")
 
 
+def _reversed(s: EvolutionMatrix) -> EvolutionMatrix:
+    """The leg of s run backwards in time: P S^-1 P with P = diag(1, -1)."""
+    return EvolutionMatrix(s.d, s.b, s.c, s.a)
+
+
+def _segment(prof: FrequencyProfile, dur: float) -> Optional[EvolutionMatrix]:
+    """Closed-form matrix of prof over [0, dur], or None if it needs the ODE."""
+    if isinstance(prof, TimeReversed):
+        if dur != prof.duration:
+            return None
+        base = _segment(prof.base, dur)
+        return None if base is None else _reversed(base)
+    if not isinstance(prof, (InverseLinear, Exponential, PowerLaw)):
+        return None
+    if not abs(prof.v) >= _SLOW_RATE * prof.omega(0.0):
+        return None
+    if isinstance(prof, InverseLinear):
+        return propagate_inverse_linear(prof.omega0, prof.v, 1.0 + prof.v * dur)
+    if isinstance(prof, Exponential):
+        return propagate_exponential(prof.v, math.exp(prof.v * dur))
+    if prof.omega0 != 1.0 or abs(1.0 / prof.k) > MAX_BESSEL_ORDER:
+        return None
+    return propagate_power_law(prof.k, prof.v, 1.0 + prof.v * dur)
+
+
+def _closed_piecewise(profile: FrequencyProfile, duration: float) -> Optional[EvolutionMatrix]:
+    """Product of a whole Piecewise profile's segment matrices, or None if
+    any segment, or a run shorter than the profile, needs the ODE."""
+    if not isinstance(profile, Piecewise) or duration != profile.duration:
+        return None
+    total = EvolutionMatrix.identity()
+    for prof, dur in profile.segments:
+        s = _segment(prof, dur)
+        if s is None:
+            return None
+        total = compose(s, total)
+    return total
+
+
 def _one_cycle(spec: CycleSpec, cfg: IntegratorConfig) -> EvolutionMatrix:
     lam = spec.lam
     if spec.family == "custom":
-        return propagate_ode(spec.profile, spec.duration, cfg)
+        closed = _closed_piecewise(spec.profile, spec.duration)
+        return propagate_ode(spec.profile, spec.duration, cfg) if closed is None else closed
     u = spec.v / spec.omega0  # normalized rate; gain is invariant under this rescaling
     if lam == 1.0:
         return EvolutionMatrix.identity()
@@ -154,13 +209,17 @@ def _one_cycle(spec: CycleSpec, cfg: IntegratorConfig) -> EvolutionMatrix:
         out = propagate_inverse_linear(1.0, u_out, lam)
         back = propagate_inverse_linear(1.0 / lam, -u_out, 1.0 / lam)
         return compose(back, out)
-    # the return leg is the outbound profile run backwards: P S^-1 P
+    # the return leg is the outbound profile run backwards
     out = leg(spec.family, u, lam, spec.k)
-    return compose(EvolutionMatrix(out.d, out.b, out.c, out.a), out)
+    return compose(_reversed(out), out)
 
 
 def build_cycle(spec: CycleSpec, cfg: IntegratorConfig = DEFAULT_CONFIG) -> EvolutionMatrix:
-    """Evolution matrix of the full (possibly repeated) cycle; cfg applies to custom cycles."""
+    """Evolution matrix of the full (possibly repeated) cycle.
+
+    cfg applies to the custom cycles that are integrated, not to those
+    composed from closed forms.
+    """
     once = _one_cycle(spec, cfg)
     total = once
     for _ in range(spec.n_cycles - 1):
@@ -315,7 +374,9 @@ def random_fourier_profile(
     keeps the frequency positive.
     """
     t0 = rng.uniform(*duration_range)
-    coef = rng.normal(0.0, amplitude, size=n_harmonics) / np.arange(1, n_harmonics + 1)
+    # plain floats keep every omega_sq call out of numpy scalar arithmetic
+    harmonics = np.arange(1, n_harmonics + 1)
+    coef = (rng.normal(0.0, amplitude, size=n_harmonics) / harmonics).tolist()
 
     def omega_sq(t: float) -> float:
         phase = math.pi * t / t0

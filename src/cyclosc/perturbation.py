@@ -18,8 +18,8 @@ already gives exact elements; every routine builds exactly that one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -79,11 +79,14 @@ class Drive:
 
     The sample count is 4m + 1 so composite Simpson can be compared against
     its half-resolution restriction (Richardson check).  Any sequences are
-    accepted; they are stored as read-only float64 arrays.
+    accepted; they are stored as read-only float64 arrays.  The samples
+    never change, so each frequency's time integral is computed once and
+    kept in _amplitudes.
     """
 
     times: np.ndarray
     values: np.ndarray
+    _amplitudes: Dict[float, complex] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         t = np.array(self.times, dtype=float)
@@ -176,6 +179,14 @@ def _oscillatory_integral(drive: Drive, omega_fi: float) -> complex:
     return full
 
 
+def _amplitude(drive: Drive, omega_fi: float) -> complex:
+    """_oscillatory_integral(drive, omega_fi), computed once per drive and frequency."""
+    amp = drive._amplitudes.get(omega_fi)
+    if amp is None:
+        amp = drive._amplitudes[omega_fi] = _oscillatory_integral(drive, omega_fi)
+    return amp
+
+
 def _allowed(dm: int, power: int) -> bool:
     """Selection rule: (x^N)_{n+dm, n} != 0 iff |dm| <= N with the parity of N."""
     return abs(dm) <= power and (power - dm) % 2 == 0
@@ -191,8 +202,8 @@ def _weighted_probability(
 ) -> float:
     """weight * P(n_from -> n_to) for a channel that passes the selection rule."""
     element = op.element(n_to, n_from)
-    amp = _oscillatory_integral(drive, float(n_to - n_from))
-    return weight * abs(amp) ** 2 * element**2
+    amp = _amplitude(drive, float(n_to - n_from))
+    return float(weight * abs(amp) ** 2 * element**2)
 
 
 def transition_probability(drive: Drive, n_from: int, n_to: int, power: int) -> float:

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclosc.cycles
 from cyclosc import (
+    Custom,
     CycleSpec,
     DomainError,
     EvolutionMatrix,
@@ -187,6 +189,64 @@ class TestLeg:
     def test_rejects_bad_arguments(self, family, v, k, method):
         with pytest.raises(DomainError):
             leg(family, v, 2.0, k, method)
+
+
+class TestClosedPiecewise:
+    """Custom cycles whose Piecewise segments are all closed-form families."""
+
+    def test_random_piecewise_cycles_match_ode_oracle(self):
+        kinds = set()
+        for seed in range(60):
+            prof = random_piecewise_cycle(np.random.default_rng(seed))
+            for seg, _ in prof.segments:
+                base = seg.base if isinstance(seg, TimeReversed) else seg
+                kinds.add((type(seg) is TimeReversed, type(base)))
+            spec = CycleSpec("custom", profile=prof, duration=prof.duration)
+            closed = build_cycle(spec).as_array()
+            numeric = propagate_ode(prof, prof.duration, TIGHT).as_array()
+            scale = max(1.0, np.max(np.abs(numeric)))
+            assert np.max(np.abs(closed - numeric)) < 1e-9 * scale, seed
+        assert kinds == {
+            (mirrored, family)
+            for mirrored in (False, True)
+            for family in (InverseLinear, Exponential, PowerLaw)
+        }
+
+    def test_random_cycles_never_integrate_a_piecewise_profile(self, monkeypatch):
+        integrate = cyclosc.cycles.propagate_ode
+
+        def no_piecewise(profile, *args, **kwargs):
+            if isinstance(profile, Piecewise):
+                raise AssertionError("a piecewise cycle reached the ODE")
+            return integrate(profile, *args, **kwargs)
+
+        monkeypatch.setattr(cyclosc.cycles, "propagate_ode", no_piecewise)
+        rng = np.random.default_rng(3)
+        piecewise = 0
+        for _ in range(60):
+            spec, gain, _ = random_cycle_gain(rng)
+            piecewise += isinstance(spec.profile, Piecewise)
+            assert gain >= 1.0 - 1e-12
+        assert piecewise >= 5
+
+    @pytest.mark.parametrize("case", [
+        "custom-segment", "omega0-power-law", "high-bessel-order", "slow-rate",
+        "partial-reversal", "partial-duration",
+    ])
+    def test_other_profiles_take_the_ode_route(self, case):
+        out = InverseLinear(1.0, 0.8)
+        segments = {
+            "custom-segment": ((out, 1.0), (Custom(lambda t: 1.0 + 0.1 * t, 1.0), 1.0)),
+            "omega0-power-law": ((out, 1.0), (PowerLaw(-3.0, 0.5, omega0=1.8), 1.0)),
+            "high-bessel-order": ((out, 1.0), (PowerLaw(0.05, 0.5), 1.0)),
+            "slow-rate": ((out, 1.0), (Exponential(1e-9), 1.0)),
+            "partial-reversal": ((out, 1.0), (TimeReversed(out, 1.0), 0.5)),
+            "partial-duration": ((out, 1.0), (TimeReversed(out, 1.0), 1.0)),
+        }[case]
+        prof = Piecewise(segments)
+        duration = 1.5 if case == "partial-duration" else prof.duration
+        spec = CycleSpec("custom", profile=prof, duration=duration)
+        assert build_cycle(spec, TIGHT) == propagate_ode(prof, duration, TIGHT)
 
 
 class TestScan:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclosc.perturbation
 from cyclosc import (
     Custom,
     DomainError,
@@ -169,6 +170,38 @@ class TestTransitionProbability:
                 T_DRIVE,
                 n_samples=4097,
             )
+
+
+class TestAmplitudes:
+    def test_each_frequency_is_integrated_once_per_drive(self, monkeypatch):
+        integrate = cyclosc.perturbation._oscillatory_integral
+        calls = []
+
+        def counted(drive, omega_fi):
+            calls.append(omega_fi)
+            return integrate(drive, omega_fi)
+
+        monkeypatch.setattr(cyclosc.perturbation, "_oscillatory_integral", counted)
+        drive = reference_drive()
+        # perturb --power 4 --n-max 10: 56 amplitudes at 4 frequencies
+        for n in range(11):
+            first_order_energy_shift(drive, n, 4)
+            transition_probability(drive, n, n + 4, 4)
+            if n >= 4:
+                transition_probability(drive, n, n - 4, 4)
+        assert sorted(calls) == [-4.0, -2.0, 2.0, 4.0]
+        first_order_energy_shift(reference_drive(), 0, 4)
+        assert len(calls) == 6  # a new drive integrates afresh
+
+    def test_results_are_python_floats(self):
+        d = reference_drive()
+        values = [
+            transition_probability(d, 3, 5, 2),
+            transition_probability(d, 3, 4, 2),
+            first_order_energy_shift(d, 3, 2),
+            first_order_energy_shift(d, 0, 1),
+        ]
+        assert [type(x) for x in values] == [float] * 4
 
 
 class TestInequality:
