@@ -160,28 +160,45 @@ def _py(value: object) -> object:
 
 
 def _fmt(value: object) -> str:
+    if isinstance(value, str):
+        return value
     value = _py(value)
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return _float_text(value)
     return str(value)
+
+
+_float_text = "{:.17g}".format
+
+
+def _csv_cells(column: Sequence[object]) -> List[str]:
+    if isinstance(column, np.ndarray) and column.dtype == np.float64:
+        return list(map(_float_text, column.tolist()))
+    return [_fmt(x) for x in column]
+
+
+def _json_cells(column: Sequence[object]) -> List[object]:
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return [_py(x) for x in column]
 
 
 def _emit(
     subcommand: str,
-    columns: Sequence[str],
-    rows: Sequence[Sequence[object]],
+    names: Sequence[str],
+    columns: Sequence[Sequence[object]],
     meta: Dict[str, object],
     fmt: str,
     output: str,
 ) -> None:
+    """Write the artifact; its table comes as columns, float arrays formatted whole."""
     if fmt == "csv":
         buf = io.StringIO()
         pairs = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
         buf.write(f"#cyclosc {__version__} {subcommand} {pairs}".rstrip() + "\n")
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        writer.writerow(names)
+        writer.writerows(zip(*map(_csv_cells, columns)))
         text = buf.getvalue()
     else:
         doc = {
@@ -189,8 +206,8 @@ def _emit(
             "version": __version__,
             "subcommand": subcommand,
             "meta": {k: _py(v) for k, v in meta.items()},
-            "columns": list(columns),
-            "rows": [[_py(x) for x in row] for row in rows],
+            "columns": list(names),
+            "rows": list(zip(*map(_json_cells, columns))),
         }
         text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     if output == "-":
@@ -216,9 +233,9 @@ def _random_forced(rng: np.random.Generator) -> Tuple[float, ForcedResult]:
 # --- subcommand handlers -------------------------------------------------
 #
 # Each handler gets the typed values of its option table and returns the
-# artifact as (columns, rows, meta); verify adds its pass/fail flag.
+# artifact as (column names, columns, meta); verify adds its pass/fail flag.
 
-Artifact = Tuple[Sequence[str], List[Sequence[object]], Dict[str, object]]
+Artifact = Tuple[Sequence[str], Sequence[Sequence[object]], Dict[str, object]]
 
 
 def _cmd_propagate(ns: argparse.Namespace) -> Artifact:
@@ -243,8 +260,8 @@ def _cmd_propagate(ns: argparse.Namespace) -> Artifact:
     meta = {"family": ns.family, "method": ns.method, "state_n": state.n}
     if ns.family == "power-law":
         meta["k"] = ns.k
-    columns = ["v", "lambda", "omega_final", "a", "b", "c", "d", "det_error", "final_energy"]
-    return columns, rows, meta
+    names = ["v", "lambda", "omega_final", "a", "b", "c", "d", "det_error", "final_energy"]
+    return names, list(zip(*rows)), meta
 
 
 def _cmd_cycle(ns: argparse.Namespace) -> Artifact:
@@ -256,9 +273,10 @@ def _cmd_cycle(ns: argparse.Namespace) -> Artifact:
         raise ConfigError(str(exc)) from None
     s = build_cycle(spec)
     meta = {"family": spec.family, "k": spec.k, "cycles": spec.n_cycles}
+    row = [spec.v, spec.lam, spec.omega0, s.a, s.b, s.c, s.d, s.det_error(), gain_factor(s)]
     return (
         ["v", "lambda", "omega0", "a", "b", "c", "d", "det_error", "gain"],
-        [[spec.v, spec.lam, spec.omega0, s.a, s.b, s.c, s.d, s.det_error(), gain_factor(s)]],
+        [[x] for x in row],
         meta,
     )
 
@@ -268,11 +286,9 @@ def _cmd_scan(ns: argparse.Namespace) -> Artifact:
     result = scan_gain(
         ns.family, ns.v_grid, lam_axis, ns.omega0_grid, n_cycles=ns.cycles, k=ns.k
     )
-    rows = [
-        [r.omega0, r.lam, r.v, r.gain, r.det_err, r.error] for r in result.rows
-    ]
+    columns = [result.omega0, result.lam, result.v, result.gain, result.det_err, result.error]
     meta = {"family": ns.family, "k": result.k, "cycles": ns.cycles}
-    return ["omega0", "lambda", "v", "gain", "det_error", "note"], rows, meta
+    return ["omega0", "lambda", "v", "gain", "det_error", "note"], columns, meta
 
 
 def _cmd_forced(ns: argparse.Namespace) -> Artifact:
@@ -288,7 +304,8 @@ def _cmd_forced(ns: argparse.Namespace) -> Artifact:
             [i, t0, state.energy, e_free, e_shift, e_total, e_total / state.energy]
         )
     meta = {"seed": ns.seed, "samples": ns.samples, "state_n": state.n}
-    return ["sample", "duration", "e_initial", "e_free", "e_drive", "e_final", "gain"], rows, meta
+    names = ["sample", "duration", "e_initial", "e_free", "e_drive", "e_final", "gain"]
+    return names, list(zip(*rows)), meta
 
 
 def _cmd_perturb(ns: argparse.Namespace) -> Artifact:
@@ -309,7 +326,7 @@ def _cmd_perturb(ns: argparse.Namespace) -> Artifact:
     meta = {
         "power": power, "epsilon": eps, "duration": t_end, "drive_freq": w_drive,
     }
-    return ["n", "energy_shift", "p_up", "p_down"], rows, meta
+    return ["n", "energy_shift", "p_up", "p_down"], list(zip(*rows)), meta
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> Artifact:
@@ -329,7 +346,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> Artifact:
         "lambda": spec.lam,
         "fitted_temperature": shift.fitted_temperature,
     }
-    return ["stage", "nu", "u"], rows, meta
+    return ["stage", "nu", "u"], list(zip(*rows)), meta
 
 
 # --- verify suites --------------------------------------------------------
@@ -470,7 +487,7 @@ _SUITES: Tuple[Tuple[str, Callable[[np.random.Generator], Tuple[int, int, float]
 
 def _cmd_verify(
     ns: argparse.Namespace,
-) -> Tuple[Sequence[str], List[Sequence[object]], Dict[str, object], bool]:
+) -> Tuple[Sequence[str], Sequence[Sequence[object]], Dict[str, object], bool]:
     rows: List[Sequence[object]] = []
     all_ok = True
     for index, (name, suite) in enumerate(_SUITES):
@@ -479,7 +496,8 @@ def _cmd_verify(
         ok = passed == total
         all_ok = all_ok and ok
         rows.append([name, passed, total, worst, "ok" if ok else "FAIL"])
-    return ["suite", "passed", "total", "worst_deviation", "status"], rows, {"seed": ns.seed}, all_ok
+    names = ["suite", "passed", "total", "worst_deviation", "status"]
+    return names, list(zip(*rows)), {"seed": ns.seed}, all_ok
 
 
 # --- options ----------------------------------------------------------------
@@ -611,8 +629,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        columns, rows, meta, *ok = _COMMANDS[ns.subcommand][0](_resolve(ns))
-        _emit(ns.subcommand, columns, rows, meta, ns.format, ns.output)
+        names, columns, meta, *ok = _COMMANDS[ns.subcommand][0](_resolve(ns))
+        _emit(ns.subcommand, names, columns, meta, ns.format, ns.output)
         return 0 if all(ok) else 1
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)

@@ -120,6 +120,31 @@ def _check_inverse_linear_args(omega0: float, v: float, lam: float) -> None:
             )
 
 
+def _inverse_linear_args_ok(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Elementwise: True where _check_inverse_linear_args would not raise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reachable = (v != 0.0) & ~((lam - 1.0) / v < 0.0)
+    return (omega0 > 0.0) & (lam > 0.0) & ((lam == 1.0) | reachable)
+
+
+def _inverse_linear_entries(
+    omega0: float, v: float, lam: float
+) -> tuple[float, float, float, float]:
+    """Entries (a, b, c, d) of propagate_inverse_linear(omega0, v, lam), for
+    arguments that pass its checks, with lam != 1."""
+    s2 = 0.25 - (omega0 / v) ** 2
+    ln = math.log(lam)
+    rt = math.sqrt(lam)
+    ch = _coshlike(s2, ln)
+    sh = _sinchlike(s2, ln)
+    return (
+        rt * (ch - 0.5 * sh),
+        rt * sh / v,
+        -(omega0**2 / v) * sh / rt,
+        (ch + 0.5 * sh) / rt,
+    )
+
+
 def propagate_inverse_linear(omega0: float, v: float, lam: float) -> EvolutionMatrix:
     """Evolution matrix for omega(t) = omega0/(1 + v t), run until 1 + v t = lam.
 
@@ -130,17 +155,7 @@ def propagate_inverse_linear(omega0: float, v: float, lam: float) -> EvolutionMa
     _check_inverse_linear_args(omega0, v, lam)
     if lam == 1.0:
         return EvolutionMatrix.identity()
-    s2 = 0.25 - (omega0 / v) ** 2
-    ln = math.log(lam)
-    rt = math.sqrt(lam)
-    ch = _coshlike(s2, ln)
-    sh = _sinchlike(s2, ln)
-    return EvolutionMatrix(
-        rt * (ch - 0.5 * sh),
-        rt * sh / v,
-        -(omega0**2 / v) * sh / rt,
-        (ch + 0.5 * sh) / rt,
-    )
+    return EvolutionMatrix(*_inverse_linear_entries(omega0, v, lam))
 
 
 def energy_inverse_linear(omega0: float, v: float, lam: float, e_initial: float) -> float:

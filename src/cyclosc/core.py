@@ -95,6 +95,15 @@ class EvolutionMatrix:
         _require_symplectic(self, "inverse")
         return EvolutionMatrix(self.d, -self.b, -self.c, self.a)
 
+    def __matmul__(self, other: "EvolutionMatrix") -> "EvolutionMatrix":
+        """Matrix product without compose's det check; entries may be arrays."""
+        return EvolutionMatrix(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
     def is_orthogonal(self, tol: float = 1e-9) -> bool:
         g = self.as_array()
         return bool(np.max(np.abs(g @ g.T - np.eye(2))) < tol)
@@ -165,12 +174,7 @@ def compose(s2: EvolutionMatrix, s1: EvolutionMatrix) -> EvolutionMatrix:
     """Matrix product s2 @ s1: apply s1 first, then s2."""
     _require_symplectic(s1, "compose")
     _require_symplectic(s2, "compose")
-    return EvolutionMatrix(
-        s2.a * s1.a + s2.b * s1.c,
-        s2.a * s1.b + s2.b * s1.d,
-        s2.c * s1.a + s2.d * s1.c,
-        s2.c * s1.b + s2.d * s1.d,
-    )
+    return s2 @ s1
 
 
 def _energy_form(s: EvolutionMatrix, omega_final: float) -> float:

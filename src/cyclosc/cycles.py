@@ -27,18 +27,21 @@ the gain factor is invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .closed_form import (
     MAX_BESSEL_ORDER,
+    _inverse_linear_args_ok,
+    _inverse_linear_entries,
     propagate_exponential,
     propagate_inverse_linear,
     propagate_power_law,
 )
-from .core import EvolutionMatrix, compose, gain_factor
+from .core import DET_TOL_INPUT, EvolutionMatrix, compose, gain_factor
 from .errors import DomainError, IntegrationError, SymplecticError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, propagate_ode
 from .profiles import (
@@ -104,13 +107,17 @@ class CycleSpec:
             raise DomainError(f"lambda must be positive, got {self.lam!r}")
         if not self.omega0 > 0.0:
             raise DomainError(f"omega0 must be positive, got {self.omega0!r}")
-        if not isinstance(self.n_cycles, (int, np.integer)) or self.n_cycles < 1:
+        if not _whole_count(self.n_cycles):
             raise DomainError(f"n_cycles must be an integer >= 1, got {self.n_cycles!r}")
         if self.family == "custom":
             if self.profile is None or self.duration is None:
                 raise DomainError("custom cycles need a profile and a duration")
         else:
             _check_leg_args(self.family, self.v, self.k)
+
+
+def _whole_count(n: object) -> bool:
+    return isinstance(n, (int, np.integer)) and n >= 1
 
 
 def _check_leg_args(family: str, v: float, k: float, method: str = "closed") -> None:
@@ -266,11 +273,98 @@ class ScanRow:
     error: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanResult:
+    """A scan as columns, one entry per grid point in grid order (v fastest).
+
+    error holds each point's failure reason, "" where the cycle was built;
+    gain and det_err are NaN where it was not.
+    """
+
     family: str
     k: float
-    rows: Tuple[ScanRow, ...] = field(default_factory=tuple)
+    n_cycles: int
+    omega0: np.ndarray
+    lam: np.ndarray
+    v: np.ndarray
+    gain: np.ndarray
+    det_err: np.ndarray
+    error: Tuple[str, ...]
+
+    @cached_property
+    def rows(self) -> Tuple[ScanRow, ...]:
+        """The same scan as one ScanRow per point, built on first use."""
+        return tuple(
+            ScanRow(i, v, lam, omega0, self.n_cycles, gain, det_err, error)
+            for i, (v, lam, omega0, gain, det_err, error) in enumerate(zip(
+                self.v.tolist(), self.lam.tolist(), self.omega0.tolist(),
+                self.gain.tolist(), self.det_err.tolist(), self.error,
+            ))
+        )
+
+
+# the scalar code lifted to arrays: numpy's own log, cosh, sinh and x*x
+# differ from libm's log, cosh, sinh and pow(x, 2) in the last bit on part
+# of their inputs, so each element goes through the same scalar code
+_inverse_linear_each = np.frompyfunc(_inverse_linear_entries, 3, 4)
+_pow_each = np.frompyfunc(pow, 2, 1)
+
+
+def _inverse_linear_legs(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) -> EvolutionMatrix:
+    return EvolutionMatrix(*(x.astype(float) for x in _inverse_linear_each(omega0, v, lam)))
+
+
+def _take(s: EvolutionMatrix, keep: np.ndarray) -> EvolutionMatrix:
+    return EvolutionMatrix(s.a[keep], s.b[keep], s.c[keep], s.d[keep])
+
+
+def _inverse_linear_scan(
+    omega0: np.ndarray, lam: np.ndarray, v: np.ndarray, n_cycles: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """build_cycle, gain_factor and det_error of inverse-linear cycles, as arrays.
+
+    Returns (gain, det_err, done).  done is False, and gain and det_err
+    NaN, wherever build_cycle or gain_factor would raise or lam = 1 (the
+    identity, with no formula); those points are left to the per-point
+    path.  The legs are _one_cycle's, from the same scalar formula, and
+    every det check of compose and gain_factor is made on the same products
+    (non-finite entries fail it), so each point that is done carries the
+    per-point path's bits.  A point is dropped at its first failing check,
+    as compose would raise there.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = v / omega0
+        u_out = np.where(lam > 1.0, u, -u)
+        inv = 1.0 / lam
+        done = ((v > 0.0) & (omega0 > 0.0) & (lam != 1.0)
+                & _inverse_linear_args_ok(1.0, u_out, lam)
+                & _inverse_linear_args_ok(inv, -u_out, inv))
+    at = np.flatnonzero(done)
+    out = _inverse_linear_legs(1.0, u_out[at], lam[at])
+    back = _inverse_linear_legs(inv[at], -u_out[at], inv[at])
+    # entries overflow where the cycle grows; those points fail a det check
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = (out.det_error() < DET_TOL_INPUT) & (back.det_error() < DET_TOL_INPUT)
+        at, once = at[ok], _take(back @ out, ok)
+        total = once
+        for _ in range(n_cycles - 1):
+            ok = total.det_error() < DET_TOL_INPUT
+            at, once, total = at[ok], _take(once, ok), _take(total, ok)
+            if not at.size:
+                break
+            total = once @ total
+        det_err = total.det_error()
+    ok = det_err < DET_TOL_INPUT
+    at, total = at[ok], _take(total, ok)
+    done = np.zeros(v.shape, dtype=bool)
+    done[at] = True
+    # gain_factor's a**2 + b**2 + c**2 + d**2, each square from libm's pow
+    a2, b2, c2, d2 = (_pow_each(x, 2.0).astype(float) for x in (total.a, total.b, total.c, total.d))
+    gain = np.full(v.shape, math.nan)
+    gain[at] = 0.5 * (a2 + b2 + c2 + d2)
+    det = np.full(v.shape, math.nan)
+    det[at] = det_err[ok]
+    return gain, det, done
 
 
 def scan_gain(
@@ -283,22 +377,34 @@ def scan_gain(
 ) -> ScanResult:
     """Gain factor over the grid omega0 x lambda x v (v fastest).
 
-    Rows are ordered by grid index.  A point whose cycle cannot be built
-    stays in place as a NaN row carrying the reason in ``error``, so the
-    grid stays rectangular.
+    A point whose cycle cannot be built stays in place as a NaN row
+    carrying the reason in ``error``, so the grid stays rectangular.  An
+    inverse-linear scan is evaluated as arrays; its failing points, and
+    every point of the other families, go through build_cycle one by one.
     """
-    rows = []
-    for omega0 in omega0_axis.values().tolist():
-        for lam in lam_axis.values().tolist():
-            for v in v_axis.values().tolist():
-                try:
-                    spec = CycleSpec(family, v=v, lam=lam, omega0=omega0, n_cycles=n_cycles, k=k)
-                    s = build_cycle(spec)
-                    gain, det_err, note = gain_factor(s), s.det_error(), ""
-                except (DomainError, IntegrationError, SymplecticError) as exc:
-                    gain, det_err, note = math.nan, math.nan, str(exc)
-                rows.append(ScanRow(len(rows), v, lam, omega0, n_cycles, gain, det_err, note))
-    return ScanResult(family=family, k=k, rows=tuple(rows))
+    omega0, lam, v = (
+        axis.ravel()
+        for axis in np.meshgrid(
+            omega0_axis.values(), lam_axis.values(), v_axis.values(), indexing="ij"
+        )
+    )
+    if family == "inverse-linear" and _whole_count(n_cycles):
+        gain, det_err, done = _inverse_linear_scan(omega0, lam, v, n_cycles)
+    else:
+        gain, det_err = np.full(v.shape, math.nan), np.full(v.shape, math.nan)
+        done = np.zeros(v.shape, dtype=bool)
+    error = [""] * v.size
+    for i in np.flatnonzero(~done).tolist():
+        try:
+            spec = CycleSpec(
+                family, v=v.item(i), lam=lam.item(i), omega0=omega0.item(i),
+                n_cycles=n_cycles, k=k,
+            )
+            s = build_cycle(spec)
+            gain[i], det_err[i] = gain_factor(s), s.det_error()
+        except (DomainError, IntegrationError, SymplecticError) as exc:
+            error[i] = str(exc)
+    return ScanResult(family, k, n_cycles, omega0, lam, v, gain, det_err, tuple(error))
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> Tuple[float, float]:

@@ -141,7 +141,7 @@ def propagate_ode(
         return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2]])
 
     w0 = math.sqrt(max(profile.omega_sq(t_start), 0.0))
-    y = _integrate(rhs, np.array([1.0, 0.0, 0.0, 1.0]), t_start, t_final, w0, cfg)
+    y = _integrate(rhs, np.array([1.0, 0.0, 0.0, 1.0]), t_start, t_final, w0, cfg).tolist()
     return EvolutionMatrix(y[0], y[2], y[1], y[3])
 
 
@@ -192,7 +192,7 @@ def propagate_forced(
         )
 
     w0 = math.sqrt(max(profile.omega_sq(0.0), 0.0))
-    y = _integrate(rhs, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.0, t_final, w0, cfg)
+    y = _integrate(rhs, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.0, t_final, w0, cfg).tolist()
     return ForcedResult(EvolutionMatrix(y[0], y[2], y[1], y[3]), y[4], y[5])
 
 

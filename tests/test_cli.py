@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cyclosc
@@ -214,6 +215,59 @@ class TestDeterminism:
         rc, out, _ = run(capsys, *self.ARGS)
         assert rc == 0
         assert out.encode() == from_file
+
+    # NaN rows whose notes hold a comma, so csv quoting is pinned too
+    NAN_ROWS = ["scan", "--v-grid=-1:1:3", "--lambda", "2"]
+    NAN_ROWS_CSV = (
+        f"#cyclosc {__version__} scan cycles=1 family=inverse-linear k=-2\n"
+        "omega0,lambda,v,gain,det_error,note\n"
+        '1,2,-1,nan,nan,"v must be a positive rate magnitude, got -1.0"\n'
+        '1,2,0,nan,nan,"v must be a positive rate magnitude, got 0.0"\n'
+        "1,2,1,1.2331816118858072,0,\n"
+    )
+    NAN_ROWS_JSON = (
+        '{"columns":["omega0","lambda","v","gain","det_error","note"],'
+        '"meta":{"cycles":1,"family":"inverse-linear","k":-2.0},"rows":['
+        '[1.0,2.0,-1.0,NaN,NaN,"v must be a positive rate magnitude, got -1.0"],'
+        '[1.0,2.0,0.0,NaN,NaN,"v must be a positive rate magnitude, got 0.0"],'
+        '[1.0,2.0,1.0,1.2331816118858072,0.0,""]],'
+        f'"subcommand":"scan","tool":"cyclosc","version":"{__version__}"}}\n'
+    )
+
+    def test_nan_rows_match_golden_bytes(self, capsys):
+        for fmt, golden in (("csv", self.NAN_ROWS_CSV), ("json", self.NAN_ROWS_JSON)):
+            rc, out, _ = run(capsys, *self.NAN_ROWS, "--format", fmt)
+            assert rc == 0
+            assert out == golden
+
+    # a growing grid run for many cycles: most points overflow and fail a
+    # compose det check after a few repeats, as on the per-point path,
+    # without numpy warnings on stderr
+    MANY_CYCLES = ["scan", "--lambda", "1000", "--v-grid", "2:20:10", "--cycles", "300"]
+    MANY_CYCLES_CSV = (
+        f"#cyclosc {__version__} scan cycles=300 family=inverse-linear k=-2\n"
+        "omega0,lambda,v,gain,det_error,note\n"
+        "1,1000,2,nan,nan,compose: det = 1.000244140625 deviates from 1 by 0.000244140625 (tolerance 1e-06)\n"
+        "1,1000,4,nan,nan,compose: det = 1.00006103515625 deviates from 1 by 6.103515625e-05 (tolerance 1e-06)\n"
+        "1,1000,6,nan,nan,compose: det = 64.0 deviates from 1 by 63.0 (tolerance 1e-06)\n"
+        "1,1000,8,nan,nan,compose: det = 8.0 deviates from 1 by 7.0 (tolerance 1e-06)\n"
+        "1,1000,10,nan,nan,compose: det = 1.001953125 deviates from 1 by 0.001953125 (tolerance 1e-06)\n"
+        "1,1000,12,nan,nan,compose: det = 0.999969482421875 deviates from 1 by 3.0517578125e-05 (tolerance 1e-06)\n"
+        "1,1000,14,nan,nan,compose: det = 1.0000019073486328 deviates from 1 by 1.9073486328125e-06 (tolerance 1e-06)\n"
+        "1,1000,16,7625.3898554748921,6.7768013423119555e-12,\n"
+        "1,1000,18,1285.4831392697442,1.2141843086510562e-11,\n"
+        "1,1000,20,98.141653222057101,1.5130008357289171e-11,\n"
+    )
+
+    @pytest.mark.filterwarnings("error")
+    def test_many_cycles_match_golden_bytes_without_warnings(self, capsys):
+        rc, out, err = run(capsys, *self.MANY_CYCLES)
+        assert (rc, out, err) == (0, self.MANY_CYCLES_CSV, "")
+
+    def test_float_columns_format_like_single_cells(self):
+        col = np.array([-0.0, 0.0, math.nan, 1.5, -0.0, math.inf, 0.1, 1.5])
+        assert cli._csv_cells(col) == [cli._fmt(x) for x in col.tolist()]
+        assert cli._csv_cells(col)[:2] == ["-0", "0"]
 
     def test_csv_and_json_carry_the_same_numbers(self, capsys):
         rc, out, _ = run(capsys, *self.ARGS)

@@ -23,6 +23,7 @@ from cyclosc import (
     Piecewise,
     PowerLaw,
     StationaryState,
+    SymplecticError,
     TimeReversed,
     asymptotic_energy,
     build_cycle,
@@ -299,6 +300,104 @@ class TestScan:
         assert res.rows[2].error == ""
         assert res.rows[2].gain == 18.038492822866395
 
+    # (v axis, lambda axis, omega0 axis, n_cycles)
+    ARRAY_CASES = {
+        "regimes-and-omega0": (
+            GridAxis(0.01, 100.0, 41, "log"), GridAxis(0.05, 20.0, 9, "log"),
+            GridAxis(0.5, 2.0, 3), 1,
+        ),
+        "series-cut-lambda-1": (
+            GridAxis(2.0 - 1e-7, 2.0 + 1e-7, 41), GridAxis(1e-3, 1e3, 7, "log"),
+            GridAxis(1.0, 1.0, 1), 1,
+        ),
+        "series-cut-omega0": (
+            GridAxis(3.0 - 1.5e-7, 3.0 + 1.5e-7, 41), GridAxis(1e-3, 1e3, 3, "log"),
+            GridAxis(1.5, 1.5, 1), 3,
+        ),
+        # enough distinct lambda values that numpy's log and x*x would
+        # differ from libm's log and pow somewhere
+        "many-lambdas": (
+            GridAxis(0.7, 0.7, 1), GridAxis(0.01, 100.0, 20001, "log"), GridAxis(1.0, 1.0, 1), 1,
+        ),
+        # a repeat whose det drifts past the tolerance and back, and legs
+        # that fail their det check alone while the cycle passes
+        "det-drift-5-cycles": (
+            GridAxis(1e-3, 1e3, 40, "log"), GridAxis(1e-4, 1e4, 40, "log"), GridAxis(1.0, 1.0, 1), 5,
+        ),
+        "det-failing-legs": (
+            GridAxis(5.0, 1e3, 40, "log"), GridAxis(1e9, 1e12, 30, "log"), GridAxis(1.0, 1.0, 1), 1,
+        ),
+        "lambda-around-1": (
+            GridAxis(-1.0, 2.0, 13), GridAxis(0.5, 1.5, 3), GridAxis(1.0, 1.0, 1), 3,
+        ),
+        "compose-det-rows": (
+            GridAxis(0.5, 3.0, 26), GridAxis(10.0, 10.0, 1), GridAxis(1.0, 1.0, 1), 30,
+        ),
+        "non-integer-cycles": (
+            GridAxis(0.5, 1.0, 3), GridAxis(2.0, 2.0, 1), GridAxis(1.0, 1.0, 1), 2.5,
+        ),
+        # entries overflow on the growing points, which drop out one by one
+        "growing-300-cycles": (
+            GridAxis(2.0, 20.0, 10), GridAxis(1000.0, 1000.0, 1), GridAxis(1.0, 1.0, 1), 300,
+        ),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+    def test_array_scan_equals_per_point_path(self, case, monkeypatch):
+        # the inverse-linear scan runs as arrays; every row must carry the
+        # bits build_cycle + gain_factor/det_error give for its point, and
+        # only the rows the array pass leaves over (a failure, or lambda =
+        # 1) may be built one by one
+        v_axis, lam_axis, omega0_axis, n = self.ARRAY_CASES[case]
+        calls = []
+        monkeypatch.setattr(
+            cyclosc.cycles, "CycleSpec", lambda *a, **kw: calls.append(a) or CycleSpec(*a, **kw)
+        )
+        res = scan_gain("inverse-linear", v_axis, lam_axis, omega0_axis, n_cycles=n)
+        monkeypatch.undo()
+        assert len(res.rows) == v_axis.count * lam_axis.count * omega0_axis.count
+        for row in res.rows:
+            try:
+                spec = CycleSpec(
+                    "inverse-linear", v=row.v, lam=row.lam, omega0=row.omega0, n_cycles=n
+                )
+                s = build_cycle(spec)
+                assert (row.gain, row.det_err, row.error) == (gain_factor(s), s.det_error(), "")
+            except (DomainError, SymplecticError) as exc:
+                assert math.isnan(row.gain) and math.isnan(row.det_err)
+                assert row.error == str(exc)
+        assert len(calls) == sum(1 for r in res.rows if r.error or r.lam == 1.0)
+
+    def test_array_cases_reach_every_branch(self):
+        cases = self.ARRAY_CASES
+        notes = [
+            r.error for *axes, n in cases.values()
+            for r in scan_gain("inverse-linear", *axes, n_cycles=n).rows
+        ]
+        assert any(n.startswith("compose: det") for n in notes)
+        assert any(n.startswith("v must be a positive") for n in notes)
+        assert any(n.startswith("n_cycles must be") for n in notes)
+        # both sides of the series cut |s2 ln(lambda)^2| = 1e-6 around
+        # Omega = 1/2, for omega0 = 1 and 1.5
+        for case in ("series-cut-lambda-1", "series-cut-omega0"):
+            v_axis, lam_axis, omega0_axis, _ = cases[case]
+            u = v_axis.values()[:, None] / omega0_axis.values()[0]
+            cut = np.abs((0.25 - u**-2) * np.log(lam_axis.values()) ** 2) < 1e-6
+            assert cut.any() and not cut.all()
+        # oscillatory (v < 2 omega0) and growing (v > 2 omega0) at every omega0
+        v = cases["regimes-and-omega0"][0].values()
+        assert (v < 2.0 * 0.5).any() and (v > 2.0 * 2.0).any()
+
+    def test_rows_read_the_columns(self):
+        res = scan_gain("inverse-linear", GridAxis(-1.0, 1.0, 3), GridAxis(2.0, 4.0, 2), n_cycles=2)
+        assert [r.index for r in res.rows] == list(range(6))
+        for r in res.rows:
+            for x in (r.v, r.lam, r.omega0, r.gain, r.det_err):
+                assert type(x) is float
+            assert r.n_cycles == 2
+        assert res.rows[2].gain == res.gain[2] and res.rows[0].error == res.error[0] != ""
+
     def test_all_gains_bounded_below(self):
         res = scan_gain(
             "inverse-linear",
@@ -309,6 +408,63 @@ class TestScan:
 
 
 class TestUnityPoints:
+    def test_grouping_keeps_its_results(self):
+        # descending v axes with a NaN row at v = 0; two omega0 values at
+        # one lambda and at a descending pair; and a lambda axis that
+        # repeats its value, whose sweeps merge into one.  Values as
+        # computed when scans were built row by row.
+        v_axis = GridAxis(0.1, 0.0, 51)
+        res = scan_gain("inverse-linear", v_axis, GridAxis(10.0, 10.0, 1), GridAxis(1.0, 2.0, 2))
+        assert sum(1 for r in res.rows if r.error) == 2
+        assert find_unity_points(res, tol=1e-3, refine=False) == (
+            (0.01200000000000001, 10.0, 1.0005636542282212),
+            (0.018000000000000002, 10.0, 1.0009165728843912),
+            (0.024000000000000007, 10.0, 1.0006990149240451),
+            (0.036000000000000004, 10.0, 1.0004863194419054),
+            (0.01200000000000001, 10.0, 1.0006388067265481),
+            (0.018000000000000002, 10.0, 1.0008044289217213),
+            (0.024000000000000007, 10.0, 1.000563654228221),
+            (0.036000000000000004, 10.0, 1.0009165728843912),
+            (0.048, 10.0, 1.0006990149240458),
+            (0.07200000000000001, 10.0, 1.0004863194419054),
+        )
+        assert find_unity_points(res, tol=1e-3)[:5] == (
+            (0.012192630153636816, 10.0, 1.0000086324365096),
+            (0.018245517051467923, 10.0, 1.0000412443941544),
+            (0.02424775732012451, 10.0, 1.0001201612397908),
+            (0.03603838757451, 10.0, 1.0004806497713747),
+            (0.011271390788343653, 10.0, 1.00000040618318),
+        )
+        res = scan_gain("inverse-linear", v_axis, GridAxis(10.0, 8.0, 2), GridAxis(1.0, 2.0, 2))
+        assert find_unity_points(res, tol=1e-3, refine=False) == (
+            (0.01200000000000001, 8.0, 1.0007642478475243),
+            (0.01200000000000001, 10.0, 1.0005636542282212),
+            (0.018000000000000002, 10.0, 1.0009165728843912),
+            (0.024000000000000007, 10.0, 1.0006990149240451),
+            (0.036000000000000004, 10.0, 1.0004863194419054),
+            (0.013999999999999999, 8.0, 1.0005786161211234),
+            (0.024000000000000007, 8.0, 1.0007642478475243),
+            (0.027999999999999997, 8.0, 1.0009645560989047),
+            (0.082, 8.0, 1.0003574805067181),
+            (0.01200000000000001, 10.0, 1.0006388067265481),
+            (0.018000000000000002, 10.0, 1.0008044289217213),
+            (0.024000000000000007, 10.0, 1.000563654228221),
+            (0.036000000000000004, 10.0, 1.0009165728843912),
+            (0.048, 10.0, 1.0006990149240458),
+            (0.07200000000000001, 10.0, 1.0004863194419054),
+        )
+        merged = scan_gain(
+            "inverse-linear", GridAxis(0.05, 0.02, 40, "log"), GridAxis(10.0, 10.0, 2)
+        )
+        assert find_unity_points(merged, tol=1e-3) == (
+            (0.024135301805843428, 10.0, 1.000214315809277),
+            (0.024247677427683894, 10.0, 1.000120161316453),
+            (0.024709754407355476, 10.0, 1.0009011542404729),
+            (0.03598435837656053, 10.0, 1.0004921027900462),
+            (0.036038154252578364, 10.0, 1.0004806498390328),
+            (0.03684063602644752, 10.0, 1.000873007093678),
+        )
+
     def test_near_unity_dips_exist_for_lambda_10(self):
         res = scan_gain(
             "inverse-linear",

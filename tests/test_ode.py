@@ -197,3 +197,16 @@ class TestForced:
         e_direct = moment_oracle(prof, kappa, 4.0, state)
         assert e_decomposed == pytest.approx(e_direct, abs=1e-8)
         assert e_decomposed >= state.energy - 1e-9
+
+
+def test_integrated_results_are_python_floats():
+    # closed forms return Python floats; integrated matrices must too, so a
+    # gain prints the same whichever route built it
+    from cyclosc import CycleSpec, cycle_gain, random_fourier_profile
+
+    prof = random_fourier_profile(np.random.default_rng(1))
+    gain = cycle_gain(CycleSpec("custom", profile=prof, duration=prof.duration))
+    res = propagate_forced(prof, lambda t: math.sin(math.pi * t / prof.duration), prof.duration)
+    for x in (gain, res.qc, res.qc_dot, *vars(res.matrix).values()):
+        assert type(x) is float
+    assert "np.float64" not in repr(gain) + repr(res)

@@ -1,8 +1,10 @@
-"""Static checks on the package source."""
+"""Checks on the package source and on the names the benchmark patches."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import cyclosc
@@ -43,3 +45,19 @@ def test_every_module_level_import_is_referenced():
     for path in sorted(PACKAGE.glob("*.py")):
         unused |= _unused_imports(path)
     assert unused == TRACED_IMPORTS
+
+
+def test_bench_tracer_installs_and_restores_every_site():
+    # bench/tracing.py wraps module attributes by name (SPAN_SITES and its
+    # counters); a refactor that drops one crashes the traced benchmark run.
+    # The file is only read here, not imported from bench/.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tracing = types.ModuleType("bench_tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    sites = [(module, attr) for module, attr, _ in tracing.SPAN_SITES]
+    before = {site: getattr(importlib.import_module(site[0]), site[1]) for site in sites}
+    with tracing.installed(tracing.Tracer()):
+        for site in sites:
+            assert getattr(importlib.import_module(site[0]), site[1]) is not before[site]
+    for site in sites:
+        assert getattr(importlib.import_module(site[0]), site[1]) is before[site]
