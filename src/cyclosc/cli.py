@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -171,10 +172,44 @@ def _fmt(value: object) -> str:
 _float_text = "{:.17g}".format
 
 
-def _csv_cells(column: Sequence[object]) -> List[str]:
+def _float_cells(column: np.ndarray) -> List[str]:
+    """Cells of a float64 column, each distinct bit pattern formatted once.
+
+    Keyed on the int64 view, so -0.0 and 0.0 stay apart ("-0" and "0").
+    """
+    _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
+    text = np.array(list(map(_float_text, column[first].tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+class _CsvQuoted(dict):
+    """Each distinct text cell as csv.writer writes it in a row of `width` cells.
+
+    Only str keys: as dict keys 0.0 == -0.0 and 1 == 1.0 == True collide.
+    """
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self._buf = io.StringIO()
+        self._writer = csv.writer(self._buf, lineterminator="\n")
+        # a neighbour cell, as in the table, for csv.writer's lone-empty-cell rule
+        self._pad = [""] if width > 1 else []
+
+    def __missing__(self, cell: str) -> str:
+        self._writer.writerow([cell, *self._pad])
+        quoted = self._buf.getvalue()[: -1 - len(self._pad)]
+        self._buf.seek(0)
+        self._buf.truncate()
+        self[cell] = quoted
+        return quoted
+
+
+def _csv_cells(column: Sequence[object], quoted: _CsvQuoted) -> List[str]:
+    """A column's CSV cells: formatted floats need no quoting, other cells
+    are quoted as csv.writer would."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
-        return list(map(_float_text, column.tolist()))
-    return [_fmt(x) for x in column]
+        return _float_cells(column)
+    return [quoted[_fmt(x)] for x in column]
 
 
 def _json_cells(column: Sequence[object]) -> List[object]:
@@ -191,15 +226,21 @@ def _emit(
     fmt: str,
     output: str,
 ) -> None:
-    """Write the artifact; its table comes as columns, float arrays formatted whole."""
+    """Write the artifact; its table comes as columns, float arrays formatted
+    once per distinct value.
+
+    The CSV table has the bytes csv.writer writes with newline line ends,
+    joined here row by row.
+    """
     if fmt == "csv":
-        buf = io.StringIO()
         pairs = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(meta.items()))
-        buf.write(f"#cyclosc {__version__} {subcommand} {pairs}".rstrip() + "\n")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(names)
-        writer.writerows(zip(*map(_csv_cells, columns)))
-        text = buf.getvalue()
+        quoted = _CsvQuoted(len(names))
+        lines = [
+            f"#cyclosc {__version__} {subcommand} {pairs}".rstrip(),
+            ",".join(quoted[name] for name in names),
+        ]
+        lines += map(",".join, zip(*(_csv_cells(col, quoted) for col in columns)))
+        text = "\n".join(lines) + "\n"
     else:
         doc = {
             "tool": "cyclosc",
@@ -331,7 +372,7 @@ def _cmd_perturb(ns: argparse.Namespace) -> Artifact:
 
 def _cmd_spectrum(ns: argparse.Namespace) -> Artifact:
     try:
-        spec = CavitySpec(L0=ns.size, T=ns.temperature, lam=ns.lam, v=ns.rate, n_max=ns.n_modes)
+        spec = CavitySpec(L0=ns.size, T=ns.temperature, lam=ns.lam, v=ns.rate)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
     shift = shift_planck_spectrum(spec, ns.points)
@@ -454,7 +495,7 @@ def _suite_perturbation(rng: np.random.Generator) -> Tuple[int, int, float]:
 
 def _suite_planck(rng: np.random.Generator) -> Tuple[int, int, float]:
     del rng
-    spec = CavitySpec(L0=7e-3, T=300.0, lam=1e-4, v=1.0, n_max=100)
+    spec = CavitySpec(L0=7e-3, T=300.0, lam=1e-4, v=1.0)
     shift = shift_planck_spectrum(spec)
     t_target = spec.T / spec.lam
     worst = 0.0
@@ -559,7 +600,6 @@ _COMMANDS: Dict[str, Tuple[Callable[[argparse.Namespace], tuple], str, Tuple[Opt
         ("temperature", 300.0, _float, "wall temperature in K"),
         ("lambda", 1e-4, _float, "contraction scale"),
         ("rate", 1.0, _float, "fractional contraction rate 1/s"),
-        ("n-modes", 100, _int(1), "adiabaticity check cutoff"),
         ("points", 257, _int(16), "samples per stage"),
     )),
     "verify": (_cmd_verify, "run the seeded invariant suites", (
@@ -588,6 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument(f"--{flag}", *aliases, dest=_dest(flag), help=text)
         sub.add_argument("--config", help="JSON config file; flags override its values")
     return parser
+
+
+# main's parser, built on its first call: parsing leaves no state in it
+_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def _load_config(path: str, allowed: Sequence[str]) -> Dict[str, object]:
@@ -626,8 +670,7 @@ def _resolve(ns: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         names, columns, meta, *ok = _COMMANDS[ns.subcommand][0](_resolve(ns))
         _emit(ns.subcommand, names, columns, meta, ns.format, ns.output)

@@ -45,6 +45,10 @@ __all__ = [
 # Bessel order |1/k| beyond this is outside the accuracy contract.
 MAX_BESSEL_ORDER = 10.0
 
+# Largest float whose square x**2 is finite; _inverse_linear_entries squares
+# omega0/v and omega0, and ** raises OverflowError past it.
+_SQUARE_MAX = 1.3407807929942596e154
+
 # Below this, cosh(sqrt(s2) x) etc. switch to their Taylor series in
 # u = s2 x^2; at u = 1e-6 the first dropped term is ~1e-26.
 _SERIES_CUT = 1e-6
@@ -118,13 +122,19 @@ def _check_inverse_linear_args(omega0: float, v: float, lam: float) -> None:
                 f"lambda = {lam!r} is not reachable with rate v = {v!r} "
                 "(the sign of v must match lambda - 1)"
             )
+        if not (omega0 <= _SQUARE_MAX and abs(omega0 / v) <= _SQUARE_MAX):
+            raise DomainError(
+                f"omega0 = {omega0!r} with rate v = {v!r} is out of range: "
+                "(omega0/v)**2 or omega0**2 overflows"
+            )
 
 
 def _inverse_linear_args_ok(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Elementwise: True where _check_inverse_linear_args would not raise."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         reachable = (v != 0.0) & ~((lam - 1.0) / v < 0.0)
-    return (omega0 > 0.0) & (lam > 0.0) & ((lam == 1.0) | reachable)
+        in_range = (omega0 <= _SQUARE_MAX) & (np.abs(omega0 / v) <= _SQUARE_MAX)
+    return (omega0 > 0.0) & (lam > 0.0) & ((lam == 1.0) | (reachable & in_range))
 
 
 def _inverse_linear_entries(

@@ -332,18 +332,18 @@ def _inverse_linear_scan(
     per-point path's bits.  A point is dropped at its first failing check,
     as compose would raise there.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # entries overflow where the cycle grows, and 1/lam where lam is
+    # subnormal; those points fail a det check or the argument checks
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = v / omega0
         u_out = np.where(lam > 1.0, u, -u)
         inv = 1.0 / lam
         done = ((v > 0.0) & (omega0 > 0.0) & (lam != 1.0)
                 & _inverse_linear_args_ok(1.0, u_out, lam)
                 & _inverse_linear_args_ok(inv, -u_out, inv))
-    at = np.flatnonzero(done)
-    out = _inverse_linear_legs(1.0, u_out[at], lam[at])
-    back = _inverse_linear_legs(inv[at], -u_out[at], inv[at])
-    # entries overflow where the cycle grows; those points fail a det check
-    with np.errstate(over="ignore", invalid="ignore"):
+        at = np.flatnonzero(done)
+        out = _inverse_linear_legs(1.0, u_out[at], lam[at])
+        back = _inverse_linear_legs(inv[at], -u_out[at], inv[at])
         ok = (out.det_error() < DET_TOL_INPUT) & (back.det_error() < DET_TOL_INPUT)
         at, once = at[ok], _take(back @ out, ok)
         total = once

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
+import io
 import json
 import math
 import os
@@ -13,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclosc
 import cyclosc.cli as cli
@@ -156,6 +161,30 @@ class TestCycleAndScan:
         assert all(note.startswith("compose: det") for note in notes[:2])
         assert gains[2] == 18.038492822866395 and notes[2] == ""
 
+    # (omega0/v)**2 or omega0**2 past the float range: v = 1e-200 on the
+    # outbound leg, omega0 = 1/lambda = 1e300 on the return leg
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", [
+        ["--v-grid", "1e-200:1e-199:2", "--lambda", "2"],
+        ["--v-grid", "0.5:50:3", "--lambda", "1e-300"],
+    ])
+    def test_overflowing_squares_become_nan_rows(self, capsys, grid):
+        rc, out, err = run(capsys, "scan", *grid)
+        assert (rc, err) == (0, "")
+        rows = out.splitlines()[2:]
+        assert rows and all(",nan,nan," in row for row in rows)
+        assert all(row.endswith("**2 or omega0**2 overflows") for row in rows)
+
+    @pytest.mark.parametrize("sub", ["cycle", "propagate"])
+    def test_overflowing_squares_exit_3(self, capsys, sub):
+        rc, out, err = run(capsys, sub, "--v", "1e-200")
+        assert (rc, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "numeric",
+            "message": "omega0 = 1.0 with rate v = 1e-200 is out of range: "
+                       "(omega0/v)**2 or omega0**2 overflows",
+        }
+
     def test_power_law_note_prints_plain_floats(self, capsys):
         rc, out, err = run(
             capsys, "scan", "--family", "power", "--k", "-3",
@@ -164,6 +193,38 @@ class TestCycleAndScan:
         assert rc == 0, err
         assert "compose: det = 1.0000038146972656 deviates" in out
         assert "np.float64" not in out
+
+
+# Float columns with repeats, signed zeros, nan, infinities and subnormals;
+# text cells with csv's special characters; mixed Python and numpy values.
+_FLOAT = st.one_of(
+    st.sampled_from([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1.0]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+_TEXT = st.one_of(
+    st.sampled_from(["", ",", '"', "\r", "\n", '""', " ", 'a,"b"\r\nc']),
+    st.text(alphabet=st.sampled_from('ab ,"\r\n\t;\'0.-'), max_size=6),
+)
+_MIXED = st.one_of(
+    _FLOAT, _TEXT, st.integers(), st.booleans(), st.none(),
+    _FLOAT.map(np.float64), st.integers(-10**6, 10**6).map(np.int64), _TEXT.map(np.str_),
+)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 12))
+    names = draw(st.lists(_TEXT, min_size=1, max_size=4))
+    columns = []
+    for _ in names:
+        kind = draw(st.sampled_from(["float", "text", "mixed"]))
+        if kind == "float":
+            pool = draw(st.lists(_FLOAT, min_size=1, max_size=4))
+            columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))))
+        else:
+            cells = draw(st.lists(_TEXT if kind == "text" else _MIXED, min_size=rows, max_size=rows))
+            columns.append(tuple(cells) if kind == "text" else cells)
+    return names, columns
 
 
 class TestDeterminism:
@@ -266,8 +327,41 @@ class TestDeterminism:
 
     def test_float_columns_format_like_single_cells(self):
         col = np.array([-0.0, 0.0, math.nan, 1.5, -0.0, math.inf, 0.1, 1.5])
-        assert cli._csv_cells(col) == [cli._fmt(x) for x in col.tolist()]
-        assert cli._csv_cells(col)[:2] == ["-0", "0"]
+        assert cli._float_cells(col) == [cli._fmt(x) for x in col.tolist()]
+        assert cli._float_cells(col)[:2] == ["-0", "0"]
+
+    @given(table=_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_csv_table_is_what_csv_writer_writes(self, table):
+        names, columns = table
+        want = io.StringIO()
+        want.write(f"#cyclosc {__version__} t\n")
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(zip(*([cli._fmt(x) for x in col] for col in columns)))
+        got = io.StringIO()
+        with contextlib.redirect_stdout(got):
+            cli._emit("t", names, columns, {}, "csv", "-")
+        assert got.getvalue() == want.getvalue()
+
+    def test_one_process_writes_what_fresh_processes_write(self, tmp_path, capsys):
+        # main keeps one parser per process; no call may leave state in it
+        cfg = tmp_path / "scan.json"
+        cfg.write_text(json.dumps({"lambda": 3, "cycles": 2, "v-grid": "0.1:10:5:log"}))
+        calls = [
+            ["scan", "--config", str(cfg)],
+            ["scan", "--v-grid", "0.2:2:4", "--omega0-grid", "1:2:2"],
+            ["verify", "--seed", "3"],
+            ["perturb", "--power", "3", "--n-max", "4"],
+            ["scan", "--config", str(cfg), "--lambda", "0.5"],
+        ]
+        src = str(Path(cyclosc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in calls:
+            fresh = subprocess.run(
+                [sys.executable, "-m", "cyclosc.cli", *argv], env=env, capture_output=True, text=True
+            )
+            assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
     def test_csv_and_json_carry_the_same_numbers(self, capsys):
         rc, out, _ = run(capsys, *self.ARGS)
@@ -344,7 +438,6 @@ _SAMPLES = {
     "size": ("0.01", "0.02"),
     "temperature": ("200", "100"),
     "rate": ("0.5", "0.25"),
-    "n-modes": ("50", "60"),
     "points": ("32", "64"),
     "output": ("a.csv", "b.csv"),
     "format": ("json", "csv"),
@@ -494,6 +587,15 @@ class TestSpectrum:
     def test_relativistic_wall_is_config_error(self, capsys):
         rc, _, _ = run(capsys, "spectrum", "--rate", "1e10")
         assert rc == 2
+
+    def test_mode_cutoff_is_no_option(self, tmp_path, capsys):
+        # the slowest mode alone bounds adiabaticity, so there is no cutoff
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--n-modes", "100"])
+        assert exc.value.code == 2
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"n-modes": 100}))
+        assert run(capsys, "spectrum", "--config", str(cfg))[0] == 2
 
 
 class TestVerify:

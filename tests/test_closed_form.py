@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclosc.closed_form
 from cyclosc import (
     DomainError,
     StationaryState,
@@ -91,6 +92,22 @@ class TestInverseLinear:
             propagate_inverse_linear(1.0, 1.0, 0.5)
         s = propagate_inverse_linear(1.0, -1.0, 0.5)
         assert s.det_error() < 1e-12
+
+    def test_squares_out_of_float_range_are_domain_errors(self):
+        # _SQUARE_MAX is the largest float that ** squares without overflow
+        top = cyclosc.closed_form._SQUARE_MAX
+        assert math.isfinite(top**2)
+        with pytest.raises(OverflowError):
+            math.nextafter(top, math.inf) ** 2
+        # (omega0/v)**2 just past it, omega0**2 past it, and omega0/v = inf
+        for omega0, v, lam in ((1.0, 1.0 / top / 2.0, 2.0), (2.0 * top, -1e300, 0.5),
+                               (1e300, -1e-300, 0.5)):
+            with pytest.raises(DomainError, match="overflows"):
+                propagate_inverse_linear(omega0, v, lam)
+            with pytest.raises(DomainError, match="overflows"):
+                energy_inverse_linear(omega0, v, lam, 0.5)
+        assert propagate_inverse_linear(1.0, 1.0 / top, 2.0).det_error() < 1e-12
+        assert propagate_inverse_linear(1e-300, 1e-300, 1.0) == propagate_inverse_linear(1.0, 1.0, 1.0)
 
     def test_energy_frozen_oracle(self):
         e = energy_inverse_linear(1.0, 1.0, 10.0, 0.5)

@@ -340,6 +340,16 @@ class TestScan:
         "growing-300-cycles": (
             GridAxis(2.0, 20.0, 10), GridAxis(1000.0, 1000.0, 1), GridAxis(1.0, 1.0, 1), 300,
         ),
+        # (omega0/v)**2 or omega0**2 past the float range on either leg,
+        # 1/lambda = inf, and both sides of the edge of (1/v)**2
+        "overflowing-squares": (
+            GridAxis(1e-320, 1e300, 61, "log"), GridAxis(5e-324, 1e300, 31, "log"),
+            GridAxis(0.5, 2.0, 2), 2,
+        ),
+        "square-range-edge": (
+            GridAxis(0.999999 / 1.3407807929942596e154, 1.000001 / 1.3407807929942596e154, 41),
+            GridAxis(0.5, 2.0, 2), GridAxis(1.0, 1.0, 1), 1,
+        ),
     }
 
     @pytest.mark.filterwarnings("error")
@@ -378,6 +388,9 @@ class TestScan:
         assert any(n.startswith("compose: det") for n in notes)
         assert any(n.startswith("v must be a positive") for n in notes)
         assert any(n.startswith("n_cycles must be") for n in notes)
+        assert any(n.endswith("**2 or omega0**2 overflows") for n in notes)
+        edge = scan_gain("inverse-linear", *cases["square-range-edge"][:3]).error
+        assert "" in edge and any(edge)
         # both sides of the series cut |s2 ln(lambda)^2| = 1e-6 around
         # Omega = 1/2, for omega0 = 1 and 1.5
         for case in ("series-cut-lambda-1", "series-cut-omega0"):
