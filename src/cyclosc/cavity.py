@@ -156,7 +156,9 @@ def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein mean occupation at natural-unit temperature (k_B = 1)."""
     if not (omega > 0.0 and temperature > 0.0):
         raise DomainError("omega and temperature must be positive")
-    return 1.0 / math.expm1(omega / temperature)
+    # past x = 709 expm1 nears overflow, and 1/expm1(x) = exp(-x) to roundoff
+    x = omega / temperature
+    return 1.0 / math.expm1(x) if x < 709.0 else math.exp(-x)
 
 
 def thermal_gain(

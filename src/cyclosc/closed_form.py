@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv, yv
 
-from .core import EvolutionMatrix
+from .core import _SQUARE_MAX, _SQUARE_MIN, EvolutionMatrix
 from .errors import DomainError
 
 __all__ = [
@@ -44,10 +44,6 @@ __all__ = [
 
 # Bessel order |1/k| beyond this is outside the accuracy contract.
 MAX_BESSEL_ORDER = 10.0
-
-# Largest float whose square x**2 is finite; _inverse_linear_entries squares
-# omega0/v and omega0, and ** raises OverflowError past it.
-_SQUARE_MAX = 1.3407807929942596e154
 
 # Below this, cosh(sqrt(s2) x) etc. switch to their Taylor series in
 # u = s2 x^2; at u = 1e-6 the first dropped term is ~1e-26.
@@ -74,8 +70,8 @@ class ExponentPair:
 
 
 def exponent_pair(omega0: float, v: float) -> ExponentPair:
-    if v == 0.0:
-        raise DomainError("v = 0 has no exponent pair (frequency is constant)")
+    if v == 0.0 or not abs(omega0 / v) <= _SQUARE_MAX:
+        raise DomainError(f"omega0 = {omega0!r} with rate v = {v!r} has no exponent pair")
     return ExponentPair(0.25 - (omega0 / v) ** 2)
 
 
@@ -203,6 +199,8 @@ def _wronskian_map(start: np.ndarray, end: np.ndarray) -> EvolutionMatrix:
     Wronskian, which is constant along the frame.
     """
     det = start[0, 0] * start[1, 1] - start[0, 1] * start[1, 0]
+    if det == 0.0:
+        raise DomainError("the Bessel frame is degenerate: its Wronskian evaluates to 0")
     inv = np.array([[start[1, 1], -start[0, 1]], [-start[1, 0], start[0, 0]]]) / det
     return EvolutionMatrix.from_array(end @ inv)
 
@@ -285,8 +283,8 @@ def asymptotic_energy(lam: float, omega: float = 1.0) -> float:
     ground state read off against the new frequency, independent of the
     profile family.
     """
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
+    if not _SQUARE_MIN <= lam <= _SQUARE_MAX:
+        raise DomainError(f"lambda must be positive, lambda**2 normal and finite, got {lam!r}")
     if not omega > 0.0:
         raise DomainError(f"omega must be positive, got {omega!r}")
     return 0.25 * omega * (1.0 + 1.0 / lam**2)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SymplecticError
+from .errors import DomainError, SymplecticError
 
 __all__ = [
     "DET_TOL_INPUT",
@@ -45,8 +45,12 @@ __all__ = [
 ]
 
 # Largest |det S - 1| accepted from a matrix passed to this module's
-# functions; loose because composed products accumulate roundoff.
+# functions, per unit of R = Tr[S S^T]/2; see EvolutionMatrix.is_symplectic.
 DET_TOL_INPUT = 1e-6
+
+# x**2 is a finite normal float for _SQUARE_MIN <= |x| <= _SQUARE_MAX (**
+# raises OverflowError above); below, the square is 0 or subnormal.
+_SQUARE_MIN, _SQUARE_MAX = 1.4916681462400413e-154, 1.3407807929942596e154
 
 
 @dataclass(frozen=True)
@@ -96,7 +100,7 @@ class EvolutionMatrix:
         return EvolutionMatrix(self.d, -self.b, -self.c, self.a)
 
     def __matmul__(self, other: "EvolutionMatrix") -> "EvolutionMatrix":
-        """Matrix product without compose's det check; entries may be arrays."""
+        """Matrix product without compose's symplectic checks; entries may be arrays."""
         return EvolutionMatrix(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -104,17 +108,31 @@ class EvolutionMatrix:
             self.c * other.b + self.d * other.d,
         )
 
+    def _trace_form(self) -> float:
+        """R = Tr[S S^T]/2 from products x * x (gain_factor squares with **)."""
+        return 0.5 * (self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d)
+
+    def is_symplectic(self) -> bool:
+        """|det S - 1| < DET_TOL_INPUT * R, R = Tr[S S^T]/2 finite, elementwise. det = ad - bc
+        subtracts products of size ~R; with R = inf any finite det would pass."""
+        r = self._trace_form()
+        return (abs(self.det() - 1.0) < DET_TOL_INPUT * r) & (r < math.inf)
+
     def is_orthogonal(self, tol: float = 1e-9) -> bool:
         g = self.as_array()
         return bool(np.max(np.abs(g @ g.T - np.eye(2))) < tol)
 
 
-def _require_symplectic(s: EvolutionMatrix, op: str, tol: float = DET_TOL_INPUT) -> None:
-    err = s.det_error()
-    if not err < tol:  # also catches NaN
-        raise SymplecticError(
-            f"{op}: det = {s.det()!r} deviates from 1 by {err!r} (tolerance {tol})"
-        )
+def _require_symplectic(s: EvolutionMatrix, op: str) -> None:
+    if s.is_symplectic():
+        return
+    r = s._trace_form()
+    if not r < math.inf:
+        raise SymplecticError(f"{op}: Tr[S S^T]/2 overflows to {r!r}")
+    raise SymplecticError(
+        f"{op}: det = {s.det()!r} deviates from 1 by {s.det_error()!r} "
+        f"(tolerance {DET_TOL_INPUT * r!r})"
+    )
 
 
 @dataclass(frozen=True)
@@ -135,9 +153,8 @@ class StationaryState:
         return (self.n + 0.5) * self.omega0
 
     def virial_moments(self) -> "MomentTriple":
-        """Second moments <q^2> = E/omega0^2, <p^2> = E, <D> = 0."""
-        e = self.energy
-        return MomentTriple(e / self.omega0**2, e, 0.0)
+        """Second moments <q^2> = E/omega0^2 = (n + 1/2)/omega0, <p^2> = E, <D> = 0."""
+        return MomentTriple((self.n + 0.5) / self.omega0, self.energy, 0.0)
 
 
 @dataclass(frozen=True)
@@ -151,12 +168,10 @@ class MomentTriple:
     def __post_init__(self) -> None:
         if not (self.qq > 0.0 and self.pp > 0.0):
             raise ValueError("qq and pp must be positive")
-        # Robertson-Schrodinger bound, with slack for roundoff.
-        if self.qq * self.pp - self.d**2 < 0.25 - 1e-9:
-            raise ValueError(
-                f"moments violate the uncertainty bound: qq*pp - d^2 = "
-                f"{self.qq * self.pp - self.d ** 2!r} < 1/4"
-            )
+        # Robertson-Schrodinger bound on det = qq*pp - d^2, with slack for its roundoff
+        det = self.qq * self.pp - self.d**2
+        if det < 0.25 - 1e-9 * max(1.0, self.qq * self.pp + self.d**2):
+            raise ValueError(f"moments violate the uncertainty bound: qq*pp - d^2 = {det!r} < 1/4")
 
 
 @dataclass(frozen=True)
@@ -203,8 +218,8 @@ def final_energy(s: EvolutionMatrix, state: StationaryState, omega_final: float)
             f"final_energy requires a state with omega0 = 1, got {state.omega0!r}; "
             "normalize the profile or use final_energy_general"
         )
-    if not omega_final > 0.0:
-        raise ValueError(f"omega_final must be positive, got {omega_final!r}")
+    if not 0.0 < omega_final <= _SQUARE_MAX:
+        raise DomainError(f"omega_final must be positive, its square finite, got {omega_final!r}")
     return state.energy * _energy_form(s, omega_final)
 
 
@@ -213,11 +228,10 @@ def final_energy_general(
 ) -> float:
     """Mean energy 1/2 <p_H^2 + omega_final^2 q_H^2> for arbitrary input moments."""
     _require_symplectic(s, "final_energy_general")
-    if not omega_final > 0.0:
-        raise ValueError(f"omega_final must be positive, got {omega_final!r}")
-    qq = s.a**2 * m.qq + s.b**2 * m.pp + 2.0 * s.a * s.b * m.d
-    pp = s.c**2 * m.qq + s.d**2 * m.pp + 2.0 * s.c * s.d * m.d
-    return 0.5 * (omega_final**2 * qq + pp)
+    if not 0.0 < omega_final <= _SQUARE_MAX:
+        raise DomainError(f"omega_final must be positive, its square finite, got {omega_final!r}")
+    out = transport_moments(s, m)
+    return 0.5 * (omega_final**2 * out.qq + out.pp)
 
 
 def transport_moments(s: EvolutionMatrix, m: MomentTriple) -> MomentTriple:
@@ -250,11 +264,10 @@ def bogoliubov_energy(bp: BogoliubovPair, state: StationaryState) -> float:
     what the cycle theorem requires.  Equivalent to E_in * R with
     R = 1 + 2 |beta|^2.
     """
-    if bp.unitarity_error() > DET_TOL_INPUT:
-        raise SymplecticError(
-            f"bogoliubov_energy: |alpha|^2 - |beta|^2 - 1 = "
-            f"{abs(bp.alpha) ** 2 - abs(bp.beta) ** 2 - 1.0!r}"
-        )
+    # the matrix of the pair: det S = |alpha|^2 - |beta|^2, R = |alpha|^2 + |beta|^2
+    al, be = bp.alpha, bp.beta
+    s = EvolutionMatrix(al.real + be.real, be.imag - al.imag, al.imag + be.imag, al.real - be.real)
+    _require_symplectic(s, "bogoliubov_energy")
     a2 = abs(bp.alpha) ** 2
     b2 = abs(bp.beta) ** 2
     return state.omega0 * (0.5 + a2 * state.n + b2 * (state.n + 1))

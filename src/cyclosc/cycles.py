@@ -41,7 +41,7 @@ from .closed_form import (
     propagate_inverse_linear,
     propagate_power_law,
 )
-from .core import DET_TOL_INPUT, EvolutionMatrix, compose, gain_factor
+from .core import EvolutionMatrix, compose, gain_factor
 from .errors import DomainError, IntegrationError, SymplecticError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, propagate_ode
 from .profiles import (
@@ -314,57 +314,45 @@ def _inverse_linear_legs(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) -> 
     return EvolutionMatrix(*(x.astype(float) for x in _inverse_linear_each(omega0, v, lam)))
 
 
-def _take(s: EvolutionMatrix, keep: np.ndarray) -> EvolutionMatrix:
-    return EvolutionMatrix(s.a[keep], s.b[keep], s.c[keep], s.d[keep])
-
-
 def _inverse_linear_scan(
     omega0: np.ndarray, lam: np.ndarray, v: np.ndarray, n_cycles: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """build_cycle, gain_factor and det_error of inverse-linear cycles, as arrays.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(gain, det_err): gain_factor and det_error of build_cycle, as arrays.
 
-    Returns (gain, det_err, done).  done is False, and gain and det_err
-    NaN, wherever build_cycle or gain_factor would raise or lam = 1 (the
-    identity, with no formula); those points are left to the per-point
-    path.  The legs are _one_cycle's, from the same scalar formula, and
-    every det check of compose and gain_factor is made on the same products
-    (non-finite entries fail it), so each point that is done carries the
-    per-point path's bits.  A point is dropped at its first failing check,
-    as compose would raise there.
+    Both are NaN where build_cycle or gain_factor would raise, and at lam = 1
+    (the identity, with no formula), for the per-point path to fill in.  The
+    legs come from _one_cycle's scalar formula and each check of compose and
+    gain_factor is made on the same products, so every other point carries
+    the per-point path's bits.
     """
     # entries overflow where the cycle grows, and 1/lam where lam is
-    # subnormal; those points fail a det check or the argument checks
+    # subnormal; those points fail a symplectic check or the argument checks
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         u = v / omega0
         u_out = np.where(lam > 1.0, u, -u)
         inv = 1.0 / lam
-        done = ((v > 0.0) & (omega0 > 0.0) & (lam != 1.0)
-                & _inverse_linear_args_ok(1.0, u_out, lam)
-                & _inverse_linear_args_ok(inv, -u_out, inv))
-        at = np.flatnonzero(done)
+        at = np.flatnonzero((v > 0.0) & (omega0 > 0.0) & (lam != 1.0)
+                            & _inverse_linear_args_ok(1.0, u_out, lam)
+                            & _inverse_linear_args_ok(inv, -u_out, inv))
         out = _inverse_linear_legs(1.0, u_out[at], lam[at])
         back = _inverse_linear_legs(inv[at], -u_out[at], inv[at])
-        ok = (out.det_error() < DET_TOL_INPUT) & (back.det_error() < DET_TOL_INPUT)
-        at, once = at[ok], _take(back @ out, ok)
-        total = once
+        ok = out.is_symplectic() & back.is_symplectic()
+        once = total = back @ out
         for _ in range(n_cycles - 1):
-            ok = total.det_error() < DET_TOL_INPUT
-            at, once, total = at[ok], _take(once, ok), _take(total, ok)
-            if not at.size:
+            ok &= total.is_symplectic()
+            if not ok.any():
                 break
             total = once @ total
+        ok &= total.is_symplectic()
         det_err = total.det_error()
-    ok = det_err < DET_TOL_INPUT
-    at, total = at[ok], _take(total, ok)
-    done = np.zeros(v.shape, dtype=bool)
-    done[at] = True
+    at = at[ok]
     # gain_factor's a**2 + b**2 + c**2 + d**2, each square from libm's pow
-    a2, b2, c2, d2 = (_pow_each(x, 2.0).astype(float) for x in (total.a, total.b, total.c, total.d))
+    a2, b2, c2, d2 = (_pow_each(x[ok], 2.0).astype(float) for x in (total.a, total.b, total.c, total.d))
     gain = np.full(v.shape, math.nan)
     gain[at] = 0.5 * (a2 + b2 + c2 + d2)
     det = np.full(v.shape, math.nan)
     det[at] = det_err[ok]
-    return gain, det, done
+    return gain, det
 
 
 def scan_gain(
@@ -389,12 +377,11 @@ def scan_gain(
         )
     )
     if family == "inverse-linear" and _whole_count(n_cycles):
-        gain, det_err, done = _inverse_linear_scan(omega0, lam, v, n_cycles)
+        gain, det_err = _inverse_linear_scan(omega0, lam, v, n_cycles)
     else:
         gain, det_err = np.full(v.shape, math.nan), np.full(v.shape, math.nan)
-        done = np.zeros(v.shape, dtype=bool)
     error = [""] * v.size
-    for i in np.flatnonzero(~done).tolist():
+    for i in np.flatnonzero(np.isnan(gain)).tolist():
         try:
             spec = CycleSpec(
                 family, v=v.item(i), lam=lam.item(i), omega0=omega0.item(i),

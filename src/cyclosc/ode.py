@@ -40,7 +40,6 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     max_steps: int = 10_000_000
-    method: str = "DOP853"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
@@ -106,7 +105,7 @@ def _integrate(
         counted,
         (t_start, t_final),
         y0,
-        method=cfg.method,
+        method="DOP853",
         rtol=cfg.rtol,
         atol=cfg.atol,
         first_step=min(0.1 / max(omega_start, 1.0), span),

@@ -45,3 +45,31 @@ def moment_oracle(profile, kappa, t_final, state):
     w2_end = profile.omega_sq(t_final)
     # raw moments: the kappa source terms already feed the mean motion in
     return 0.5 * (pp + w2_end * qq)
+
+
+def inverse_linear_cycle_gain_mp(v, lam, n_cycles, dps=60):
+    """R of n inverse-linear cycles (omega0 = 1), in dps-digit arithmetic.
+
+    Each leg is Phi(lam) Phi(1)^-1 from the power solutions q = l^beta,
+    beta = 1/2 +- sqrt(1/4 - Omega^2), of omega = omega0/l with l = 1 + v t,
+    not from the library's real cosh/sinc form.  The legs take the float
+    arguments the library passes: (1, u, lam) out and (1/lam, -u, 1/lam)
+    back, with u = v signed like lam - 1.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        def leg(omega0, rate, scale):
+            omega0, rate, scale = mpmath.mpf(omega0), mpmath.mpf(rate), mpmath.mpf(scale)
+            delta = mpmath.sqrt(mpmath.mpc(0.25) - (omega0 / rate) ** 2)
+
+            def frame(x):
+                return mpmath.matrix([[x ** (0.5 + delta), x ** (0.5 - delta)],
+                                      [rate * (0.5 + delta) * x ** (delta - 0.5),
+                                       rate * (0.5 - delta) * x ** (-0.5 - delta)]])
+            return frame(scale) * frame(mpmath.mpf(1)) ** -1
+
+        u = v if lam > 1.0 else -v
+        once = leg(1.0 / lam, -u, 1.0 / lam) * leg(1.0, u, lam)
+        total = once ** n_cycles
+        return float(sum(mpmath.re(x) ** 2 for x in total) / 2)

@@ -152,14 +152,16 @@ class TestCycleAndScan:
         rc, _, _ = run(capsys, "scan", "--v-grid=-1:2:5:log")
         assert rc == 2
 
-    def test_non_symplectic_points_become_nan_rows(self, capsys):
-        # 30 stacked resonant cycles trip compose's absolute det tolerance
-        # at v = 1 and 1.25; the README promises NaN rows, not exit 3
+    def test_resonant_stacks_are_gains_not_nan_rows(self, capsys):
+        # 30 stacked resonant cycles at v = 1 and 1.25 grow to R ~ 1e30 and
+        # 2e16 with det S - 1 at roundoff of that scale (4.4e12 and 0.5):
+        # valid gains under the det contract, which scales with R
         doc = run_json(capsys, "scan", "--v-grid", "1:1.5:3", "--lambda", "10", "--cycles", "30")
-        gains, notes = column(doc, "gain"), column(doc, "note")
-        assert all(math.isnan(g) for g in gains[:2])
-        assert all(note.startswith("compose: det") for note in notes[:2])
-        assert gains[2] == 18.038492822866395 and notes[2] == ""
+        assert column(doc, "gain") == [
+            1.2979658584323882e30, 2.3511594829134916e16, 18.038492822866395
+        ]
+        assert column(doc, "det_error") == [4398046511105.0, 0.5, 2.0872192862952943e-14]
+        assert column(doc, "note") == ["", "", ""]
 
     # (omega0/v)**2 or omega0**2 past the float range: v = 1e-200 on the
     # outbound leg, omega0 = 1/lambda = 1e300 on the return leg
@@ -186,13 +188,32 @@ class TestCycleAndScan:
         }
 
     def test_power_law_note_prints_plain_floats(self, capsys):
+        # the resonant point at v = 0.232 grows by ~6.6 per cycle and
+        # overflows within 400 cycles
         rc, out, err = run(
             capsys, "scan", "--family", "power", "--k", "-3",
-            "--v-grid", "0.05:5:4:log", "--lambda", "6", "--cycles", "40",
+            "--v-grid", "0.05:5:4:log", "--lambda", "6", "--cycles", "400",
         )
         assert rc == 0, err
-        assert "compose: det = 1.0000038146972656 deviates" in out
+        assert "1,6,0.2320794416806389,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n" in out
         assert "np.float64" not in out
+
+    # a Bessel frame whose Wronskian evaluates to 0 at w = z/v = 1e200 or 1e100
+    @pytest.mark.filterwarnings("error")
+    def test_degenerate_bessel_frame_leaves_only_the_json_line(self, capsys):
+        note = "the Bessel frame is degenerate: its Wronskian evaluates to 0"
+        rc, out, err = run(capsys, "cycle", "--family", "exponential", "--v", "1e-200")
+        assert (rc, out) == (3, "")
+        assert err == json.dumps({"error": "numeric", "message": note}) + "\n"
+        rc, out, err = run(
+            capsys, "scan", "--family", "exponential", "--v-grid", "1e-200:1:3:log", "--lambda", "2"
+        )
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            f"1,2,9.9999999999999998e-201,nan,nan,{note}",
+            f"1,2,1e-100,nan,nan,{note}",
+            "1,2,1,1.1738286005928731,6.6613381477509392e-16,",
+        ]
 
 
 # Float columns with repeats, signed zeros, nan, infinities and subnormals;
@@ -301,20 +322,20 @@ class TestDeterminism:
             assert rc == 0
             assert out == golden
 
-    # a growing grid run for many cycles: most points overflow and fail a
-    # compose det check after a few repeats, as on the per-point path,
-    # without numpy warnings on stderr
+    # a growing grid run for many cycles: six points overflow after a few
+    # repeats and fail a compose check, as on the per-point path, without
+    # numpy warnings on stderr; v = 14 stays finite at R ~ 2.6e253
     MANY_CYCLES = ["scan", "--lambda", "1000", "--v-grid", "2:20:10", "--cycles", "300"]
     MANY_CYCLES_CSV = (
         f"#cyclosc {__version__} scan cycles=300 family=inverse-linear k=-2\n"
         "omega0,lambda,v,gain,det_error,note\n"
-        "1,1000,2,nan,nan,compose: det = 1.000244140625 deviates from 1 by 0.000244140625 (tolerance 1e-06)\n"
-        "1,1000,4,nan,nan,compose: det = 1.00006103515625 deviates from 1 by 6.103515625e-05 (tolerance 1e-06)\n"
-        "1,1000,6,nan,nan,compose: det = 64.0 deviates from 1 by 63.0 (tolerance 1e-06)\n"
-        "1,1000,8,nan,nan,compose: det = 8.0 deviates from 1 by 7.0 (tolerance 1e-06)\n"
-        "1,1000,10,nan,nan,compose: det = 1.001953125 deviates from 1 by 0.001953125 (tolerance 1e-06)\n"
-        "1,1000,12,nan,nan,compose: det = 0.999969482421875 deviates from 1 by 3.0517578125e-05 (tolerance 1e-06)\n"
-        "1,1000,14,nan,nan,compose: det = 1.0000019073486328 deviates from 1 by 1.9073486328125e-06 (tolerance 1e-06)\n"
+        "1,1000,2,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n"
+        "1,1000,4,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n"
+        "1,1000,6,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n"
+        "1,1000,8,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n"
+        "1,1000,10,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n"
+        "1,1000,12,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n"
+        "1,1000,14,2.5677685188056162e+253,1.2718228212127408e+235,\n"
         "1,1000,16,7625.3898554748921,6.7768013423119555e-12,\n"
         "1,1000,18,1285.4831392697442,1.2141843086510562e-11,\n"
         "1,1000,20,98.141653222057101,1.5130008357289171e-11,\n"

@@ -12,16 +12,20 @@ from hypothesis import strategies as st
 
 from cyclosc import (
     BogoliubovPair,
+    DomainError,
     EvolutionMatrix,
     MomentTriple,
     StationaryState,
     SymplecticError,
+    asymptotic_energy,
     bogoliubov_energy,
     compose,
+    exponent_pair,
     final_energy,
     final_energy_general,
     gain_factor,
     random_symplectic,
+    thermal_occupation,
     to_bogoliubov,
     transport_moments,
 )
@@ -92,6 +96,48 @@ class TestCompose:
             compose(bad, EvolutionMatrix.identity())
 
 
+class TestSymplecticContract:
+    """|det S - 1| < DET_TOL_INPUT * R with R = Tr[S S^T]/2 finite."""
+
+    def test_tolerance_scales_with_r(self):
+        # at R ~ 5e9 a deviation of 2e-6 is accepted (an absolute 1e-6 was not)
+        big = EvolutionMatrix(1e5, 3.0, 0.0, (1.0 + 2e-6) / 1e5)
+        assert gain_factor(big) == 0.5 * (1e10 + 9.0 + 1e-10 * (1.0 + 2e-6) ** 2)
+        # ... and refused where the deviation is a relative 1e-6 of R
+        with pytest.raises(SymplecticError, match=r"^gain_factor: det = 6000\.0 deviates "
+                                                  r"from 1 by 5999\.0 \(tolerance 5000\.\d+\)$"):
+            gain_factor(EvolutionMatrix(1e5, 3.0, 0.0, 0.06))
+        # at R ~ 1 the tolerance is the old absolute 1e-6
+        with pytest.raises(SymplecticError, match=r"\(tolerance 1\.0\d*e-06\)$"):
+            gain_factor(EvolutionMatrix(1.0, 0.0, 0.0, 1.0 + 2e-6))
+
+    def test_overflowing_r_is_refused_not_raised_as_overflow(self):
+        # det is 1 to roundoff, but the squares overflow: without the
+        # finite-R clause inf * 1e-6 would admit it and ** would raise
+        s = EvolutionMatrix.squeeze(1e200)
+        overflow = r"^gain_factor: Tr\[S S\^T\]/2 overflows to inf$"
+        with pytest.raises(SymplecticError, match=overflow):
+            gain_factor(s)
+
+    def test_is_symplectic_is_elementwise(self):
+        mats = [EvolutionMatrix.squeeze(1e7), EvolutionMatrix(1.0, 0.0, 0.0, 1.1),
+                EvolutionMatrix.squeeze(1e200), EvolutionMatrix(math.nan, 0.0, 0.0, 1.0),
+                sp2(0.3, 15.0, -1.2)]
+        stacked = EvolutionMatrix(*map(np.array, zip(*((m.a, m.b, m.c, m.d) for m in mats))))
+        with np.errstate(over="ignore"):
+            assert stacked.is_symplectic().tolist() == [m.is_symplectic() for m in mats]
+        assert [bool(m.is_symplectic()) for m in mats] == [True, False, False, False, True]
+
+    def test_bogoliubov_energy_reads_the_same_contract(self):
+        # |alpha|^2 - |beta|^2 - 1 is ~5e-3 here, roundoff at R ~ 2.5e13
+        s = EvolutionMatrix.squeeze(1e7)
+        assert bogoliubov_energy(to_bogoliubov(s), StationaryState(0)) == pytest.approx(
+            final_energy(s, StationaryState(0), 1.0), rel=1e-12
+        )
+        with pytest.raises(SymplecticError, match=r"^bogoliubov_energy: det = 2\.25 deviates"):
+            bogoliubov_energy(BogoliubovPair(1.5, 0.0), StationaryState(0))
+
+
 class TestGainFactor:
     def test_identity_gain_is_one(self):
         assert gain_factor(EvolutionMatrix.identity()) == 1.0
@@ -143,6 +189,16 @@ class TestMoments:
     def test_uncertainty_floor_enforced(self):
         with pytest.raises(ValueError):
             MomentTriple(0.1, 0.1, 0.0)  # qq*pp = 0.01 < 1/4
+        with pytest.raises(ValueError):
+            MomentTriple(0.5, 0.5 - 5e-9, 0.0)  # small moments keep the slack 1e-9
+
+    def test_uncertainty_slack_scales_with_the_moments(self):
+        # R = 2.4e8: qq*pp and d^2 ~ 6e16 cancel to 1/4 with roundoff far
+        # above 1e-9, the bound of test_property_uncertainty_product_invariant
+        s = sp2(0.7, math.exp(10.0), 0.3)
+        out = transport_moments(s, StationaryState(0).virial_moments())
+        p, d2 = out.qq * out.pp, out.d**2
+        assert abs(p - d2 - 0.25) <= 64.0 * sys.float_info.epsilon * (p + d2)
 
     def test_rotation_hand_value(self):
         e = final_energy_general(
@@ -271,3 +327,28 @@ def test_property_uncertainty_product_invariant(t1, r, t2, qq, ratio, d):
     after = out.qq * out.pp - out.d**2
     bound = 64.0 * sys.float_info.epsilon * (out.qq * out.pp + out.d**2)
     assert abs(after - before) <= bound
+
+
+# arguments whose squares or exponentials leave the float range: a typed
+# error where the result is out of range, the value where it is not
+@pytest.mark.parametrize("call,expected", [
+    (lambda: exponent_pair(1.0, 1e-200), DomainError),
+    (lambda: asymptotic_energy(1e-200), DomainError),
+    (lambda: asymptotic_energy(1e200), DomainError),
+    (lambda: final_energy(EvolutionMatrix.identity(), StationaryState(0), 1e200), DomainError),
+    (lambda: final_energy_general(EvolutionMatrix.identity(), MomentTriple(1.0, 1.0), 1e200),
+     DomainError),
+    (lambda: thermal_occupation(1.0, 1e-300), 0.0),
+    (lambda: thermal_occupation(709.0, 1.0), 1.0 / math.expm1(709.0)),
+    (lambda: StationaryState(0, 1e-200).virial_moments(),
+     MomentTriple(0.5 / 1e-200, 0.5 * 1e-200)),
+    (lambda: StationaryState(2, 1e200).virial_moments(), MomentTriple(2.5 / 1e200, 2.5 * 1e200)),
+], ids=["exponent-pair", "asymptotic-small", "asymptotic-large", "final-energy",
+        "final-energy-general", "occupation-underflow", "occupation-edge",
+        "virial-small", "virial-large"])
+def test_extreme_arguments_give_typed_errors_or_values(call, expected):
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from cyclosc import (
     scan_gain,
 )
 from cyclosc.cycles import leg
+from oracles import inverse_linear_cycle_gain_mp
 
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
 
@@ -289,16 +291,39 @@ class TestScan:
             assert math.isnan(row.gain) and "n_cycles" in row.error
 
     def test_non_symplectic_point_reported_not_raised(self):
-        # 30 stacked resonant cycles trip compose's absolute det tolerance
-        # at v = 1 and 1.25; the scan keeps going
+        # an elliptic cycle with R ~ 2e11: stacked, its det drifts by
+        # ~n eps R while R of the stack swings down to ~77 at n = 625, so
+        # compose refuses the 626th repeat; the scan reports it as a row
+        v, lam = 0.02551539332291277, 408136468856.3615
+        res = scan_gain("inverse-linear", GridAxis(v, v, 1), GridAxis(lam, lam, 1), n_cycles=1000)
+        (bad,) = res.rows
+        assert math.isnan(bad.gain) and math.isnan(bad.det_err)
+        assert bad.error == (
+            "compose: det = 1.0086038469282324 deviates from 1 by 0.00860384692823235 "
+            "(tolerance 7.676996547675563e-05)"
+        )
+
+    # cycles whose gains the absolute det check used to refuse, against a
+    # 60-digit product of the same legs (measured: 3e-15 to 1e-11)
+    @pytest.mark.parametrize("v,lam,n", [
+        (1.0, 10.0, 30), (1.25, 10.0, 30), (1.203, 10.0, 20), (14.0, 1000.0, 300),
+    ])
+    def test_large_gains_match_mpmath(self, v, lam, n):
+        gain = cycle_gain(CycleSpec("inverse-linear", v=v, lam=lam, n_cycles=n))
+        assert gain == pytest.approx(inverse_linear_cycle_gain_mp(v, lam, n), rel=1e-10)
+
+    def test_resonant_stacks_are_valid_gains(self):
+        # 30 stacked resonant cycles at v = 1 and 1.25 grow to R ~ 1e30 and
+        # 2e16; their det S - 1 is roundoff of that scale, within the contract
         res = scan_gain(
             "inverse-linear", GridAxis(1.0, 1.5, 3), GridAxis(10.0, 10.0, 1), n_cycles=30
         )
-        for row in res.rows[:2]:
-            assert math.isnan(row.gain) and math.isnan(row.det_err)
-            assert row.error.startswith("compose: det")
-        assert res.rows[2].error == ""
-        assert res.rows[2].gain == 18.038492822866395
+        assert res.error == ("", "", "")
+        assert res.gain.tolist() == [
+            1.2979658584323882e30, 2.3511594829134916e16, 18.038492822866395
+        ]
+        spec = CycleSpec("inverse-linear", v=1.203, lam=10.0, n_cycles=20)
+        assert cycle_gain(spec) == 29811713769146.613
 
     # (v axis, lambda axis, omega0 axis, n_cycles)
     ARRAY_CASES = {
@@ -319,19 +344,27 @@ class TestScan:
         "many-lambdas": (
             GridAxis(0.7, 0.7, 1), GridAxis(0.01, 100.0, 20001, "log"), GridAxis(1.0, 1.0, 1), 1,
         ),
-        # a repeat whose det drifts past the tolerance and back, and legs
-        # that fail their det check alone while the cycle passes
+        # five-cycle stacks over six decades of v and eight of lambda
         "det-drift-5-cycles": (
             GridAxis(1e-3, 1e3, 40, "log"), GridAxis(1e-4, 1e4, 40, "log"), GridAxis(1.0, 1.0, 1), 5,
         ),
+        # return legs at Omega ~ 1e-11 whose d entry loses ~1e-6 to
+        # cancellation while R ~ 1: a finite det failure on the first check
         "det-failing-legs": (
             GridAxis(5.0, 1e3, 40, "log"), GridAxis(1e9, 1e12, 30, "log"), GridAxis(1.0, 1.0, 1), 1,
         ),
         "lambda-around-1": (
             GridAxis(-1.0, 2.0, 13), GridAxis(0.5, 1.5, 3), GridAxis(1.0, 1.0, 1), 3,
         ),
-        "compose-det-rows": (
+        # 30 stacked cycles up to R ~ 1e30, all within the contract
+        "resonant-30-cycles": (
             GridAxis(0.5, 3.0, 26), GridAxis(10.0, 10.0, 1), GridAxis(1.0, 1.0, 1), 30,
+        ),
+        # an elliptic cycle with R ~ 2e11 whose stack fails a det check at
+        # repeat 626, beside a hyperbolic one whose stack overflows
+        "elliptic-stack": (
+            GridAxis(0.02551539332291277, 0.0256, 2),
+            GridAxis(408136468856.3615, 408136468856.3615, 1), GridAxis(1.0, 1.0, 1), 1000,
         ),
         "non-integer-cycles": (
             GridAxis(0.5, 1.0, 3), GridAxis(2.0, 2.0, 1), GridAxis(1.0, 1.0, 1), 2.5,
@@ -385,7 +418,15 @@ class TestScan:
             r.error for *axes, n in cases.values()
             for r in scan_gain("inverse-linear", *axes, n_cycles=n).rows
         ]
-        assert any(n.startswith("compose: det") for n in notes)
+        # a finite det failure names the tolerance DET_TOL_INPUT * R, an
+        # overflow names R itself, in compose and in gain_factor
+        deviates = re.compile(r"(compose|gain_factor): det = \S+ deviates from 1 by \S+ "
+                              r"\(tolerance \S+\)$")
+        assert any(deviates.match(n) for n in notes)
+        assert "compose: Tr[S S^T]/2 overflows to inf" in notes
+        assert "gain_factor: Tr[S S^T]/2 overflows to inf" in notes
+        elliptic = scan_gain("inverse-linear", *cases["elliptic-stack"][:3], n_cycles=1000).error
+        assert deviates.match(elliptic[0]) and "overflows" in elliptic[1]
         assert any(n.startswith("v must be a positive") for n in notes)
         assert any(n.startswith("n_cycles must be") for n in notes)
         assert any(n.endswith("**2 or omega0**2 overflows") for n in notes)

@@ -61,3 +61,24 @@ def test_bench_tracer_installs_and_restores_every_site():
             assert getattr(importlib.import_module(site[0]), site[1]) is not before[site]
     for site in sites:
         assert getattr(importlib.import_module(site[0]), site[1]) is before[site]
+
+
+def test_det_tolerance_is_referenced_only_in_core():
+    # the symplectic contract is written once, in core; __init__ re-exports
+    # the constant, and no other module imports or reads it
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "DET_TOL_INPUT"
+            or isinstance(node, ast.Attribute) and node.attr == "DET_TOL_INPUT"
+        ]
+        imports = [
+            alias for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in ("DET_TOL_INPUT", "*")
+        ]
+        if path.stem == "core":
+            assert reads, path.name
+        else:
+            assert not reads, path.name
+            assert not imports or path.stem == "__init__", path.name
