@@ -54,7 +54,9 @@ from .ode import (
     IntegratorConfig,
     forced_final_energy,
     propagate_forced,
+    propagate_forced_batch,
     propagate_ode,
+    propagate_ode_batch,
 )
 from .cycles import (
     FAMILIES,
@@ -62,9 +64,11 @@ from .cycles import (
     GridAxis,
     ScanResult,
     build_cycle,
+    build_cycles,
     cycle_gain,
     find_unity_points,
     random_cycle_gain,
+    random_cycle_spec,
     random_fourier_profile,
     random_piecewise_cycle,
     scan_gain,
@@ -144,16 +148,20 @@ __all__ = [
     "IntegratorConfig",
     "forced_final_energy",
     "propagate_forced",
+    "propagate_forced_batch",
     "propagate_ode",
+    "propagate_ode_batch",
     # cycles and scans
     "FAMILIES",
     "CycleSpec",
     "GridAxis",
     "ScanResult",
     "build_cycle",
+    "build_cycles",
     "cycle_gain",
     "find_unity_points",
     "random_cycle_gain",
+    "random_cycle_spec",
     "random_fourier_profile",
     "random_piecewise_cycle",
     "scan_gain",

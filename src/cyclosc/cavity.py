@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -92,6 +92,26 @@ class MultimodeBogoliubov:
         return float(max(e1, e2))
 
 
+class _Modes:
+    """The 2N x 2N fundamental matrix of H as one lane, q rows over p rows:
+    dS/dt = [[0, 1], [-W(t), 0]] S (an ode.LinearSystem of one lane)."""
+
+    def __init__(self, coupling: Callable[[float], np.ndarray], n: int) -> None:
+        self.coupling = coupling
+        self.n = n
+
+    def terms(self, t: np.ndarray, h: np.ndarray, lanes: List[int]) -> tuple:
+        w = np.array([self.coupling(x) for x in t[:, 0].tolist()], dtype=float)
+        return w * -h[0], h[0]
+
+    def rhs(self, terms: tuple, s: int, y: np.ndarray, out: np.ndarray) -> None:
+        hw, h = terms
+        n = self.n
+        m, dm = y.reshape(2 * n, 2 * n), out.reshape(2 * n, 2 * n)
+        np.multiply(m[n:], h, out=dm[:n])
+        np.matmul(hw[s], m[:n], out=dm[n:])
+
+
 def multimode_from_hamiltonian(
     coupling: Callable[[float], np.ndarray],
     t_final: float,
@@ -119,16 +139,12 @@ def multimode_from_hamiltonian(
         if np.any(np.diag(w) <= 0.0):
             raise DomainError(f"{tag} squared frequencies must be positive")
 
-    def rhs(t, y):
-        m = y.reshape(2 * n, 2 * n)
-        w = np.asarray(coupling(t), dtype=float)
-        out = np.empty_like(m)
-        out[:n] = m[n:]
-        out[n:] = -w @ m[:n]
-        return out.ravel()
-
     w0 = math.sqrt(float(np.max(np.diag(w_start))))
-    s = _integrate(rhs, np.eye(2 * n).ravel(), 0.0, t_final, w0, cfg).reshape(2 * n, 2 * n)
+    y = _integrate(
+        _Modes(coupling, n), np.eye(2 * n).reshape(1, -1), np.zeros(1), np.array([t_final]),
+        np.array([w0]), cfg,
+    )
+    s = y.reshape(2 * n, 2 * n)
     sqq, sqp = s[:n, :n], s[:n, n:]
     spq, spp = s[n:, :n], s[n:, n:]
     s0 = np.sqrt(np.sqrt(np.diag(w_start)))[None, :]  # omega0_k ** (1/2), row
@@ -233,7 +249,10 @@ def planck_density(nu, temperature: float):
 
 
 def minimize_scalar(*args, **kwargs):
-    """scipy.optimize.minimize_scalar, imported on the first call like ode.solve_ivp."""
+    """scipy.optimize.minimize_scalar, imported on the first call.
+
+    scipy.optimize is a large import that only the Planck fit needs.
+    """
     from scipy.optimize import minimize_scalar as scipy_minimize_scalar
 
     return scipy_minimize_scalar(*args, **kwargs)
@@ -328,9 +347,15 @@ def random_coupling(
     if np.max(np.abs(c)) > 0.0:
         c *= strength / np.max(np.abs(c))
 
+    drift = d1 - d0
+    diagonal = np.diag_indices(n_modes)
+
     def coupling(t: float) -> np.ndarray:
-        s = math.sin(0.5 * math.pi * min(max(t / t_final, 0.0), 1.0)) ** 2
-        window = math.sin(math.pi * min(max(t / t_final, 0.0), 1.0)) ** 2
-        return np.diag(d0 + (d1 - d0) * s) + window * c
+        x = min(max(t / t_final, 0.0), 1.0)
+        s = math.sin(0.5 * math.pi * x) ** 2
+        window = math.sin(math.pi * x) ** 2
+        w = window * c  # c has a zero diagonal
+        w[diagonal] = d0 + drift * s
+        return w
 
     return coupling

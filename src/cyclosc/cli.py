@@ -43,19 +43,23 @@ from .cycles import (
     CycleSpec,
     GridAxis,
     _check_leg_args,
+    _leg_profile,
     build_cycle,
+    build_cycles,
     leg,
-    random_cycle_gain,
+    random_cycle_spec,
     random_fourier_profile,
     scan_gain,
 )
 from .errors import DomainError, IntegrationError, QuadratureError, SymplecticError
-from .ode import ForcedResult, forced_final_energy, propagate_forced
+from .ode import ForcedResult, forced_final_energy, propagate_forced_batch, propagate_ode_batch
 from .perturbation import Drive, check_inequality, first_order_energy_shift, transition_probability
+from .profiles import FrequencyProfile
 
 # Not called here, but bench/tracing.py wraps these names in this module.
 from .closed_form import propagate_exponential, propagate_inverse_linear, propagate_power_law  # noqa: F401
-from .ode import propagate_ode  # noqa: F401
+from .cycles import random_cycle_gain  # noqa: F401
+from .ode import propagate_forced, propagate_ode  # noqa: F401
 
 __all__ = ["main"]
 
@@ -262,8 +266,8 @@ def _emit(
             fh.write(text)
 
 
-def _random_forced(rng: np.random.Generator) -> Tuple[float, ForcedResult]:
-    """Random closed profile driven by a 3-term sine force; returns (duration, result)."""
+def _random_drive(rng: np.random.Generator) -> Tuple[FrequencyProfile, Callable[[float], float]]:
+    """Random closed profile and a 3-term sine force that vanishes at its ends."""
     profile = random_fourier_profile(rng)
     t0 = profile.duration
     coef = rng.normal(0.0, 0.5, size=3).tolist()
@@ -272,7 +276,14 @@ def _random_forced(rng: np.random.Generator) -> Tuple[float, ForcedResult]:
         phase = math.pi * t / t0
         return sum(cj * math.sin((j + 1) * phase) for j, cj in enumerate(coef))
 
-    return t0, propagate_forced(profile, kappa, t0)
+    return profile, kappa
+
+
+def _random_forced(rng: np.random.Generator, count: int) -> List[Tuple[float, ForcedResult]]:
+    """count random drives, integrated together; (duration, result) of each."""
+    profiles, kappas = zip(*(_random_drive(rng) for _ in range(count)))
+    durations = [p.duration for p in profiles]
+    return list(zip(durations, propagate_forced_batch(profiles, kappas, durations)))
 
 
 # --- subcommand handlers -------------------------------------------------
@@ -340,8 +351,7 @@ def _cmd_forced(ns: argparse.Namespace) -> Artifact:
     rng = np.random.default_rng(ns.seed)
     state = StationaryState(ns.state_n)
     rows: List[Sequence[object]] = []
-    for i in range(ns.samples):
-        t0, res = _random_forced(rng)
+    for i, (t0, res) in enumerate(_random_forced(rng, ns.samples)):
         e_free = final_energy(res.matrix, state, 1.0)
         e_shift = 0.5 * (res.qc_dot**2 + res.qc**2)
         e_total = forced_final_energy(res, state, 1.0)
@@ -401,8 +411,9 @@ def _suite_cycle_theorem(rng: np.random.Generator) -> Tuple[int, int, float]:
     passed = 0
     worst = math.inf
     total = 200
-    for _ in range(total):
-        _, gain, _ = random_cycle_gain(rng)
+    specs = [random_cycle_spec(rng) for _ in range(total)]
+    for s in build_cycles(specs):
+        gain = gain_factor(s)
         worst = min(worst, gain - 1.0)
         if gain >= 1.0 - 1e-9:
             passed += 1
@@ -426,9 +437,9 @@ def _suite_closed_vs_ode(rng: np.random.Generator) -> Tuple[int, int, float]:
         cases.append(("exponential", v, 1.0 / z, -2.0))
     passed = 0
     worst = 0.0
-    for family, v, lam, k in cases:
-        s_closed = leg(family, v, lam, k)
-        s_ode = leg(family, v, lam, k, "ode")
+    closed = [leg(family, v, lam, k) for family, v, lam, k in cases]
+    profiles, durations = zip(*(_leg_profile(family, v, lam, k) for family, v, lam, k in cases))
+    for s_closed, s_ode in zip(closed, propagate_ode_batch(profiles, durations)):
         diff = float(np.max(np.abs(s_closed.as_array() - s_ode.as_array())))
         worst = max(worst, diff)
         if diff <= 1e-6:
@@ -475,8 +486,7 @@ def _suite_forced(rng: np.random.Generator) -> Tuple[int, int, float]:
     worst = 0.0
     total = 10
     state = StationaryState(0)
-    for _ in range(total):
-        _, res = _random_forced(rng)
+    for _, res in _random_forced(rng, total):
         e_total = forced_final_energy(res, state, 1.0)
         deficit = state.energy - e_total
         worst = max(worst, deficit)

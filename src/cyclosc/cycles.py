@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .closed_form import (
 )
 from .core import EvolutionMatrix, compose, gain_factor
 from .errors import DomainError, IntegrationError, SymplecticError
-from .ode import DEFAULT_CONFIG, IntegratorConfig, propagate_ode
+from .ode import DEFAULT_CONFIG, IntegratorConfig, propagate_ode, propagate_ode_batch
 from .profiles import (
     Custom,
     Exponential,
@@ -60,11 +60,13 @@ __all__ = [
     "ScanResult",
     "leg",
     "build_cycle",
+    "build_cycles",
     "cycle_gain",
     "scan_gain",
     "find_unity_points",
     "random_fourier_profile",
     "random_piecewise_cycle",
+    "random_cycle_spec",
     "random_cycle_gain",
 ]
 
@@ -105,6 +107,8 @@ class CycleSpec:
             raise DomainError(f"lambda must be positive, got {self.lam!r}")
         if not self.omega0 > 0.0:
             raise DomainError(f"omega0 must be positive, got {self.omega0!r}")
+        if not (math.isfinite(self.lam) and math.isfinite(self.omega0)):
+            raise DomainError(f"lambda and omega0 must be finite, got {self.lam!r} and {self.omega0!r}")
         if not _whole_count(self.n_cycles):
             raise DomainError(f"n_cycles must be an integer >= 1, got {self.n_cycles!r}")
         if self.family == "custom":
@@ -121,6 +125,8 @@ def _whole_count(n: object) -> bool:
 def _check_leg_args(family: str, v: float, k: float, method: str = "closed") -> None:
     if not v > 0.0:
         raise DomainError(f"v must be a positive rate magnitude, got {v!r}")
+    if not math.isfinite(v):
+        raise DomainError(f"v must be finite, got {v!r}")
     if family == "power-law" and k in (0.0, 2.0):
         # k = 2 is constant frequency (no scale is reachable); k = 0 is a
         # different one-parameter family handled by "inverse-linear".
@@ -138,27 +144,32 @@ def leg(family: str, v: float, lam: float, k: float = -2.0, method: str = "close
     method "closed" evaluates the closed form, "ode" integrates the profile.
     """
     _check_leg_args(family, v, k, method)
-    closed = method == "closed"
+    if method == "ode":
+        return propagate_ode(*_leg_profile(family, v, lam, k))
     if family == "inverse-linear":
-        u = v if lam > 1.0 else -v
-        if closed:
-            return propagate_inverse_linear(1.0, u, lam)
-        prof = InverseLinear(1.0, u)
-        return propagate_ode(prof, prof.t_for_scale(lam))
+        return propagate_inverse_linear(1.0, v if lam > 1.0 else -v, lam)
     if family == "power-law":
         z_t = lam ** (-2.0 / (k - 2.0))
-        u = v if z_t > 1.0 else -v
-        if closed:
-            return propagate_power_law(k, u, z_t)
-        prof = PowerLaw(k, u)
-        return propagate_ode(prof, prof.t_for_z(z_t))
+        return propagate_power_law(k, v if z_t > 1.0 else -v, z_t)
     if family == "exponential":
         z_t = 1.0 / lam
-        u = v if z_t > 1.0 else -v
-        if closed:
-            return propagate_exponential(u, z_t)
-        prof = Exponential(u)
-        return propagate_ode(prof, prof.t_for_z(z_t))
+        return propagate_exponential(v if z_t > 1.0 else -v, z_t)
+    raise DomainError(f"family {family!r} has no single-leg form")
+
+
+def _leg_profile(family: str, v: float, lam: float, k: float) -> Tuple[FrequencyProfile, float]:
+    """The profile that leg(family, v, lam, k, "ode") integrates, and its duration."""
+    if family == "inverse-linear":
+        prof = InverseLinear(1.0, v if lam > 1.0 else -v)
+        return prof, prof.t_for_scale(lam)
+    if family == "power-law":
+        z_t = lam ** (-2.0 / (k - 2.0))
+        prof = PowerLaw(k, v if z_t > 1.0 else -v)
+        return prof, prof.t_for_z(z_t)
+    if family == "exponential":
+        z_t = 1.0 / lam
+        prof = Exponential(v if z_t > 1.0 else -v)
+        return prof, prof.t_for_z(z_t)
     raise DomainError(f"family {family!r} has no single-leg form")
 
 
@@ -201,11 +212,11 @@ def _closed_piecewise(profile: FrequencyProfile, duration: float) -> Optional[Ev
     return total
 
 
-def _one_cycle(spec: CycleSpec, cfg: IntegratorConfig) -> EvolutionMatrix:
+def _closed_cycle(spec: CycleSpec) -> Optional[EvolutionMatrix]:
+    """One cycle from closed forms, or None for a custom cycle to integrate."""
     lam = spec.lam
     if spec.family == "custom":
-        closed = _closed_piecewise(spec.profile, spec.duration)
-        return propagate_ode(spec.profile, spec.duration, cfg) if closed is None else closed
+        return _closed_piecewise(spec.profile, spec.duration)
     u = spec.v / spec.omega0  # normalized rate; gain is invariant under this rescaling
     if lam == 1.0:
         return EvolutionMatrix.identity()
@@ -219,17 +230,36 @@ def _one_cycle(spec: CycleSpec, cfg: IntegratorConfig) -> EvolutionMatrix:
     return compose(_reversed(out), out)
 
 
+def _repeat(once: EvolutionMatrix, n_cycles: int) -> EvolutionMatrix:
+    total = once
+    for _ in range(n_cycles - 1):
+        total = compose(once, total)
+    return total
+
+
 def build_cycle(spec: CycleSpec, cfg: IntegratorConfig = DEFAULT_CONFIG) -> EvolutionMatrix:
     """Evolution matrix of the full (possibly repeated) cycle.
 
     cfg applies to the custom cycles that are integrated, not to those
     composed from closed forms.
     """
-    once = _one_cycle(spec, cfg)
-    total = once
-    for _ in range(spec.n_cycles - 1):
-        total = compose(once, total)
-    return total
+    once = _closed_cycle(spec)
+    if once is None:
+        once = propagate_ode(spec.profile, spec.duration, cfg)
+    return _repeat(once, spec.n_cycles)
+
+
+def build_cycles(specs: Sequence[CycleSpec], cfg: IntegratorConfig = DEFAULT_CONFIG) -> List[EvolutionMatrix]:
+    """build_cycle of each spec; the custom cycles that need the ODE are
+    integrated together, as one batch."""
+    once = [_closed_cycle(spec) for spec in specs]
+    todo = [i for i, s in enumerate(once) if s is None]
+    integrated = propagate_ode_batch(
+        [specs[i].profile for i in todo], [specs[i].duration for i in todo], cfg
+    )
+    for i, s in zip(todo, integrated):
+        once[i] = s
+    return [_repeat(s, spec.n_cycles) for s, spec in zip(once, specs)]
 
 
 def cycle_gain(spec: CycleSpec, cfg: IntegratorConfig = DEFAULT_CONFIG) -> float:
@@ -248,6 +278,8 @@ class GridAxis:
     def values(self) -> np.ndarray:
         if not _whole_count(self.count):
             raise DomainError(f"count must be an integer >= 1, got {self.count!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise DomainError(f"endpoints must be finite, got {self.start!r} and {self.stop!r}")
         if self.count == 1:
             return np.array([self.start])
         if self.spacing == "linear":
@@ -306,7 +338,8 @@ def _inverse_linear_scan(
         u = v / omega0
         u_out = np.where(lam > 1.0, u, -u)
         inv = 1.0 / lam
-        at = np.flatnonzero((v > 0.0) & (omega0 > 0.0) & (lam != 1.0)
+        at = np.flatnonzero((0.0 < v) & (v < math.inf) & (0.0 < omega0) & (omega0 < math.inf)
+                            & (lam != 1.0) & (lam < math.inf)
                             & _inverse_linear_args_ok(1.0, u_out, lam)
                             & _inverse_linear_args_ok(inv, -u_out, inv))
         out = _inverse_linear_legs(1.0, u_out[at], lam[at])
@@ -474,10 +507,8 @@ def random_piecewise_cycle(rng: np.random.Generator, max_segments: int = 3) -> P
     return Piecewise(tuple(forward + mirrored))
 
 
-def random_cycle_gain(
-    rng: np.random.Generator, cfg: IntegratorConfig = DEFAULT_CONFIG
-) -> Tuple[CycleSpec, float, float]:
-    """Draw a random closed cycle, mixing all families; return (spec, gain, det_err).
+def random_cycle_spec(rng: np.random.Generator) -> CycleSpec:
+    """Draw a random closed cycle, mixing all families.
 
     Inverse-linear cycles use the full advertised parameter ranges.  The
     power-law and exponential ranges stay narrower: widening them waits on
@@ -485,34 +516,38 @@ def random_cycle_gain(
     """
     kind = rng.integers(0, 4)
     if kind == 0:
-        spec = CycleSpec(
+        return CycleSpec(
             "inverse-linear",
             v=10.0 ** rng.uniform(-2.0, 2.0),
             lam=10.0 ** rng.uniform(-2.0, 2.0),
             omega0=10.0 ** rng.uniform(-1.0, 1.0),
         )
-    elif kind == 1:
-        spec = CycleSpec(
+    if kind == 1:
+        return CycleSpec(
             "power-law",
             v=10.0 ** rng.uniform(-0.5, 2.0),
             lam=10.0 ** rng.uniform(-1.0, 1.0),
             omega0=10.0 ** rng.uniform(-0.5, 0.5),
             k=float(rng.choice([-4.0, -3.0, -2.0, -1.0, 1.0, 3.0])),
         )
-    elif kind == 2:
-        spec = CycleSpec(
+    if kind == 2:
+        return CycleSpec(
             "exponential",
             v=10.0 ** rng.uniform(-0.5, 2.0),
             lam=10.0 ** rng.uniform(-1.0, 1.0),
             omega0=10.0 ** rng.uniform(-0.5, 0.5),
         )
+    if rng.uniform() < 0.5:
+        profile: FrequencyProfile = random_fourier_profile(rng)
     else:
-        if rng.uniform() < 0.5:
-            profile: FrequencyProfile = random_fourier_profile(rng)
-            duration = profile.duration
-        else:
-            profile = random_piecewise_cycle(rng)
-            duration = profile.duration
-        spec = CycleSpec("custom", profile=profile, duration=duration)
+        profile = random_piecewise_cycle(rng)
+    return CycleSpec("custom", profile=profile, duration=profile.duration)
+
+
+def random_cycle_gain(
+    rng: np.random.Generator, cfg: IntegratorConfig = DEFAULT_CONFIG
+) -> Tuple[CycleSpec, float, float]:
+    """Draw a random closed cycle (random_cycle_spec) and build it: (spec, gain, det_err)."""
+    spec = random_cycle_spec(rng)
     s = build_cycle(spec, cfg)
     return spec, gain_factor(s), s.det_error()

@@ -40,6 +40,7 @@ from cyclosc import (
     propagate_forced,
     propagate_inverse_linear,
     propagate_ode,
+    propagate_ode_batch,
     propagate_power_law,
     random_coupling,
     random_cycle_gain,
@@ -127,42 +128,52 @@ def test_criterion_04_closed_form_vs_ode_grids():
         )
         worst_det = max(worst_det, closed.det_error(), numeric.det_error())
 
+    # each family's grid is integrated as one batch
+    def compare_grid(closed, runs):
+        profiles, durations = zip(*runs)
+        for c, numeric in zip(closed, propagate_ode_batch(profiles, durations, GRID_CFG)):
+            compare(c, numeric)
+
     omega0s = np.geomspace(0.5, 2.0, 10)
     lams = np.geomspace(0.1, 10.0, 10)
     vs = np.geomspace(0.01, 100.0, 10)
+    closed, runs = [], []
     for omega0 in omega0s:
         for lam in lams:
             for v in vs:
                 u = v if lam > 1.0 else -v
-                closed = propagate_inverse_linear(omega0, u, lam)
+                closed.append(propagate_inverse_linear(omega0, u, lam))
                 prof = InverseLinear(omega0, u)
-                compare(closed, propagate_ode(prof, prof.t_for_scale(lam), GRID_CFG))
+                runs.append((prof, prof.t_for_scale(lam)))
+    compare_grid(closed, runs)
 
     ks = (-4.0, -3.5, -3.0, -2.5, -1.5, -1.0, -0.5, 0.5, 1.0, 3.0)
     zs = np.geomspace(10.0**-0.5, 10.0**0.5, 10)
     vs = np.geomspace(10.0**-0.5, 10.0**1.5, 10)
+    closed, runs = [], []
     for k in ks:
         for z in zs:
             for v in vs:
                 u = v if z > 1.0 else -v
-                closed = propagate_power_law(k, u, z)
+                closed.append(propagate_power_law(k, u, z))
                 prof = PowerLaw(k, u)
-                compare(closed, propagate_ode(prof, prof.t_for_z(z), GRID_CFG))
+                runs.append((prof, prof.t_for_z(z)))
+    compare_grid(closed, runs)
 
+    closed, runs = [], []
     for omega0 in omega0s:
         for z in zs:
             for v in vs:
                 u = v if z > 1.0 else -v
                 norm = propagate_exponential(u / omega0, z)
                 # omega0 enters by conjugation with diag(1, omega0)
-                closed = EvolutionMatrix(
-                    norm.a, norm.b / omega0, norm.c * omega0, norm.d
-                )
+                closed.append(EvolutionMatrix(norm.a, norm.b / omega0, norm.c * omega0, norm.d))
                 prof = Custom(
                     lambda t, w=omega0, r=u: (w * math.exp(r * t)) ** 2,
                     duration=math.log(z) / u,
                 )
-                compare(closed, propagate_ode(prof, prof.duration, GRID_CFG))
+                runs.append((prof, prof.duration))
+    compare_grid(closed, runs)
 
     elapsed = time.perf_counter() - t0
     ok = worst_entry <= 1e-6 and worst_det <= 1e-9 and elapsed <= 300.0

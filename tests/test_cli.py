@@ -639,11 +639,13 @@ class TestVerify:
 class TestErrorPromise:
     """README: exit 2 or 3 with one JSON line on stderr; clean runs are silent."""
 
-    # a non-finite number flag is a config error; a spectrum whose samples
-    # leave the normal float range is a numeric one
+    # a non-finite number flag or grid endpoint is a config error; a spectrum
+    # whose samples leave the normal float range is a numeric one
     BAD_INPUTS = [
         (("propagate", "--lambda", "inf"), 2),
         (("propagate", "--v", "inf"), 2),
+        (("scan", "--lambda-grid", "inf:inf:1"), 2),
+        (("scan", "--v-grid", "1:inf:2", "--lambda", "2"), 2),
         (("perturb", "--duration", "inf"), 2),
         (("perturb", "--epsilon", "inf"), 2),
         (("perturb", "--epsilon", "nan"), 2),

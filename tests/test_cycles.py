@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from cyclosc import (
     TimeReversed,
     asymptotic_energy,
     build_cycle,
+    build_cycles,
     compose,
     cycle_gain,
     final_energy,
@@ -36,6 +38,7 @@ from cyclosc import (
     propagate_inverse_linear,
     propagate_ode,
     random_cycle_gain,
+    random_cycle_spec,
     random_fourier_profile,
     random_piecewise_cycle,
     scan_gain,
@@ -68,6 +71,13 @@ class TestCycleSpec:
     def test_rejects_non_integer_or_nonpositive_cycle_count(self, n_cycles):
         with pytest.raises(DomainError, match="n_cycles"):
             CycleSpec("inverse-linear", v=1.0, lam=2.0, n_cycles=n_cycles)
+
+    @pytest.mark.parametrize("family", ["inverse-linear", "power-law", "exponential"])
+    @pytest.mark.parametrize("field", ["v", "lam", "omega0"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_parameters(self, family, field, value):
+        with pytest.raises(DomainError):
+            CycleSpec(family, **{field: value})
 
     def test_numpy_integer_cycle_count_accepted(self):
         spec = CycleSpec("inverse-linear", v=1.0, lam=2.0, n_cycles=np.int64(2))
@@ -439,6 +449,26 @@ class TestScan:
         v = cases["regimes-and-omega0"][0].values()
         assert (v < 2.0 * 0.5).any() and (v > 2.0 * 2.0).any()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("start,stop", [(1.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    def test_grid_axis_refuses_non_finite_endpoints(self, start, stop, spacing):
+        with pytest.raises(DomainError, match="finite"):
+            GridAxis(start, stop, 3, spacing).values()
+
+    @pytest.mark.filterwarnings("error")
+    def test_array_scan_leaves_non_finite_points_to_the_per_point_path(self):
+        inf, nan = math.inf, math.nan
+        omega0 = np.array([1.0, 1.0, 1.0, inf, nan, 1.0])
+        lam = np.array([2.0, inf, nan, 2.0, 2.0, 2.0])
+        v = np.array([inf, 1.0, 1.0, 1.0, 1.0, 1.0])
+        gain, det_err = cyclosc.cycles._inverse_linear_scan(omega0, lam, v, 1)
+        assert np.isnan(gain[:5]).all() and np.isnan(det_err[:5]).all()
+        assert gain[5] == cycle_gain(CycleSpec("inverse-linear", v=1.0, lam=2.0))
+        for w, l, u in zip(omega0[:5].tolist(), lam[:5].tolist(), v[:5].tolist()):
+            with pytest.raises(DomainError):
+                CycleSpec("inverse-linear", v=u, lam=l, omega0=w)
+
     def test_all_gains_bounded_below(self):
         res = scan_gain(
             "inverse-linear",
@@ -554,6 +584,35 @@ class TestRandomCycles:
             spec, gain, det_err = random_cycle_gain(rng)
             assert gain >= 1.0 - 1e-9, spec
             assert det_err < 1e-6
+
+    def test_gain_is_spec_then_build(self):
+        # random_cycle_gain draws exactly random_cycle_spec's numbers
+        a, b = np.random.default_rng(31), np.random.default_rng(31)
+        for _ in range(40):
+            spec, gain, det_err = random_cycle_gain(a)
+            same = random_cycle_spec(b)
+            assert (same.family, same.v, same.lam, same.omega0, same.k, same.duration) == (
+                spec.family, spec.v, spec.lam, spec.omega0, spec.k, spec.duration)
+            s = build_cycle(same)
+            assert (gain, det_err) == (gain_factor(s), s.det_error())
+        assert a.uniform() == b.uniform()
+
+    def test_build_cycles_matches_build_cycle(self):
+        # closed-form cycles are the same products; integrated custom cycles
+        # agree with batches of one to roundoff
+        rng = np.random.default_rng(12)
+        specs = [random_cycle_spec(rng) for _ in range(40)]
+        specs.append(replace(specs[-1], n_cycles=3))
+        integrated = [s.family == "custom" and cyclosc.cycles._closed_piecewise(
+            s.profile, s.duration) is None for s in specs]
+        assert any(integrated) and not all(integrated)
+        for spec, s, ode_route in zip(specs, build_cycles(specs), integrated):
+            one = build_cycle(spec)
+            if ode_route:
+                assert np.max(np.abs(s.as_array() - one.as_array())) <= 1e-12
+            else:
+                assert s == one
+        assert build_cycles([]) == []
 
     def test_piecewise_palindrome_closes(self):
         rng = np.random.default_rng(23)

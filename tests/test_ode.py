@@ -14,11 +14,17 @@ matrix-plus-trajectory route it is validating.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cyclosc import ode
 from cyclosc import (
+    DEFAULT_CONFIG,
     Custom,
     DomainError,
     EvolutionMatrix,
@@ -33,8 +39,13 @@ from cyclosc import (
     TimeReversed,
     compose,
     forced_final_energy,
+    multimode_from_hamiltonian,
     propagate_forced,
+    propagate_forced_batch,
     propagate_ode,
+    propagate_ode_batch,
+    random_coupling,
+    random_fourier_profile,
 )
 
 from oracles import moment_oracle
@@ -112,6 +123,12 @@ class TestConfigAndErrors:
         cfg = IntegratorConfig(max_steps=10)
         with pytest.raises(IntegrationError):
             propagate_ode(InverseLinear(1.0, 0.001), 900.0, cfg)
+
+    def test_nan_frequency_fails_fast(self):
+        # a NaN first step (omega(0) = NaN) starts at the minimum step and
+        # fails there, instead of running through the step budget
+        with pytest.raises(IntegrationError, match="spacing between numbers"):
+            propagate_ode(Custom(lambda t: math.nan, duration=1.0), 1.0)
 
     def test_backwards_interval_rejected(self):
         with pytest.raises(DomainError):
@@ -210,3 +227,141 @@ def test_integrated_results_are_python_floats():
     for x in (gain, res.qc, res.qc_dot, *vars(res.matrix).values()):
         assert type(x) is float
     assert "np.float64" not in repr(gain) + repr(res)
+
+
+def _scipy_final(rhs, y0, t_start, t_final, omega_start, cfg):
+    """Final state from scipy's DOP853 at cfg's tolerances and our first step."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    sol = scipy_solve_ivp(
+        rhs, (t_start, t_final), y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
+        first_step=min(0.1 / max(omega_start, 1.0), t_final - t_start),
+    )
+    assert sol.success
+    return sol.y[:, -1]
+
+
+def _scipy_matrix(prof, t_final, cfg=DEFAULT_CONFIG, t_start=0.0):
+    def rhs(t, y):
+        w2 = prof.omega_sq(t)
+        return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2]])
+
+    w0 = math.sqrt(prof.omega_sq(t_start))
+    q1, p1, q2, p2 = _scipy_final(rhs, np.array([1.0, 0.0, 0.0, 1.0]), t_start, t_final, w0, cfg)
+    return np.array([[q1, q2], [p1, p2]])
+
+
+def _drive(rng, prof):
+    coef = rng.normal(0.0, 0.5, size=3).tolist()
+    return lambda t: sum(c * math.sin((j + 1) * math.pi * t / prof.duration) for j, c in enumerate(coef))
+
+
+class TestBatch:
+    """The batched DOP853 against batches of one and against scipy's DOP853."""
+
+    def test_tableau_is_scipys(self):
+        from scipy.integrate._ivp import dop853_coefficients as ref
+
+        n = ref.N_STAGES
+        for ours, theirs in ((ode._A, ref.A[:n, :n]), (ode._B, ref.B), (ode._C, ref.C[:n]),
+                             (ode._E3, ref.E3), (ode._E5, ref.E5)):
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT], ids=["default", "tight"])
+    def test_fourier_lanes_match_batches_of_one_and_scipy(self, cfg):
+        rng = np.random.default_rng(5)
+        profs = [random_fourier_profile(rng) for _ in range(12)]
+        batch = propagate_ode_batch(profs, [p.duration for p in profs], cfg)
+        for prof, s in zip(profs, batch):
+            one = propagate_ode(prof, prof.duration, cfg)
+            assert np.max(np.abs(s.as_array() - one.as_array())) <= 1e-12
+            ref = _scipy_matrix(prof, prof.duration, cfg)
+            assert np.max(np.abs(s.as_array() - ref)) <= 1e-12
+
+    def test_forced_lanes_match_batches_of_one_and_scipy(self):
+        rng = np.random.default_rng(8)
+        profs = [random_fourier_profile(rng) for _ in range(8)]
+        kappas = [_drive(rng, prof) for prof in profs]
+        batch = propagate_forced_batch(profs, kappas, [p.duration for p in profs])
+        for prof, kappa, res in zip(profs, kappas, batch):
+            one = propagate_forced(prof, kappa, prof.duration)
+            got = np.array([*res.matrix.as_array().ravel(), res.qc, res.qc_dot])
+            assert np.max(np.abs(got - [*one.matrix.as_array().ravel(), one.qc, one.qc_dot])) <= 1e-12
+
+            def rhs(t, y, prof=prof, kappa=kappa):
+                w2 = prof.omega_sq(t)
+                return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2], y[5], -w2 * y[4] + kappa(t)])
+
+            q1, p1, q2, p2, qc, pc = _scipy_final(
+                rhs, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.0, prof.duration, 1.0, DEFAULT_CONFIG
+            )
+            assert np.max(np.abs(got - [q1, q2, p1, p2, qc, pc])) <= 1e-12
+
+    @pytest.mark.parametrize("n_modes", [1, 3])
+    def test_multimode_matches_scipy(self, n_modes):
+        coupling = random_coupling(np.random.default_rng(4), n_modes, 2.0)
+        n = n_modes
+        bg = multimode_from_hamiltonian(coupling, 2.0)
+
+        def rhs(t, y):
+            m = y.reshape(2 * n, 2 * n)
+            out = np.empty_like(m)
+            out[:n] = m[n:]
+            out[n:] = -coupling(t) @ m[:n]
+            return out.ravel()
+
+        w0 = math.sqrt(float(np.max(np.diag(coupling(0.0)))))
+        s = _scipy_final(rhs, np.eye(2 * n).ravel(), 0.0, 2.0, w0, DEFAULT_CONFIG).reshape(2 * n, 2 * n)
+        w_start, w_end = np.diag(coupling(0.0)), np.diag(coupling(2.0))
+        ratio = (w_end ** 0.25)[:, None] / (w_start ** 0.25)[None, :]
+        prod = (w_end ** 0.25)[:, None] * (w_start ** 0.25)[None, :]
+        a = 0.5 * (ratio * s[:n, :n] + s[n:, n:] / ratio + 1j * (s[n:, :n] / prod - prod * s[:n, n:]))
+        assert np.max(np.abs(bg.A - a)) <= 1e-12
+
+    def test_mixed_starts_and_zero_spans(self):
+        prof = PowerLaw(-3.0, 0.7)
+        starts, finals = [0.0, 0.8, 1.5, 1.2, 0.0], [2.0, 2.0, 3.0, 1.2, 0.0]
+        batch = propagate_ode_batch([prof] * 5, finals, t_starts=starts)
+        for s, t0, t1 in zip(batch, starts, finals):
+            one = propagate_ode(prof, t1, t_start=t0)
+            assert np.max(np.abs(s.as_array() - one.as_array())) <= 1e-12
+            if t0 == t1:
+                assert s == EvolutionMatrix.identity()
+            else:
+                assert np.max(np.abs(s.as_array() - _scipy_matrix(prof, t1, t_start=t0))) <= 1e-12
+
+    def test_zero_span_lane_keeps_its_start_and_costs_nothing(self):
+        y0 = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 1.0, 0.0]])
+        system = ode._Hill([InverseLinear(1.0, 1.0)] * 2, None)
+        sol = ode.solve_ivp(system, np.array([0.5, 0.0]), np.array([0.5, 1.0]), y0,
+                            np.array([0.1, 0.1]), DEFAULT_CONFIG)
+        assert np.array_equal(sol.y[0], y0[0])
+        # the running lane: one evaluation at its start, 12 per attempted step
+        assert (sol.nfev - 1) % 12 == 0 and len(sol.t) - 1 >= 1
+
+    def test_step_budget_counts_per_lane(self):
+        # ten lanes of three to five steps each, 40 in all, fit a ten-step budget
+        profs = [InverseLinear(1.0, 0.5 + 0.1 * i) for i in range(10)]
+        cfg = IntegratorConfig(max_steps=10)
+        propagate_ode_batch(profs, [0.5] * 10, cfg)
+        # one lane that needs more than ten steps fails the whole batch
+        with pytest.raises(IntegrationError, match="step budget"):
+            propagate_ode_batch(profs + [InverseLinear(1.0, 0.001)], [0.5] * 10 + [900.0], cfg)
+
+    def test_step_below_float_spacing_fails(self):
+        # omega^2 jumps by 1e20 at t = 1: no step near the jump meets the
+        # tolerance, and scipy's DOP853 fails there the same way
+        prof = Custom(lambda t: 1.0 if t < 1.0 else 1e20, duration=2.0)
+        with pytest.raises(IntegrationError, match="less than spacing between numbers"):
+            propagate_ode_batch([InverseLinear(1.0, 1.0), prof], [1.0, 2.0])
+
+    def test_verify_needs_no_scipy_integrate(self):
+        src = str(Path(ode.__file__).resolve().parents[1])
+        code = (
+            "import sys, cyclosc.cli; "
+            "rc = cyclosc.cli.main(['verify', '--seed', '0', '--output', " + repr(os.devnull) + "]); "
+            "sys.exit(rc or 'scipy.integrate' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -18,6 +18,8 @@ TRACED_IMPORTS = {
     ("cli", "propagate_inverse_linear"),
     ("cli", "propagate_power_law"),
     ("cli", "propagate_ode"),
+    ("cli", "propagate_forced"),
+    ("cli", "random_cycle_gain"),
     ("cavity", "solve_ivp"),
 }
 
