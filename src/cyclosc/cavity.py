@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, _integrate
+from .profiles import LaneMap, _pow_each
 
 # Not called here, but bench/tracing.py wraps this name in this module.
 from .ode import solve_ivp  # noqa: F401
@@ -44,6 +45,7 @@ __all__ = [
     "WIEN_X",
     "MultimodeBogoliubov",
     "multimode_from_hamiltonian",
+    "multimode_from_hamiltonian_batch",
     "phonon_number_final",
     "thermal_occupation",
     "thermal_gain",
@@ -54,6 +56,7 @@ __all__ = [
     "SonoEstimate",
     "sonoluminescence_estimate",
     "random_coupling",
+    "WindowedCoupling",
 ]
 
 # CGS values as used in the source estimates.
@@ -93,36 +96,28 @@ class MultimodeBogoliubov:
 
 
 class _Modes:
-    """The 2N x 2N fundamental matrix of H as one lane, q rows over p rows:
-    dS/dt = [[0, 1], [-W(t), 0]] S (an ode.LinearSystem of one lane)."""
+    """The 2N x 2N fundamental matrices of H, one lane per coupling, q rows
+    over p rows: dS/dt = [[0, 1], [-W(t), 0]] S (an ode.LinearSystem)."""
 
-    def __init__(self, coupling: Callable[[float], np.ndarray], n: int) -> None:
-        self.coupling = coupling
+    def __init__(self, couplings: Sequence[Callable[[float], np.ndarray]], n: int) -> None:
+        self.coupling = LaneMap(couplings)
         self.n = n
 
-    def terms(self, t: np.ndarray, h: np.ndarray, lanes: List[int]) -> tuple:
-        w = np.array([self.coupling(x) for x in t[:, 0].tolist()], dtype=float)
-        return w * -h[0], h[0]
+    def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> tuple:
+        h = h[:, None, None]
+        return self.coupling(t, lanes) * -h, h
 
     def rhs(self, terms: tuple, s: int, y: np.ndarray, out: np.ndarray) -> None:
         hw, h = terms
         n = self.n
-        m, dm = y.reshape(2 * n, 2 * n), out.reshape(2 * n, 2 * n)
-        np.multiply(m[n:], h, out=dm[:n])
-        np.matmul(hw[s], m[:n], out=dm[n:])
+        m, dm = y.reshape(-1, 2 * n, 2 * n), out.reshape(-1, 2 * n, 2 * n)
+        np.multiply(m[:, n:], h, out=dm[:, :n])
+        np.matmul(hw[s], m[:, :n], out=dm[:, n:])
 
 
-def multimode_from_hamiltonian(
-    coupling: Callable[[float], np.ndarray],
-    t_final: float,
-    cfg: IntegratorConfig = DEFAULT_CONFIG,
-) -> MultimodeBogoliubov:
-    """Integrate the quadratic Hamiltonian with frequency matrix coupling(t).
-
-    coupling must return a symmetric N x N array of squared frequencies,
-    diagonal (with positive diagonal) at t = 0 and t = t_final so the mode
-    operators are defined at both ends.
-    """
+def _endpoints(coupling: Callable[[float], np.ndarray], t_final: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The diagonals of coupling(0) and coupling(t_final), checked to be
+    squared frequencies of well-defined modes."""
     if not t_final > 0.0:
         raise DomainError(f"t_final must be positive, got {t_final!r}")
     w_start = np.asarray(coupling(0.0), dtype=float)
@@ -138,22 +133,65 @@ def multimode_from_hamiltonian(
             raise DomainError(f"{tag} coupling matrix must be diagonal in the mode basis")
         if np.any(np.diag(w) <= 0.0):
             raise DomainError(f"{tag} squared frequencies must be positive")
+    return np.diag(w_start), np.diag(w_end)
 
-    w0 = math.sqrt(float(np.max(np.diag(w_start))))
-    y = _integrate(
-        _Modes(coupling, n), np.eye(2 * n).reshape(1, -1), np.zeros(1), np.array([t_final]),
-        np.array([w0]), cfg,
-    )
-    s = y.reshape(2 * n, 2 * n)
+
+def _mode_map(s: np.ndarray, w_start: np.ndarray, w_end: np.ndarray) -> MultimodeBogoliubov:
+    """The mode map of the fundamental matrix s between the diagonal
+    frequency matrices with squared frequencies w_start and w_end."""
+    n = w_start.size
     sqq, sqp = s[:n, :n], s[:n, n:]
     spq, spp = s[n:, :n], s[n:, n:]
-    s0 = np.sqrt(np.sqrt(np.diag(w_start)))[None, :]  # omega0_k ** (1/2), row
-    sf = np.sqrt(np.sqrt(np.diag(w_end)))[:, None]    # omegaf_i ** (1/2), column
+    s0 = np.sqrt(np.sqrt(w_start))[None, :]  # omega0_k ** (1/2), row
+    sf = np.sqrt(np.sqrt(w_end))[:, None]    # omegaf_i ** (1/2), column
     ratio = sf / s0
     prod = sf * s0
     a_mat = 0.5 * (ratio * sqq + spp / ratio + 1j * (spq / prod - prod * sqp))
     b_mat = 0.5 * (ratio * sqq - spp / ratio + 1j * (spq / prod + prod * sqp))
     return MultimodeBogoliubov(a_mat, b_mat)
+
+
+def multimode_from_hamiltonian_batch(
+    couplings: Sequence[Callable[[float], np.ndarray]],
+    t_finals: Sequence[float],
+    cfg: IntegratorConfig = DEFAULT_CONFIG,
+) -> List[MultimodeBogoliubov]:
+    """Integrate the quadratic Hamiltonian of each frequency matrix coupling(t)
+    over [0, t_final].
+
+    Each coupling must return a symmetric N x N array of squared
+    frequencies, diagonal (with positive diagonal) at t = 0 and t = t_final
+    so the mode operators are defined at both ends; every coupling is
+    checked before any is integrated.  The couplings of each mode count N
+    are integrated together, one lane each.
+    """
+    if len(couplings) != len(t_finals):
+        raise DomainError("need one t_final per coupling")
+    ends = [_endpoints(coupling, t_final) for coupling, t_final in zip(couplings, t_finals)]
+    by_size: Dict[int, List[int]] = {}
+    for i, (w_start, _) in enumerate(ends):
+        by_size.setdefault(w_start.size, []).append(i)
+    out: List[MultimodeBogoliubov] = [None] * len(couplings)  # type: ignore[list-item]
+    for n, lanes in by_size.items():
+        w0 = [math.sqrt(float(np.max(ends[i][0]))) for i in lanes]
+        y = _integrate(
+            _Modes([couplings[i] for i in lanes], n),
+            np.tile(np.eye(2 * n).ravel(), (len(lanes), 1)),
+            np.zeros(len(lanes)), np.array([t_finals[i] for i in lanes], dtype=float),
+            np.array(w0), cfg,
+        )
+        for i, s in zip(lanes, y.reshape(-1, 2 * n, 2 * n)):
+            out[i] = _mode_map(s, *ends[i])
+    return out
+
+
+def multimode_from_hamiltonian(
+    coupling: Callable[[float], np.ndarray],
+    t_final: float,
+    cfg: IntegratorConfig = DEFAULT_CONFIG,
+) -> MultimodeBogoliubov:
+    """One coupling: a batch of one (see multimode_from_hamiltonian_batch)."""
+    return multimode_from_hamiltonian_batch([coupling], [t_final], cfg)[0]
 
 
 def phonon_number_final(bg: MultimodeBogoliubov, occupations: Sequence[float]) -> float:
@@ -333,9 +371,60 @@ def sonoluminescence_estimate(
     return SonoEstimate(excess, (count_low, count_high), temperature / lam)
 
 
-def random_coupling(
-    rng: np.random.Generator, n_modes: int, t_final: float
-) -> Callable[[float], np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class WindowedCoupling:
+    """Endpoint-diagonal frequency matrix on [0, t_final]:
+
+        W(t) = diag(d0 + (d1 - d0) sin^2(pi x / 2)) + sin^2(pi x) c,
+
+    x = t / t_final clamped to [0, 1], with c symmetric and zero on its
+    diagonal: the squared frequencies drift from d0 to d1 while the window
+    mixes the modes in between and lets go of them at both ends.
+    """
+
+    d0: np.ndarray
+    d1: np.ndarray
+    c: np.ndarray
+    t_final: float
+    _drift: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("d0", "d1", "c"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        n = self.d0.size
+        if not (self.d0.shape == self.d1.shape == (n,) and self.c.shape == (n, n)):
+            raise DomainError("need d0 and d1 of N entries and an N x N c")
+        if not self.t_final > 0.0:
+            raise DomainError(f"t_final must be positive, got {self.t_final!r}")
+        object.__setattr__(self, "_drift", self.d1 - self.d0)
+
+    def __call__(self, t: float) -> np.ndarray:
+        x = min(max(t / self.t_final, 0.0), 1.0)
+        s = math.sin(0.5 * math.pi * x) ** 2
+        window = math.sin(math.pi * x) ** 2
+        w = window * self.c  # c has a zero diagonal
+        np.fill_diagonal(w, self.d0 + self._drift * s)
+        return w
+
+    @classmethod
+    def stacked(cls, couplings: Sequence["WindowedCoupling"]) -> Callable:
+        # one mode count per stack, as a multimode batch groups its lanes
+        d0, drift, c = (np.stack([getattr(w, name) for w in couplings]) for name in ("d0", "_drift", "c"))
+        t_final = np.array([w.t_final for w in couplings])
+        diagonal = (Ellipsis, *np.diag_indices(d0.shape[1]))
+
+        def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            x = np.minimum(np.maximum(t / t_final[rows], 0.0), 1.0)
+            s = _pow_each(np.sin(0.5 * math.pi * x), 2.0).astype(float)
+            window = _pow_each(np.sin(math.pi * x), 2.0).astype(float)
+            w = window[..., None, None] * c[rows]
+            w[diagonal] = d0[rows] + drift[rows] * s[..., None]
+            return w
+
+        return evaluate
+
+
+def random_coupling(rng: np.random.Generator, n_modes: int, t_final: float) -> WindowedCoupling:
     """Random endpoint-diagonal coupling: smooth diagonal drift plus a
     sin^2-windowed symmetric off-diagonal mixing, kept diagonally dominant."""
     d0 = rng.uniform(0.5, 2.0, size=n_modes) ** 2
@@ -346,16 +435,4 @@ def random_coupling(
     strength = 0.3 * min(d0.min(), d1.min()) / max(n_modes - 1, 1)
     if np.max(np.abs(c)) > 0.0:
         c *= strength / np.max(np.abs(c))
-
-    drift = d1 - d0
-    diagonal = np.diag_indices(n_modes)
-
-    def coupling(t: float) -> np.ndarray:
-        x = min(max(t / t_final, 0.0), 1.0)
-        s = math.sin(0.5 * math.pi * x) ** 2
-        window = math.sin(math.pi * x) ** 2
-        w = window * c  # c has a zero diagonal
-        w[diagonal] = d0 + drift * s
-        return w
-
-    return coupling
+    return WindowedCoupling(d0, d1, c, t_final)

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .cavity import (
     CavitySpec,
-    multimode_from_hamiltonian,
+    multimode_from_hamiltonian_batch,
     phonon_number_final,
     planck_density,
     random_coupling,
@@ -53,10 +53,17 @@ from .cycles import (
 )
 from .errors import DomainError, IntegrationError, QuadratureError, SymplecticError
 from .ode import ForcedResult, forced_final_energy, propagate_forced_batch, propagate_ode_batch
-from .perturbation import Drive, check_inequality, first_order_energy_shift, transition_probability
-from .profiles import FrequencyProfile
+from .perturbation import (
+    Drive,
+    WindowedCarrier,
+    check_inequality,
+    first_order_energy_shift,
+    transition_probability,
+)
+from .profiles import FrequencyProfile, SineSeries
 
 # Not called here, but bench/tracing.py wraps these names in this module.
+from .cavity import multimode_from_hamiltonian  # noqa: F401
 from .closed_form import propagate_exponential, propagate_inverse_linear, propagate_power_law  # noqa: F401
 from .cycles import random_cycle_gain  # noqa: F401
 from .ode import propagate_forced, propagate_ode  # noqa: F401
@@ -266,17 +273,10 @@ def _emit(
             fh.write(text)
 
 
-def _random_drive(rng: np.random.Generator) -> Tuple[FrequencyProfile, Callable[[float], float]]:
+def _random_drive(rng: np.random.Generator) -> Tuple[FrequencyProfile, SineSeries]:
     """Random closed profile and a 3-term sine force that vanishes at its ends."""
     profile = random_fourier_profile(rng)
-    t0 = profile.duration
-    coef = rng.normal(0.0, 0.5, size=3).tolist()
-
-    def kappa(t: float) -> float:
-        phase = math.pi * t / t0
-        return sum(cj * math.sin((j + 1) * phase) for j, cj in enumerate(coef))
-
-    return profile, kappa
+    return profile, SineSeries(rng.normal(0.0, 0.5, size=3), profile.duration)
 
 
 def _random_forced(rng: np.random.Generator, count: int) -> List[Tuple[float, ForcedResult]]:
@@ -306,9 +306,13 @@ def _cmd_propagate(ns: argparse.Namespace) -> Artifact:
             _check_leg_args(ns.family, v, ns.k, ns.method)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
+    if ns.method == "ode":  # every v a lane of one batch
+        profiles, durations = zip(*(_leg_profile(ns.family, v, lam, ns.k) for v in vs))
+        legs = propagate_ode_batch(profiles, durations)
+    else:
+        legs = [leg(ns.family, v, lam, ns.k) for v in vs]
     rows: List[Sequence[object]] = []
-    for v in vs:
-        s = leg(ns.family, v, lam, ns.k, ns.method)
+    for v, s in zip(vs, legs):
         e_fin = final_energy(s, state, omega_f)
         rows.append(
             [v, lam, omega_f, s.a, s.b, s.c, s.d, s.det_error(), e_fin]
@@ -368,10 +372,7 @@ def _cmd_perturb(ns: argparse.Namespace) -> Artifact:
     if not t_end > 0.0:
         raise ConfigError(f"duration must be positive, got {t_end!r}")
 
-    def g(t: float) -> float:
-        return eps * math.sin(math.pi * t / t_end) ** 2 * math.cos(w_drive * t)
-
-    drive = Drive.from_callable(g, t_end)
+    drive = Drive.from_callable(WindowedCarrier(eps, t_end, w_drive), t_end)
     rows: List[Sequence[object]] = []
     for n in range(ns.n_max + 1):
         shift = first_order_energy_shift(drive, n, power)
@@ -467,12 +468,13 @@ def _suite_multimode(rng: np.random.Generator) -> Tuple[int, int, float]:
     passed = 0
     worst = 0.0
     total = 5
+    draws = []  # (t_end, coupling, occupations), in the rng order of one draw after another
     for _ in range(total):
         n = int(rng.integers(2, 5))
         t_end = float(rng.uniform(1.0, 3.0))
-        coup = random_coupling(rng, n, t_end)
-        bg = multimode_from_hamiltonian(coup, t_end)
-        occ = rng.uniform(0.0, 2.0, size=n)
+        draws.append((t_end, random_coupling(rng, n, t_end), rng.uniform(0.0, 2.0, size=n)))
+    t_ends, couplings, occupations = zip(*draws)
+    for bg, occ in zip(multimode_from_hamiltonian_batch(couplings, t_ends), occupations):
         err = bg.unitarity_error()
         growth = phonon_number_final(bg, occ) - float(occ.sum())
         worst = max(worst, err)

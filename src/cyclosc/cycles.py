@@ -44,13 +44,15 @@ from .core import EvolutionMatrix, compose, gain_factor
 from .errors import DomainError, IntegrationError, SymplecticError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, propagate_ode, propagate_ode_batch
 from .profiles import (
-    Custom,
     Exponential,
+    Fourier,
     FrequencyProfile,
     InverseLinear,
     Piecewise,
     PowerLaw,
+    SineSeries,
     TimeReversed,
+    _pow_each,
 )
 
 __all__ = [
@@ -314,7 +316,6 @@ class ScanResult:
 # differ from libm's log, cosh, sinh and pow(x, 2) in the last bit on part
 # of their inputs, so each element goes through the same scalar code
 _inverse_linear_each = np.frompyfunc(_inverse_linear_entries, 3, 4)
-_pow_each = np.frompyfunc(pow, 2, 1)
 
 
 def _inverse_linear_legs(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) -> EvolutionMatrix:
@@ -463,25 +464,16 @@ def random_fourier_profile(
     n_harmonics: int = 4,
     amplitude: float = 0.4,
     duration_range: Tuple[float, float] = (2.0, 8.0),
-) -> Custom:
+) -> Fourier:
     """Smooth random cycle profile omega(t) = exp(sum_j c_j sin(pi j t / T)).
 
     The sine basis pins omega(0) = omega(T) = 1 exactly and exponentiation
     keeps the frequency positive.
     """
     t0 = rng.uniform(*duration_range)
-    # plain floats keep every omega_sq call out of numpy scalar arithmetic
     harmonics = np.arange(1, n_harmonics + 1)
-    coef = (rng.normal(0.0, amplitude, size=n_harmonics) / harmonics).tolist()
-
-    def omega_sq(t: float) -> float:
-        phase = math.pi * t / t0
-        s = 0.0
-        for j, c in enumerate(coef, start=1):
-            s += c * math.sin(j * phase)
-        return math.exp(2.0 * s)
-
-    return Custom(omega_sq, duration=t0)
+    coef = rng.normal(0.0, amplitude, size=n_harmonics) / harmonics
+    return Fourier(SineSeries(coef, t0))
 
 
 def random_piecewise_cycle(rng: np.random.Generator, max_segments: int = 3) -> Piecewise:

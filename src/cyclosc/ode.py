@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import EvolutionMatrix, StationaryState, compose, final_energy
 from .errors import DomainError, IntegrationError
-from .profiles import FrequencyProfile, Piecewise
+from .profiles import FrequencyProfile, LaneMap, Piecewise
 
 __all__ = [
     "IntegratorConfig",
@@ -200,12 +200,13 @@ class LinearSystem(Protocol):
 
     terms(t, h, lanes) evaluates the time-dependent parts, times a step h
     per lane, at the times t, shape (stages, m), of the m running lanes,
-    whose indices into the batch are `lanes`.  rhs(terms, s, y, out) writes
-    h dy/dt of those lanes, y of shape (m, n), at the times of row s.  The
-    terms of a step are evaluated together because they depend on t alone.
+    whose indices into the batch are the array `lanes`.  rhs(terms, s, y,
+    out) writes h dy/dt of those lanes, y of shape (m, n), at the times of
+    row s.  The terms of a step are evaluated together because they depend
+    on t alone.
     """
 
-    def terms(self, t: np.ndarray, h: np.ndarray, lanes: List[int]) -> object: ...
+    def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> object: ...
 
     def rhs(self, terms: object, s: int, y: np.ndarray, out: np.ndarray) -> None: ...
 
@@ -236,13 +237,12 @@ def solve_ivp(
     if m == 0:
         return BatchSolution(y_final, times[0], 0)
     rtol, atol = cfg.rtol, cfg.atol
-    index = lanes.tolist()
     X = np.empty((14, m * n))
     rows = X.reshape(14, m, n)
     rows[0] = y_final[lanes]
     # row 1 carries dy/dt at t from step to step, rescaled to each step's h
     h_row = np.ones(m)
-    system.rhs(system.terms(t[None], h_row, index), 0, rows[0], rows[1])
+    system.rhs(system.terms(t[None], h_row, lanes), 0, rows[0], rows[1])
     nfev = m
     stages = _stage_views(X, rows)
     rejected = np.zeros(m, dtype=bool)
@@ -260,7 +260,7 @@ def solve_ivp(
         h = t_new - t
         rows[1] *= (h / h_row)[:, None]
         h_row = h
-        terms = system.terms(t + _C_STAGES * h, h, index)
+        terms = system.terms(t + _C_STAGES * h, h, lanes)
         for s, (w, x, out) in enumerate(stages):
             rhs(terms, s, (w @ x).reshape(m, n), out)
         y_new = (_W_NEW @ X[:13]).reshape(m, n)
@@ -300,7 +300,6 @@ def solve_ivp(
             lanes, t, t_end, h_abs, h_row, rejected = (
                 x[keep] for x in (lanes, t, t_end, h_abs, h_row, rejected)
             )
-            index = lanes.tolist()
             m = lanes.size
             X = rows[:, keep].reshape(14, m * n)  # rows[:, keep] is not C-ordered
             rows = X.reshape(14, m, n)
@@ -330,7 +329,8 @@ class _Hill:
 
     A lane holds q_1 .. q_k, then p_k .. p_1, so that the reversed lane sets
     each p against its q: dy/dt = reversed(y) * (1 .. 1, -w2 .. -w2), plus
-    kappa in the slot of the driven solution's p.
+    kappa in the slot of the driven solution's p.  omega^2 and kappa come
+    from one LaneMap each.
     """
 
     def __init__(
@@ -338,22 +338,18 @@ class _Hill:
         profiles: Sequence[FrequencyProfile],
         kappas: Optional[Sequence[Callable[[float], float]]],
     ) -> None:
-        self.omega_sq = [profile.omega_sq for profile in profiles]
-        self.kappas = kappas
+        self.omega_sq = LaneMap(profiles, lambda profile: profile.omega_sq)
+        self.kappa = None if kappas is None else LaneMap(kappas)
         self.k = 2 if kappas is None else 3
 
-    def _each(self, fns: Sequence[Callable[[float], float]], t: np.ndarray, lanes: List[int]) -> np.ndarray:
-        """fns[lane](t) at every time of every lane, shaped like t."""
-        return np.array([list(map(fns[i], ts)) for i, ts in zip(lanes, t.T.tolist())]).T
-
-    def terms(self, t: np.ndarray, h: np.ndarray, lanes: List[int]) -> tuple:
+    def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> tuple:
         k = self.k
         coef = np.empty(t.shape + (2 * k,))
         coef[..., :k] = h[:, None]
-        np.multiply(self._each(self.omega_sq, t, lanes)[..., None], -h[:, None], out=coef[..., k:])
-        if self.kappas is None:
+        np.multiply(self.omega_sq(t, lanes)[..., None], -h[:, None], out=coef[..., k:])
+        if self.kappa is None:
             return coef, None
-        return coef, self._each(self.kappas, t, lanes) * h
+        return coef, self.kappa(t, lanes) * h
 
     def rhs(self, terms: tuple, s: int, y: np.ndarray, out: np.ndarray) -> None:
         coef, drive = terms
@@ -374,7 +370,10 @@ def _hill(
     system = _Hill([profile for profile, _, _ in runs], kappas)
     t_start = np.array([t0 for _, t0, _ in runs], dtype=float)
     t_final = np.array([t1 for _, _, t1 in runs], dtype=float)
-    w0 = np.array([math.sqrt(max(w2(t0), 0.0)) for w2, t0 in zip(system.omega_sq, t_start.tolist())])
+    w0 = np.array([
+        math.sqrt(max(profile.omega_sq(t0), 0.0))
+        for (profile, _, _), t0 in zip(runs, t_start.tolist())
+    ])
     y0 = np.zeros((len(runs), 2 * system.k))
     y0[:, 0] = y0[:, -2] = 1.0
     return _integrate(system, y0, t_start, t_final, w0, cfg)

@@ -3,15 +3,22 @@
 Natural units: every family is normalized so omega(0) equals its nominal
 initial frequency (1 unless stated otherwise).  Profiles only describe the
 frequency; durations are passed to the propagators separately, except for
-the container types (Piecewise, Tabulated, Custom, TimeReversed) that carry
-an intrinsic domain.
+the container types (Piecewise, Tabulated, Custom, Fourier, TimeReversed)
+that carry an intrinsic domain.
+
+A type whose values have a formula over arrays (Fourier, SineSeries, and
+the coupling and carrier types of cavity and perturbation) also has a
+class method stacked(items), returning evaluate(t, rows): the value of
+items[rows] at the times t, computed as arrays with the same floating-point
+operations as one scalar call.  LaneMap uses it to evaluate many lanes of
+an integration at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -25,8 +32,15 @@ __all__ = [
     "Piecewise",
     "Tabulated",
     "Custom",
+    "SineSeries",
+    "Fourier",
     "TimeReversed",
 ]
+
+# libm's exp and pow lifted to arrays: numpy's own exp and x*x differ from
+# them in the last bit on part of their inputs (np.sin and np.cos do not)
+_exp_each = np.frompyfunc(math.exp, 1, 1)
+_pow_each = np.frompyfunc(pow, 2, 1)
 
 
 class FrequencyProfile:
@@ -245,6 +259,74 @@ class Custom(FrequencyProfile):
 
 
 @dataclass(frozen=True)
+class SineSeries:
+    """f(t) = sum_j c_j sin(j pi t / T), j = 1, 2, ...: zero at t = 0 and, to
+    roundoff, at t = T."""
+
+    coef: Tuple[float, ...]
+    duration: float
+
+    def __post_init__(self) -> None:
+        # plain floats keep every call out of numpy scalar arithmetic
+        object.__setattr__(self, "coef", tuple(float(c) for c in self.coef))
+        if not (self.duration > 0.0 and math.isfinite(self.duration)):
+            raise DomainError(f"duration must be positive, got {self.duration!r}")
+
+    def __call__(self, t: float) -> float:
+        phase = math.pi * t / self.duration
+        s = 0.0
+        for j, c in enumerate(self.coef, start=1):
+            s += c * math.sin(j * phase)
+        return s
+
+    @classmethod
+    def stacked(cls, series: Sequence["SineSeries"]) -> Callable:
+        # a shorter series is padded with zero terms, and adding 0.0 changes no sum
+        coef = np.zeros((len(series), max(len(f.coef) for f in series)))
+        for row, f in zip(coef, series):
+            row[: len(f.coef)] = f.coef
+        duration = np.array([f.duration for f in series])
+        harmonics = np.arange(1.0, coef.shape[1] + 1.0)
+
+        def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            phase = math.pi * t / duration[rows]
+            terms = coef[rows] * np.sin(phase[..., None] * harmonics)
+            s = np.zeros(phase.shape)
+            for j in range(harmonics.size):  # in the order of the scalar sum
+                s += terms[..., j]
+            return s
+
+        return evaluate
+
+
+@dataclass(frozen=True)
+class Fourier(FrequencyProfile):
+    """omega(t)^2 = exp(2 f(t)) for a sine series f on [0, f.duration].
+
+    f vanishes at both ends, so omega(0) = 1 and omega(T) = 1 to roundoff,
+    and the exponential keeps the frequency positive.
+    """
+
+    series: SineSeries
+
+    @property
+    def duration(self) -> float:
+        return self.series.duration
+
+    def omega_sq(self, t: float) -> float:
+        return math.exp(2.0 * self.series(t))
+
+    @classmethod
+    def stacked(cls, profiles: Sequence["Fourier"]) -> Callable:
+        f = SineSeries.stacked([p.series for p in profiles])
+
+        def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            return _exp_each(2.0 * f(t, rows)).astype(float)
+
+        return evaluate
+
+
+@dataclass(frozen=True)
 class TimeReversed(FrequencyProfile):
     """The profile run backwards: omega_sq(t) = base.omega_sq(duration - t)."""
 
@@ -260,3 +342,51 @@ class TimeReversed(FrequencyProfile):
         # Clamp to kill roundoff excursions just outside [0, duration].
         s = min(max(self.duration - t, 0.0), self.duration)
         return self.base.omega_sq(s)
+
+
+class LaneMap:
+    """The values fn_i(t) of many lanes i, each with its own function.
+
+    items are grouped by type.  A type that defines a stacked(items)
+    formula itself is evaluated by one array call per group; any other item
+    (a Custom, Tabulated or family profile, a Piecewise segment, a plain
+    function, a subclass that may have changed the scalar call) is called
+    once per lane and time, through scalar(item).
+    """
+
+    def __init__(self, items: Sequence[object], scalar: Callable = lambda item: item) -> None:
+        formulas: dict = {}
+        for i, item in enumerate(items):
+            kind = type(item)
+            formulas.setdefault(kind.stacked if "stacked" in vars(kind) else None, []).append(i)
+        self._groups = []
+        for stacked, members in formulas.items():
+            group = np.zeros(len(items), dtype=bool)
+            group[members] = True
+            rows = np.cumsum(group) - 1  # an item's index within its group
+            chosen = [items[i] for i in members]
+            evaluate = self._each([scalar(x) for x in chosen]) if stacked is None else stacked(chosen)
+            self._groups.append((evaluate, group, rows))
+
+    @staticmethod
+    def _each(fns: List[Callable]) -> Callable:
+        def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+            values = [list(map(fns[i], ts)) for i, ts in zip(rows.tolist(), t.T.tolist())]
+            return np.array(values, dtype=float).swapaxes(0, 1)
+
+        return evaluate
+
+    def __call__(self, t: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """Values at the times t, shape (times, k), of the k lanes `lanes`,
+        shaped t.shape + the shape of one value."""
+        if len(self._groups) == 1:  # every lane in one group: its rows are the lanes
+            return self._groups[0][0](t, lanes)
+        out = None
+        for evaluate, group, rows in self._groups:
+            cols = np.flatnonzero(group[lanes])
+            if cols.size:
+                part = evaluate(t[:, cols], rows[lanes[cols]])
+                if out is None:
+                    out = np.empty(t.shape + part.shape[2:])
+                out[:, cols] = part
+        return out

@@ -20,6 +20,7 @@ from cyclosc import (
     IntegratorConfig,
     MultimodeBogoliubov,
     multimode_from_hamiltonian,
+    multimode_from_hamiltonian_batch,
     phonon_number_final,
     planck_density,
     propagate_ode,
@@ -108,6 +109,42 @@ class TestMultimode:
             phonon_number_final(bg, [1.0])
         with pytest.raises(DomainError):
             phonon_number_final(bg, [1.0, -0.5])
+
+    def test_batch_over_mode_counts_equals_batches_of_one(self):
+        rng = np.random.default_rng(41)
+        sizes = [2, 3, 4, 3, 2, 4]
+        t_ends = [float(rng.uniform(1.0, 3.0)) for _ in sizes]
+        couplings = [random_coupling(rng, n, t) for n, t in zip(sizes, t_ends)]
+        # a plain function among the stacked couplings: the same W(t) per point
+        couplings.append(lambda t, w=couplings[0]: w(t))
+        t_ends.append(t_ends[0])
+        batch = multimode_from_hamiltonian_batch(couplings, t_ends)
+        assert [bg.n_modes for bg in batch] == sizes + [2]
+        for coupling, t_end, bg in zip(couplings, t_ends, batch):
+            one = multimode_from_hamiltonian(coupling, t_end)
+            assert np.array_equal(bg.A, one.A) and np.array_equal(bg.B, one.B)
+        assert np.array_equal(batch[0].A, batch[-1].A) and np.array_equal(batch[0].B, batch[-1].B)
+
+    @pytest.mark.parametrize("bad, t_end, message", [
+        (lambda t: np.diag([1.0, 2.0]), 0.0, "t_final must be positive, got 0.0"),
+        (lambda t: np.ones((2, 3)), 1.0, "coupling must return a square matrix of fixed size"),
+        (lambda t: np.array([[1.0, 0.2], [0.0, 2.0]]), 1.0, "coupling matrix must be symmetric"),
+        (lambda t: np.array([[1.0, 0.5], [0.5, 2.0]]), 1.0,
+         "initial coupling matrix must be diagonal in the mode basis"),
+        (lambda t: np.diag([1.0, 2.0]) + 0.5 * t * (1.0 - np.eye(2)), 1.0,
+         "final coupling matrix must be diagonal in the mode basis"),
+        (lambda t: np.diag([1.0, -2.0]), 1.0, "initial squared frequencies must be positive"),
+    ])
+    def test_bad_coupling_in_a_batch_raises_its_own_message(self, bad, t_end, message):
+        good = random_coupling(np.random.default_rng(5), 3, 2.0)
+        with pytest.raises(DomainError) as single:
+            multimode_from_hamiltonian(bad, t_end)
+        assert str(single.value) == message
+        with pytest.raises(DomainError) as batch:
+            multimode_from_hamiltonian_batch([good, bad, good], [2.0, t_end, 2.0])
+        assert str(batch.value) == message
+        with pytest.raises(DomainError, match="one t_final per coupling"):
+            multimode_from_hamiltonian_batch([good, good], [2.0])
 
     def test_random_coupling_endpoints(self):
         rng = np.random.default_rng(3)

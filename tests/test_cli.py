@@ -24,6 +24,7 @@ import cyclosc
 import cyclosc.cli as cli
 from cyclosc import __version__
 from cyclosc.cli import main
+from cyclosc.cycles import leg
 
 
 def run(capsys, *argv):
@@ -103,6 +104,20 @@ class TestPropagate:
             (x,) = column(closed, name)
             (y,) = column(ode, name)
             assert abs(x - y) < 1e-6
+
+    @pytest.mark.parametrize("family, lam, k", [
+        ("power-law", 0.1, -3.0), ("inverse-linear", 3.0, -2.0), ("exponential", 0.4, -2.0),
+    ])
+    def test_ode_v_grid_is_one_batch_with_the_bits_of_each_leg(self, capsys, monkeypatch, family, lam, k):
+        calls = []
+        batch = cli.propagate_ode_batch
+        monkeypatch.setattr(cli, "propagate_ode_batch", lambda *a: calls.append(a) or batch(*a))
+        doc = run_json(capsys, "propagate", "--method", "ode", "--family", family,
+                       "--v-grid", "0.1:30:20:log", "--lambda", repr(lam), "--k", repr(k))
+        assert len(calls) == 1 and len(calls[0][0]) == 20
+        for v, *entries in zip(*(column(doc, name) for name in ("v", "a", "b", "c", "d"))):
+            s = leg(family, v, lam, k, "ode")
+            assert entries == [s.a, s.b, s.c, s.d]
 
     def test_lambda_one_rejected(self, capsys):
         rc, _, err = run(capsys, "propagate", "--lambda", "1")
@@ -187,6 +202,16 @@ class TestCycleAndScan:
             "message": "omega0 = 1.0 with rate v = 1e-200 is out of range: "
                        "(omega0/v)**2 or omega0**2 overflows",
         }
+
+    def test_sudden_limit_gain_is_one_to_roundoff(self, capsys):
+        # R >= det S holds exactly ((a^2 + b^2 + c^2 + d^2)/2 >= ad - bc), so
+        # R may fall below 1 by no more than det S does: a few ulps here
+        doc = run_json(capsys, "scan", "--v-grid", "1e300:1.7e308:3", "--lambda", "2")
+        eps = np.finfo(float).eps
+        for gain, det_error, note in zip(*(column(doc, name) for name in ("gain", "det_error", "note"))):
+            assert gain >= 1.0 - 4.0 * eps
+            assert det_error <= 4.0 * eps
+            assert note == ""
 
     def test_power_law_note_prints_plain_floats(self, capsys):
         # the resonant point at v = 0.232 grows by ~6.6 per cycle and

@@ -29,14 +29,17 @@ from cyclosc import (
     DomainError,
     EvolutionMatrix,
     Exponential,
+    Fourier,
     IntegrationError,
     IntegratorConfig,
     InverseLinear,
     Piecewise,
     PowerLaw,
+    SineSeries,
     StationaryState,
     Tabulated,
     TimeReversed,
+    WindowedCarrier,
     compose,
     forced_final_energy,
     multimode_from_hamiltonian,
@@ -47,6 +50,7 @@ from cyclosc import (
     random_coupling,
     random_fourier_profile,
 )
+from cyclosc.profiles import LaneMap
 
 from oracles import moment_oracle
 
@@ -365,3 +369,118 @@ class TestBatch:
         )
         env = dict(os.environ, PYTHONPATH=src)
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def _bits(x):
+    """The float64 bit patterns of x: tells -0.0 from 0.0 and every last bit."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _lane_times(rng, durations, count=2000):
+    """Times of shape (count + 3, lanes): 0, each lane's end, a bit past it,
+    then random times inside (libm's pow and exp differ from numpy's own in
+    the last bit on ~0.1% and ~5% of inputs, so it takes many to see them)."""
+    durations = np.asarray(durations, dtype=float)
+    inside = rng.uniform(0.0, 1.0, size=(count, durations.size)) * durations
+    return np.vstack([np.zeros(durations.size), durations, 1.0000001 * durations, inside])
+
+
+class TestStackedTerms:
+    """Each stacked formula gives the bits of one scalar call per lane and time."""
+
+    def _check(self, items, scalar, durations, rng):
+        t = _lane_times(rng, durations)
+        # every lane once, in an order that is not the batch order
+        lanes = rng.permutation(len(items))
+        want = np.array([[scalar(items[i])(x) for i, x in zip(lanes, row)] for row in t[:, lanes].tolist()])
+        got = type(items[0]).stacked(items)(t[:, lanes], lanes)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+        assert np.array_equal(_bits(LaneMap(items, scalar)(t[:, lanes], lanes)), _bits(want))
+
+    def test_sine_series(self):
+        rng = np.random.default_rng(21)
+        # different lengths: shorter series are padded with zero terms
+        series = [SineSeries(rng.normal(size=n), rng.uniform(1.0, 9.0)) for n in (1, 3, 4, 4, 6)]
+        self._check(series, lambda f: f, [f.duration for f in series], rng)
+
+    def test_fourier(self):
+        rng = np.random.default_rng(22)
+        profiles = [random_fourier_profile(rng) for _ in range(7)]
+        assert all(isinstance(p, Fourier) for p in profiles)
+        self._check(profiles, lambda p: p.omega_sq, [p.duration for p in profiles], rng)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_windowed_coupling(self, n_modes):
+        rng = np.random.default_rng(23)
+        couplings = [random_coupling(rng, n_modes, rng.uniform(1.0, 3.0)) for _ in range(5)]
+        self._check(couplings, lambda w: w, [w.t_final for w in couplings], rng)
+
+    def test_windowed_carrier(self):
+        rng = np.random.default_rng(24)
+        carriers = [WindowedCarrier(1e-3, 6.0, 2.0)] + [
+            WindowedCarrier(10.0 ** rng.uniform(-4, 0), rng.uniform(1.0, 9.0), rng.uniform(0.5, 6.0))
+            for _ in range(4)
+        ]
+        self._check(carriers, lambda g: g, [g.duration for g in carriers], rng)
+
+    def test_mixed_lane_map_evaluates_each_lane_by_its_own_rule(self):
+        rng = np.random.default_rng(25)
+        fourier = random_fourier_profile(rng)
+        items = [
+            fourier, Custom(fourier.omega_sq, duration=fourier.duration), random_fourier_profile(rng),
+            InverseLinear(1.0, 0.5), Custom(lambda t: 1.0 + t), random_fourier_profile(rng),
+        ]
+        evaluate = LaneMap(items, lambda p: p.omega_sq)
+        for lanes in ([0, 1, 2, 3, 4, 5], [5, 1, 0, 3], [4], [2, 5]):
+            t = rng.uniform(0.0, 2.0, size=(11, len(lanes)))
+            want = [[items[i].omega_sq(x) for i, x in zip(lanes, row)] for row in t.tolist()]
+            assert np.array_equal(_bits(evaluate(t, np.array(lanes))), _bits(want))
+
+    def test_subclass_without_its_own_formula_is_called_per_point(self):
+        class Slower(Fourier):
+            def omega_sq(self, t):
+                return 0.25 * super().omega_sq(t)
+
+        rng = np.random.default_rng(26)
+        base = random_fourier_profile(rng)
+        items = [base, Slower(base.series)]
+        t = np.repeat(rng.uniform(0.0, base.duration, size=(11, 1)), 2, axis=1)
+        got = LaneMap(items, lambda p: p.omega_sq)(t, np.arange(2))
+        assert np.array_equal(got[:, 1], [items[1].omega_sq(x) for x in t[:, 1].tolist()])
+        assert np.array_equal(got[:, 1], 0.25 * got[:, 0])
+
+
+class TestStackedBatches:
+    """Lanes whose terms come from a stacked formula, next to lanes that call
+    a Python function per point, give the bits of batches of one."""
+
+    def test_mixed_fourier_and_custom_lanes_equal_batches_of_one(self):
+        rng = np.random.default_rng(31)
+        fourier = [random_fourier_profile(rng) for _ in range(4)]
+        # the same omega^2 as fourier[0], reached one scalar call at a time
+        twin = Custom(fourier[0].omega_sq, duration=fourier[0].duration)
+        profiles = [fourier[0], twin, fourier[1], Custom(lambda t: 1.0 + 0.3 * math.sin(t), duration=3.0),
+                    fourier[2], Piecewise(((InverseLinear(1.0, 1e-8), 1.0), (fourier[3], fourier[3].duration)))]
+        durations = [p.duration for p in profiles]
+        batch = propagate_ode_batch(profiles, durations)
+        for prof, t_end, s in zip(profiles, durations, batch):
+            assert s == propagate_ode(prof, t_end)
+        assert batch[0] == batch[1]
+
+    def test_forced_lanes_equal_their_per_point_twins(self):
+        # forced lanes (6 columns each) are not bit-identical to batches of
+        # one, so the same batch is run once more with every omega^2 and
+        # kappa called per point, which must give the same bits
+        rng = np.random.default_rng(32)
+        profiles = [random_fourier_profile(rng) for _ in range(5)]
+        kappas = [SineSeries(rng.normal(0.0, 0.5, size=3), p.duration) for p in profiles]
+        kappas[1] = _drive(rng, profiles[1])  # a plain function among the sine series
+        durations = [p.duration for p in profiles]
+        batch = propagate_forced_batch(profiles, kappas, durations)
+        twins = propagate_forced_batch(
+            [Custom(p.omega_sq, duration=p.duration) for p in profiles],
+            [lambda t, f=kappa: f(t) for kappa in kappas],
+            durations,
+        )
+        assert batch == twins

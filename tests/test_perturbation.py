@@ -17,6 +17,7 @@ from cyclosc import (
     IntegratorConfig,
     QuadratureError,
     StationaryState,
+    WindowedCarrier,
     check_inequality,
     final_energy,
     first_order_energy_shift,
@@ -170,6 +171,18 @@ class TestTransitionProbability:
                 T_DRIVE,
                 n_samples=4097,
             )
+
+    @pytest.mark.parametrize("eps, t_end, freq", [(1e-3, 6.0, 2.0), (0.0012, 6.0, 1.7), (0.01, 9.5, 5.3)])
+    def test_carrier_samples_in_one_call_with_the_bits_of_its_scalar_calls(self, eps, t_end, freq):
+        carrier = WindowedCarrier(eps, t_end, freq)
+        stacked = Drive.from_callable(carrier, t_end)
+        per_point = Drive.from_callable(lambda t: carrier(t), t_end)
+        assert stacked.values.tobytes() == per_point.values.tobytes()
+        assert stacked.values[0] == 0.0 and stacked.values[-1] == carrier(t_end)
+
+    def test_aliased_carrier_is_caught_by_the_stacked_probes(self):
+        with pytest.raises(QuadratureError):
+            Drive.from_callable(WindowedCarrier(1.0, T_DRIVE, 4000.0), T_DRIVE, n_samples=4097)
 
 
 class TestAmplitudes:

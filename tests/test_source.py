@@ -20,6 +20,7 @@ TRACED_IMPORTS = {
     ("cli", "propagate_ode"),
     ("cli", "propagate_forced"),
     ("cli", "random_cycle_gain"),
+    ("cli", "multimode_from_hamiltonian"),
     ("cavity", "solve_ivp"),
 }
 
