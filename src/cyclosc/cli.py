@@ -43,16 +43,15 @@ from .cycles import (
     CycleSpec,
     GridAxis,
     _check_leg_args,
-    _leg_profile,
     build_cycle,
     build_cycles,
-    leg,
+    legs,
     random_cycle_spec,
     random_fourier_profile,
     scan_gain,
 )
 from .errors import DomainError, IntegrationError, QuadratureError, SymplecticError
-from .ode import ForcedResult, forced_final_energy, propagate_forced_batch, propagate_ode_batch
+from .ode import ForcedResult, forced_final_energy, propagate_forced_batch
 from .perturbation import (
     Drive,
     WindowedCarrier,
@@ -306,17 +305,11 @@ def _cmd_propagate(ns: argparse.Namespace) -> Artifact:
             _check_leg_args(ns.family, v, ns.k, ns.method)
     except DomainError as exc:
         raise ConfigError(str(exc)) from None
-    if ns.method == "ode":  # every v a lane of one batch
-        profiles, durations = zip(*(_leg_profile(ns.family, v, lam, ns.k) for v in vs))
-        legs = propagate_ode_batch(profiles, durations)
-    else:
-        legs = [leg(ns.family, v, lam, ns.k) for v in vs]
-    rows: List[Sequence[object]] = []
-    for v, s in zip(vs, legs):
-        e_fin = final_energy(s, state, omega_f)
-        rows.append(
-            [v, lam, omega_f, s.a, s.b, s.c, s.d, s.det_error(), e_fin]
-        )
+    runs = [(ns.family, v, lam, ns.k) for v in vs]
+    rows = [
+        [v, lam, omega_f, s.a, s.b, s.c, s.d, s.det_error(), final_energy(s, state, omega_f)]
+        for v, s in zip(vs, legs(runs, ns.method))
+    ]
     meta = {"family": ns.family, "method": ns.method, "state_n": state.n}
     if ns.family == "power-law":
         meta["k"] = ns.k
@@ -438,9 +431,7 @@ def _suite_closed_vs_ode(rng: np.random.Generator) -> Tuple[int, int, float]:
         cases.append(("exponential", v, 1.0 / z, -2.0))
     passed = 0
     worst = 0.0
-    closed = [leg(family, v, lam, k) for family, v, lam, k in cases]
-    profiles, durations = zip(*(_leg_profile(family, v, lam, k) for family, v, lam, k in cases))
-    for s_closed, s_ode in zip(closed, propagate_ode_batch(profiles, durations)):
+    for s_closed, s_ode in zip(legs(cases, "closed"), legs(cases, "ode")):
         diff = float(np.max(np.abs(s_closed.as_array() - s_ode.as_array())))
         worst = max(worst, diff)
         if diff <= 1e-6:

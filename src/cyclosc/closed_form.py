@@ -212,7 +212,12 @@ def _power_law_frame(z: float, k: float, v: float) -> np.ndarray:
     w = (2/|k v|) z^(k/2); p_i = v dq_i/dz.
     """
     nu = 1.0 / k
-    w = 2.0 / abs(k * v) * z ** (0.5 * k)
+    try:
+        w = 2.0 / abs(k * v) * z ** (0.5 * k)
+    except (OverflowError, ZeroDivisionError):  # k v or z^(k/2) left the float range
+        w = math.nan
+    if not 0.0 < w < math.inf:
+        raise DomainError(f"w = (2/|k v|) z^(k/2) is not a positive float at z = {z!r}, k = {k!r}, v = {v!r}")
     rt = math.sqrt(z)
     jw, yw = jv(nu, w), yv(nu, w)
     # Z_nu'(w) = Z_(nu-1)(w) - (nu/w) Z_nu(w); dw/dz = (k/2) w / z.

@@ -61,6 +61,7 @@ __all__ = [
     "GridAxis",
     "ScanResult",
     "leg",
+    "legs",
     "build_cycle",
     "build_cycles",
     "cycle_gain",
@@ -137,42 +138,56 @@ def _check_leg_args(family: str, v: float, k: float, method: str = "closed") -> 
         raise DomainError(f"method must be closed or ode, got {method!r}")
 
 
-def leg(family: str, v: float, lam: float, k: float = -2.0, method: str = "closed") -> EvolutionMatrix:
-    """Evolution matrix of one leg of a family from omega = 1 to omega = 1/lam.
-
-    v is the rate magnitude; its sign is chosen so the family's running
-    scale reaches its turning value: lam itself for inverse-linear,
-    z = lam^(-2/(k-2)) for power-law and z = 1/lam for exponential.
-    method "closed" evaluates the closed form, "ode" integrates the profile.
-    """
-    _check_leg_args(family, v, k, method)
-    if method == "ode":
-        return propagate_ode(*_leg_profile(family, v, lam, k))
+def _leg_end(family: str, v: float, lam: float, k: float) -> Tuple[type, float, float]:
+    """(profile type, rate, end) of a leg of a family from omega = 1 to 1/lam:
+    end is the running scale at the turn (lam for inverse-linear, lam^(-2/(k-2))
+    for power-law, 1/lam for exponential) and the rate is v, signed to reach it."""
+    if not lam > 0.0:
+        raise DomainError(f"lambda must be positive, got {lam!r}")
     if family == "inverse-linear":
-        return propagate_inverse_linear(1.0, v if lam > 1.0 else -v, lam)
-    if family == "power-law":
-        z_t = lam ** (-2.0 / (k - 2.0))
-        return propagate_power_law(k, v if z_t > 1.0 else -v, z_t)
-    if family == "exponential":
-        z_t = 1.0 / lam
-        return propagate_exponential(v if z_t > 1.0 else -v, z_t)
-    raise DomainError(f"family {family!r} has no single-leg form")
+        cls, end = InverseLinear, lam
+    elif family == "power-law":
+        try:
+            cls, end = PowerLaw, lam ** (-2.0 / (k - 2.0))
+        except OverflowError:
+            raise DomainError(f"lambda^(-2/(k-2)) overflows at lambda = {lam!r}, k = {k!r}") from None
+    elif family == "exponential":
+        cls, end = Exponential, 1.0 / lam
+    else:
+        raise DomainError(f"family {family!r} has no single-leg form")
+    return cls, (v if end > 1.0 else -v), end
+
+
+def _closed_leg(cls: type, v: float, end: float, omega0: float, k: float) -> EvolutionMatrix:
+    """Closed form of the family profile cls of rate v (omega0, k if it has them) run to scale end."""
+    if cls is InverseLinear:
+        return propagate_inverse_linear(omega0, v, end)
+    if cls is PowerLaw:
+        return propagate_power_law(k, v, end)
+    return propagate_exponential(v, end)
 
 
 def _leg_profile(family: str, v: float, lam: float, k: float) -> Tuple[FrequencyProfile, float]:
     """The profile that leg(family, v, lam, k, "ode") integrates, and its duration."""
-    if family == "inverse-linear":
-        prof = InverseLinear(1.0, v if lam > 1.0 else -v)
-        return prof, prof.t_for_scale(lam)
-    if family == "power-law":
-        z_t = lam ** (-2.0 / (k - 2.0))
-        prof = PowerLaw(k, v if z_t > 1.0 else -v)
-        return prof, prof.t_for_z(z_t)
-    if family == "exponential":
-        z_t = 1.0 / lam
-        prof = Exponential(v if z_t > 1.0 else -v)
-        return prof, prof.t_for_z(z_t)
-    raise DomainError(f"family {family!r} has no single-leg form")
+    cls, rate, end = _leg_end(family, v, lam, k)
+    prof = PowerLaw(k, rate) if cls is PowerLaw else cls(v=rate)
+    return prof, prof.t_for_scale(end)
+
+
+def legs(runs: Sequence[Tuple[str, float, float, float]], method: str = "closed") -> List[EvolutionMatrix]:
+    """leg of each run (family, v, lam, k); with method "ode" the runs are
+    integrated together, as one batch."""
+    for family, v, _, k in runs:
+        _check_leg_args(family, v, k, method)
+    if method == "closed":
+        return [_closed_leg(*_leg_end(*run), 1.0, run[3]) for run in runs]
+    profiles = [_leg_profile(*run) for run in runs]
+    return propagate_ode_batch([p for p, _ in profiles], [t for _, t in profiles])
+
+
+def leg(family: str, v: float, lam: float, k: float = -2.0, method: str = "closed") -> EvolutionMatrix:
+    """One leg of a family from omega = 1 to omega = 1/lam (see _leg_end); method "ode" integrates it."""
+    return legs([(family, v, lam, k)], method)[0]
 
 
 def _reversed(s: EvolutionMatrix) -> EvolutionMatrix:
@@ -189,15 +204,12 @@ def _segment(prof: FrequencyProfile, dur: float) -> Optional[EvolutionMatrix]:
         return None if base is None else _reversed(base)
     if not isinstance(prof, (InverseLinear, Exponential, PowerLaw)):
         return None
-    if not abs(prof.v) >= _SLOW_RATE * prof.omega(0.0):
+    omega0 = prof.omega(0.0)
+    if not abs(prof.v) >= _SLOW_RATE * omega0:
         return None
-    if isinstance(prof, InverseLinear):
-        return propagate_inverse_linear(prof.omega0, prof.v, 1.0 + prof.v * dur)
-    if isinstance(prof, Exponential):
-        return propagate_exponential(prof.v, math.exp(prof.v * dur))
-    if prof.omega0 != 1.0 or abs(1.0 / prof.k) > MAX_BESSEL_ORDER:
+    if isinstance(prof, PowerLaw) and (prof.omega0 != 1.0 or abs(1.0 / prof.k) > MAX_BESSEL_ORDER):
         return None
-    return propagate_power_law(prof.k, prof.v, 1.0 + prof.v * dur)
+    return _closed_leg(type(prof), prof.v, prof.scale(dur), omega0, getattr(prof, "k", 0.0))
 
 
 def _closed_piecewise(profile: FrequencyProfile, duration: float) -> Optional[EvolutionMatrix]:
@@ -222,13 +234,12 @@ def _closed_cycle(spec: CycleSpec) -> Optional[EvolutionMatrix]:
     u = spec.v / spec.omega0  # normalized rate; gain is invariant under this rescaling
     if lam == 1.0:
         return EvolutionMatrix.identity()
-    if spec.family == "inverse-linear":
-        u_out = u if lam > 1.0 else -u
-        out = propagate_inverse_linear(1.0, u_out, lam)
-        back = propagate_inverse_linear(1.0 / lam, -u_out, 1.0 / lam)
-        return compose(back, out)
-    # the return leg is the outbound profile run backwards
-    out = leg(spec.family, u, lam, spec.k)
+    if spec.family != "inverse-linear":  # u may leave the float range; inverse-linear takes u = inf
+        _check_leg_args(spec.family, u, spec.k)
+    cls, rate, end = _leg_end(spec.family, u, lam, spec.k)
+    out = _closed_leg(cls, rate, end, 1.0, spec.k)
+    if cls is InverseLinear:  # the return leg of the module docstring, from omega0 = 1/lam
+        return compose(_closed_leg(cls, -rate, 1.0 / lam, 1.0 / lam, spec.k), out)
     return compose(_reversed(out), out)
 
 

@@ -65,12 +65,51 @@ class FrequencyProfile:
             raise DomainError(f"t_final = {t_final!r} beyond the domain [0, {duration!r}]")
 
 
+class _RateFamily(FrequencyProfile):
+    """A family profile of rate v whose running scale scale(t) starts at 1;
+    _SCALE and _TARGET word its messages."""
+
+    _SCALE, _TARGET = "z", "z_final = {!r}"
+
+    def t_for_scale(self, s: float) -> float:
+        """Time at which the running scale reaches s."""
+        if not s > 0.0:
+            raise DomainError(f"{self._SCALE}_final must be positive, got {s!r}")
+        if self.v == 0.0:
+            if s == 1.0:
+                return 0.0
+            raise DomainError(f"v = 0 profile never leaves {self._SCALE} = 1")
+        t = self._elapsed(s) / self.v
+        if t < 0.0:
+            raise DomainError(f"{self._TARGET.format(s)} is not reachable with rate v = {self.v!r}")
+        return t
+
+
+class _LinearRate(_RateFamily):
+    """A family whose running scale 1 + v t must stay positive."""
+
+    _VANISHING = "z = 1 + v t"
+
+    def scale(self, t: float) -> float:
+        return 1.0 + self.v * t
+
+    def _elapsed(self, s: float) -> float:  # v t at scale s
+        return s - 1.0
+
+    def check_domain(self, t_final: float) -> None:
+        super().check_domain(t_final)
+        if self.scale(t_final) <= 0.0:
+            raise DomainError(f"{self._VANISHING} vanishes before t_final = {t_final!r} (v = {self.v!r})")
+
+
 @dataclass(frozen=True)
-class InverseLinear(FrequencyProfile):
+class InverseLinear(_LinearRate):
     """omega(t) = omega0 / (1 + v t); the scale lambda(t) = 1 + v t."""
 
     omega0: float = 1.0
     v: float = 1.0
+
+    _SCALE, _TARGET, _VANISHING = "lambda", "scale {!r}", "1 + v t"
 
     def __post_init__(self) -> None:
         if not self.omega0 > 0.0:
@@ -82,29 +121,9 @@ class InverseLinear(FrequencyProfile):
     def omega_sq(self, t: float) -> float:
         return self.omega(t) ** 2
 
-    def t_for_scale(self, lam: float) -> float:
-        """Time at which 1 + v t = lam."""
-        if self.v == 0.0:
-            if lam == 1.0:
-                return 0.0
-            raise DomainError("v = 0 profile never leaves lambda = 1")
-        t = (lam - 1.0) / self.v
-        if t < 0.0:
-            raise DomainError(
-                f"scale {lam!r} is not reachable with rate v = {self.v!r}"
-            )
-        return t
-
-    def check_domain(self, t_final: float) -> None:
-        super().check_domain(t_final)
-        if 1.0 + self.v * t_final <= 0.0:
-            raise DomainError(
-                f"1 + v t vanishes before t_final = {t_final!r} (v = {self.v!r})"
-            )
-
 
 @dataclass(frozen=True)
-class PowerLaw(FrequencyProfile):
+class PowerLaw(_LinearRate):
     """omega(t)^2 = omega0^2 z^(k-2) with z = 1 + v t.
 
     k = 2 is a constant frequency; k = 0 would reproduce the inverse-linear
@@ -126,30 +145,11 @@ class PowerLaw(FrequencyProfile):
         z = 1.0 + self.v * t
         return self.omega0**2 * z ** (self.k - 2.0)
 
-    def t_for_z(self, z_final: float) -> float:
-        if not z_final > 0.0:
-            raise DomainError(f"z_final must be positive, got {z_final!r}")
-        if self.v == 0.0:
-            if z_final == 1.0:
-                return 0.0
-            raise DomainError("v = 0 profile never leaves z = 1")
-        t = (z_final - 1.0) / self.v
-        if t < 0.0:
-            raise DomainError(
-                f"z_final = {z_final!r} is not reachable with rate v = {self.v!r}"
-            )
-        return t
-
-    def check_domain(self, t_final: float) -> None:
-        super().check_domain(t_final)
-        if 1.0 + self.v * t_final <= 0.0:
-            raise DomainError(
-                f"z = 1 + v t vanishes before t_final = {t_final!r} (v = {self.v!r})"
-            )
+    t_for_z = _RateFamily.t_for_scale
 
 
 @dataclass(frozen=True)
-class Exponential(FrequencyProfile):
+class Exponential(_RateFamily):
     """omega(t) = exp(v t); z = exp(v t) plays the role of the running scale."""
 
     v: float
@@ -160,19 +160,9 @@ class Exponential(FrequencyProfile):
     def omega_sq(self, t: float) -> float:
         return math.exp(2.0 * self.v * t)
 
-    def t_for_z(self, z_final: float) -> float:
-        if not z_final > 0.0:
-            raise DomainError(f"z_final must be positive, got {z_final!r}")
-        if self.v == 0.0:
-            if z_final == 1.0:
-                return 0.0
-            raise DomainError("v = 0 profile never leaves z = 1")
-        t = math.log(z_final) / self.v
-        if t < 0.0:
-            raise DomainError(
-                f"z_final = {z_final!r} is not reachable with rate v = {self.v!r}"
-            )
-        return t
+    scale = omega  # the running scale z = exp(v t)
+    _elapsed = staticmethod(math.log)  # v t at scale z
+    t_for_z = _RateFamily.t_for_scale
 
 
 @dataclass(frozen=True)

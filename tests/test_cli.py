@@ -110,8 +110,8 @@ class TestPropagate:
     ])
     def test_ode_v_grid_is_one_batch_with_the_bits_of_each_leg(self, capsys, monkeypatch, family, lam, k):
         calls = []
-        batch = cli.propagate_ode_batch
-        monkeypatch.setattr(cli, "propagate_ode_batch", lambda *a: calls.append(a) or batch(*a))
+        batch = cyclosc.cycles.propagate_ode_batch
+        monkeypatch.setattr(cyclosc.cycles, "propagate_ode_batch", lambda *a: calls.append(a) or batch(*a))
         doc = run_json(capsys, "propagate", "--method", "ode", "--family", family,
                        "--v-grid", "0.1:30:20:log", "--lambda", repr(lam), "--k", repr(k))
         assert len(calls) == 1 and len(calls[0][0]) == 20
@@ -366,6 +366,83 @@ class TestDeterminism:
         "1,1000,18,1285.4831392697442,1.2141843086510562e-11,\n"
         "1,1000,20,98.141653222057101,1.5130008357289171e-11,\n"
     )
+
+    # Bessel-family runs: NaN rows from compose's checks and from a
+    # degenerate Bessel frame, an omega0 axis, a cycle and a v-grid of legs
+    BESSEL = {
+        "power-scan": (
+            ["scan", "--family", "power", "--k", "-3", "--v-grid", "1e-150:1e150:3:log",
+             "--lambda-grid", "1e-10:1e10:2:log", "--cycles", "2"],
+            f"#cyclosc {__version__} scan cycles=2 family=power-law k=-3\n"
+            "omega0,lambda,v,gain,det_error,note\n"
+            "1,1e-10,1e-150,nan,nan,compose: det = 0.038848212045467054 deviates from 1 by "
+            "0.9611517879545329 (tolerance 3.8848212045467054e-08)\n"
+            "1,1e-10,1,1.0938248202371099,2.2204460492503131e-16,\n"
+            "1,1e-10,9.9999999999999998e+149,1.3108431858800925e+284,1,\n"
+            "1,10000000000,1e-150,nan,nan,compose: det = 2.1842513182622136 deviates from 1 by "
+            "1.1842513182622136 (tolerance 2.1842513182622137e-06)\n"
+            "1,10000000000,1,12427696867102858,0,\n"
+            "1,10000000000,9.9999999999999998e+149,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n",
+        ),
+        "exponential-scan": (
+            ["scan", "--family", "exponential", "--v-grid", "1e-150:10:3:log",
+             "--lambda-grid", "0.2:5:2:log", "--omega0-grid", "0.5:2:2", "--cycles", "2"],
+            f"#cyclosc {__version__} scan cycles=2 family=exponential k=-2\n"
+            "omega0,lambda,v,gain,det_error,note\n"
+            "0.5,0.20000000000000001,1e-150,nan,nan,the Bessel frame is degenerate: its Wronskian evaluates to 0\n"
+            "0.5,0.20000000000000001,3.1622776601683794e-75,nan,nan,"
+            "the Bessel frame is degenerate: its Wronskian evaluates to 0\n"
+            "0.5,0.20000000000000001,10,2.7134581038223113,1.9984014443252818e-15,\n"
+            "0.5,5,1e-150,nan,nan,the Bessel frame is degenerate: its Wronskian evaluates to 0\n"
+            "0.5,5,3.1622776601683794e-75,nan,nan,the Bessel frame is degenerate: its Wronskian evaluates to 0\n"
+            "0.5,5,10,1.025294083727929,1.9984014443252818e-15,\n"
+            "2,0.20000000000000001,1e-150,nan,nan,the Bessel frame is degenerate: its Wronskian evaluates to 0\n"
+            "2,0.20000000000000001,3.1622776601683794e-75,nan,nan,"
+            "the Bessel frame is degenerate: its Wronskian evaluates to 0\n"
+            "2,0.20000000000000001,10,2.297706830843798,4.4408920985006262e-16,\n"
+            "2,5,1e-150,nan,nan,the Bessel frame is degenerate: its Wronskian evaluates to 0\n"
+            "2,5,3.1622776601683794e-75,nan,nan,the Bessel frame is degenerate: its Wronskian evaluates to 0\n"
+            "2,5,10,1.3547471014206711,0,\n",
+        ),
+        "power-cycle": (
+            ["cycle", "--family", "power", "--k", "-3"],
+            f"#cyclosc {__version__} cycle cycles=1 family=power-law k=-3\n"
+            "v,lambda,omega0,a,b,c,d,det_error,gain\n"
+            "1,2,1,0.8947547282321402,0.62047371287237485,-0.32138988674165836,0.8947547282321402,"
+            "1.1102230246251565e-16,1.0447255675264941\n",
+        ),
+        "exponential-legs": (
+            ["propagate", "--family", "exponential", "--v-grid", "0.1:3:5", "--lambda", "0.3"],
+            f"#cyclosc {__version__} propagate family=exponential method=closed state_n=0\n"
+            "v,lambda,omega_final,a,b,c,d,det_error,final_energy\n"
+            "0.10000000000000001,0.29999999999999999,3.3333333333333335,-0.14619876306107576,"
+            "-0.53417143683151191,1.7704173652926265,-0.37136847845625343,0,1.6700541658835675\n"
+            "0.82499999999999996,0.29999999999999999,3.3333333333333335,-0.4908293796385127,"
+            "0.13510049396443358,-0.93452357292285215,-1.7801407982550146,2.2204460492503131e-16,"
+            "1.7304634018950156\n"
+            "1.55,0.29999999999999999,3.3333333333333335,0.32703829254227235,0.5091855340059056,"
+            "-2.2253118710739082,-0.4069756246823758,0,2.2966992785176954\n"
+            "2.2749999999999999,0.29999999999999999,3.3333333333333335,0.65671544023728845,"
+            "0.4392210053452778,-1.8744963791837923,0.26903862006803408,1.1102230246251565e-16,"
+            "2.6303914497280152\n"
+            "3,0.29999999999999999,3.3333333333333335,0.79568546267263862,0.36117870680551112,"
+            "-1.530210304864922,0.56218272412054515,2.2204460492503131e-16,2.7854132863210221\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BESSEL))
+    def test_bessel_family_runs_match_golden_bytes(self, capsys, name):
+        argv, golden = self.BESSEL[name]
+        assert run(capsys, *argv) == (0, golden, "")
+
+    @pytest.mark.parametrize("grid, k, lam, note", [
+        ("1:2:2", "1.9", "1e300", "lambda^(-2/(k-2)) overflows"),
+        ("5e-324:5e-324:2", "-0.1", "2", "is not a positive float"),
+    ])
+    def test_power_law_range_failures_are_nan_rows(self, capsys, grid, k, lam, note):
+        doc = run_json(capsys, "scan", "--family", "power", "--k", k, "--lambda", lam, "--v-grid", grid)
+        assert all(math.isnan(g) for g in column(doc, "gain"))
+        assert all(note in e for e in column(doc, "note"))
 
     @pytest.mark.filterwarnings("error")
     def test_many_cycles_match_golden_bytes_without_warnings(self, capsys):
@@ -681,6 +758,12 @@ class TestErrorPromise:
         (("spectrum", "--lambda", "1e200"), 3),
         (("spectrum", "--temperature", "1e300"), 3),
         (("spectrum", "--temperature", "1e-310"), 3),
+        # a power-law turning scale or Bessel argument beyond the float range
+        (("cycle", "--family", "power", "--k", "1.9", "--lambda", "1e300"), 3),
+        (("propagate", "--family", "power", "--k", "1.9", "--lambda", "1e300"), 3),
+        (("propagate", "--family", "power", "--k", "1.9", "--lambda", "1e300", "--method", "ode"), 3),
+        (("cycle", "--family", "power", "--k", "-0.1", "--v", "5e-324", "--lambda", "2"), 3),
+        (("propagate", "--family", "power", "--k", "-0.1", "--v", "5e-324", "--lambda", "2"), 3),
     ]
 
     @pytest.mark.parametrize(

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 import cyclosc.closed_form
 from cyclosc import (
     DomainError,
+    EvolutionMatrix,
     StationaryState,
+    SymplecticError,
     asymptotic_energy,
     energy_inverse_linear,
     exponent_pair,
@@ -175,6 +177,43 @@ class TestPowerLaw:
         s = propagate_power_law(k, v, z_final)
         e = final_energy(s, StationaryState(0), 1.0 / lam)
         assert e == pytest.approx(25.25, rel=2e-4)
+
+
+    # magnitudes from the smallest subnormal to near the largest float
+    EXTREMES = (5e-324, 1e-300, 1e-150, 1e-10, 0.5, 1.0, 2.0, 1e10, 1e150, 1e300, 1.7e308)
+
+    @pytest.mark.parametrize("k", [1e300, -1e300, 50.0, -50.0, -4.0, 0.1, -0.1, 1.0, 3.0])
+    def test_extreme_arguments_raise_only_typed_errors(self, k):
+        # k v or z^(k/2) leaving the float range is a DomainError, not a
+        # ZeroDivisionError or OverflowError
+        for v in self.EXTREMES + tuple(-m for m in self.EXTREMES):
+            for z in self.EXTREMES:
+                try:
+                    with np.errstate(all="ignore"):
+                        s = propagate_power_law(k, v, z)
+                except (DomainError, SymplecticError):
+                    continue
+                assert isinstance(s, EvolutionMatrix)
+
+    @pytest.mark.parametrize("k, v, z, entries", [
+        (-4.0, 0.5, 2.0, (0.41886731314788034, 1.813704531167164, -0.35647272870324004, 0.8438562418658362)),
+        (3.0, -2.0, 0.5, (0.9740612539325618, 0.24805142337378047, -0.1860710107636567, 0.9792452138718528)),
+        (-0.1, 1e-10, 1e10, (-176648.33337283498, 20448.543191700843, -6.466397138151704e-07,
+                             -5.586110783167619e-06)),
+        (0.1, -0.5, 1e-150, (5.209319987068916e-08, 8.4612958371932e-08, -1.1566653967154282e+128,
+                             -1.8787266150951846e+128)),
+        (-50.0, 1e-300, 1e10, (-7.53014827157423e+129, -1.2710400598485265e+113, -8.514065999811551e-147,
+                               -7.53014827157423e-131)),
+    ])
+    def test_extreme_valid_points_keep_their_bits(self, k, v, z, entries):
+        s = propagate_power_law(k, v, z)
+        assert (s.a, s.b, s.c, s.d) == entries
+
+    @pytest.mark.parametrize("k, v, z", [(-0.1, 5e-324, 2.0), (-1e300, 5e-324, 2.0), (3.0, 1e-300, 1e300),
+                                         (-1e300, -5e-324, 5e-324), (1.0, 1e-300, 1e20)])
+    def test_bessel_argument_out_of_range_is_a_domain_error(self, k, v, z):
+        with pytest.raises(DomainError, match="is not a positive float"):
+            propagate_power_law(k, v, z)
 
 
 class TestExponential:

@@ -43,7 +43,7 @@ from cyclosc import (
     random_piecewise_cycle,
     scan_gain,
 )
-from cyclosc.cycles import leg
+from cyclosc.cycles import leg, legs
 from oracles import inverse_linear_cycle_gain_mp
 
 TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
@@ -192,6 +192,22 @@ class TestLeg:
         energy = final_energy(s, StationaryState(0), 1.0 / lam)
         assert energy == pytest.approx(asymptotic_energy(lam), rel=1e-6)
 
+    MIXED = [("inverse-linear", 0.8, 3.0, -2.0), ("power-law", 0.5, 0.4, -3.0),
+             ("exponential", 1.5, 2.5, -2.0), ("power-law", 0.8, 2.5, 3.0), ("inverse-linear", 2.0, 0.4, -2.0)]
+
+    def test_mixed_families_integrate_as_one_batch_with_the_bits_of_each_leg(self, monkeypatch):
+        calls = []
+        batch = cyclosc.cycles.propagate_ode_batch
+        monkeypatch.setattr(cyclosc.cycles, "propagate_ode_batch", lambda *a: calls.append(a) or batch(*a))
+        together = legs(self.MIXED, "ode")
+        assert len(calls) == 1 and len(calls[0][0]) == len(self.MIXED)
+        for run, s in zip(self.MIXED, together):
+            assert s == leg(*run, "ode")
+
+    def test_closed_legs_are_each_leg(self):
+        assert legs(self.MIXED) == [leg(*run) for run in self.MIXED]
+        assert legs([]) == [] and legs([], "ode") == []
+
     @pytest.mark.parametrize("family,v,k,method", [
         ("power-law", 1.0, 2.0, "closed"),
         ("power-law", 1.0, 0.0, "ode"),
@@ -202,6 +218,13 @@ class TestLeg:
     def test_rejects_bad_arguments(self, family, v, k, method):
         with pytest.raises(DomainError):
             leg(family, v, 2.0, k, method)
+
+    @pytest.mark.parametrize("family", ["inverse-linear", "power-law", "exponential"])
+    @pytest.mark.parametrize("lam", [0.0, -2.0])
+    @pytest.mark.parametrize("method", ["closed", "ode"])
+    def test_rejects_a_scale_that_is_not_positive(self, family, lam, method):
+        with pytest.raises(DomainError, match="lambda must be positive"):
+            leg(family, 1.0, lam, -3.0, method)
 
 
 class TestClosedPiecewise:

@@ -175,6 +175,33 @@ class TestProfileDomain:
         with pytest.raises(DomainError, match=r"beyond the domain \[0, 2.0\]"):
             propagate_ode(prof, 2.1)
 
+    def test_scale_behind_a_pole_is_refused(self):
+        # 1 + v t = -1 at t = 2, past the pole at t = 1; exp(v t) is never -1
+        for t_for in (InverseLinear(1.0, -1.0).t_for_scale, PowerLaw(-3.0, -1.0).t_for_z,
+                      Exponential(-1.0).t_for_z):
+            with pytest.raises(DomainError, match="must be positive"):
+                t_for(-1.0)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: InverseLinear(1.0, -1.0).check_domain(2.0), "1 + v t vanishes before t_final = 2.0 (v = -1.0)"),
+        (lambda: PowerLaw(-3.0, -1.0).check_domain(2.0), "z = 1 + v t vanishes before t_final = 2.0 (v = -1.0)"),
+        (lambda: InverseLinear(1.0, 1.0).t_for_scale(0.5), "scale 0.5 is not reachable with rate v = 1.0"),
+        (lambda: PowerLaw(-3.0, 1.0).t_for_z(0.5), "z_final = 0.5 is not reachable with rate v = 1.0"),
+        (lambda: Exponential(1.0).t_for_z(0.5), "z_final = 0.5 is not reachable with rate v = 1.0"),
+        (lambda: InverseLinear(1.0, 0.0).t_for_scale(2.0), "v = 0 profile never leaves lambda = 1"),
+        (lambda: PowerLaw(-3.0, 0.0).t_for_z(2.0), "v = 0 profile never leaves z = 1"),
+        (lambda: PowerLaw(-3.0, 1.0).t_for_z(0.0), "z_final must be positive, got 0.0"),
+    ])
+    def test_each_family_words_its_domain_errors(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_time_to_scale_inverts_the_running_scale(self):
+        for prof, s in ((InverseLinear(1.0, 0.5), 3.0), (PowerLaw(-3.0, -0.25), 0.75),
+                        (Exponential(0.5), 3.0), (Exponential(-2.0), 0.75)):
+            assert prof.scale(prof.t_for_scale(s)) == pytest.approx(s, rel=1e-15)
+
     def test_profile_without_duration_is_unbounded(self):
         for prof in (InverseLinear(1.0, 0.5), PowerLaw(-3.0, 0.5), Exponential(0.5), Custom(math.cos)):
             prof.check_domain(1e6)

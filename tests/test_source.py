@@ -87,6 +87,21 @@ def test_det_tolerance_is_referenced_only_in_core():
             assert not imports or path.stem == "__init__", path.name
 
 
+def test_each_closed_form_is_called_only_from_the_leg_dispatcher():
+    # the family -> closed form choice is written once, in cycles._closed_leg
+    names = ["propagate_exponential", "propagate_inverse_linear", "propagate_power_law"]
+    tree = ast.parse((PACKAGE / "cycles.py").read_text(encoding="utf-8"))
+    dispatcher = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_closed_leg")
+
+    def calls(root):
+        return sorted(
+            node.func.id for node in ast.walk(root)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+        )
+
+    assert calls(tree) == calls(dispatcher) == names
+
+
 # library names a submodule exports that the package does not re-export
 NOT_REEXPORTED = {("cycles", "leg")}
 
