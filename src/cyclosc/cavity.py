@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError
-from .ode import DEFAULT_CONFIG, IntegratorConfig, _integrate
+from .ode import DEFAULT_CONFIG, IntegratorConfig, _run_lanes
 from .profiles import LaneMap, _pow_each
 
 # Not called here, but bench/tracing.py wraps this name in this module.
@@ -95,26 +95,6 @@ class MultimodeBogoliubov:
         return float(max(e1, e2))
 
 
-class _Modes:
-    """The 2N x 2N fundamental matrices of H, one lane per coupling, q rows
-    over p rows: dS/dt = [[0, 1], [-W(t), 0]] S (an ode.LinearSystem)."""
-
-    def __init__(self, couplings: Sequence[Callable[[float], np.ndarray]], n: int) -> None:
-        self.coupling = LaneMap(couplings)
-        self.n = n
-
-    def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> tuple:
-        h = h[:, None, None]
-        return self.coupling(t, lanes) * -h, h
-
-    def rhs(self, terms: tuple, s: int, y: np.ndarray, out: np.ndarray) -> None:
-        hw, h = terms
-        n = self.n
-        m, dm = y.reshape(-1, 2 * n, 2 * n), out.reshape(-1, 2 * n, 2 * n)
-        np.multiply(m[:, n:], h, out=dm[:, :n])
-        np.matmul(hw[s], m[:, :n], out=dm[:, n:])
-
-
 def _endpoints(coupling: Callable[[float], np.ndarray], t_final: float) -> Tuple[np.ndarray, np.ndarray]:
     """The diagonals of coupling(0) and coupling(t_final), checked to be
     squared frequencies of well-defined modes."""
@@ -173,14 +153,10 @@ def multimode_from_hamiltonian_batch(
         by_size.setdefault(w_start.size, []).append(i)
     out: List[MultimodeBogoliubov] = [None] * len(couplings)  # type: ignore[list-item]
     for n, lanes in by_size.items():
-        w0 = [math.sqrt(float(np.max(ends[i][0]))) for i in lanes]
-        y = _integrate(
-            _Modes([couplings[i] for i in lanes], n),
-            np.tile(np.eye(2 * n).ravel(), (len(lanes), 1)),
-            np.zeros(len(lanes)), np.array([t_finals[i] for i in lanes], dtype=float),
-            np.array(w0), cfg,
+        y = _run_lanes(
+            LaneMap([couplings[i] for i in lanes]), n, 2 * n, [t_finals[i] for i in lanes], cfg
         )
-        for i, s in zip(lanes, y.reshape(-1, 2 * n, 2 * n)):
+        for i, s in zip(lanes, y):
             out[i] = _mode_map(s, *ends[i])
     return out
 

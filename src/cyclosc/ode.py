@@ -1,29 +1,33 @@
-"""Adaptive Runge-Kutta propagation of the fundamental-solution system.
+"""Adaptive Runge-Kutta propagation of linear oscillator systems.
 
 This is the route that does not know about Bessel functions or power
-exponents: it integrates
+exponents.  Every integration here is one system, q'' = -W(t) q, with W a
+squared frequency omega(t)^2 for one oscillator or an N x N coupling matrix
+for N of them.  A lane holds Y = [Q; P], the positions over the velocities
+of a few solutions, and obeys dY/dt = G(t) Y with G = [[0, 1], [-W(t), 0]]:
 
-    dq/dt = p,    dp/dt = -omega(t)^2 q (+ kappa(t) for the forced case)
+- a Hill lane carries the fundamental solutions (1, 0) and (0, 1), and the
+  evolution matrix is read off its final value;
+- a forced lane adds the solution driven by kappa(t) from rest;
+- a multimode lane (cyclosc.cavity) carries all 2N fundamental solutions.
 
-for the two fundamental initial conditions (1, 0) and (0, 1) at once and
-reads the evolution matrix off the final values.  Used both as a
-general-purpose propagator (piecewise/tabulated profiles) and as the
-independent oracle the closed forms are checked against.
+Used both as a general-purpose propagator (piecewise/tabulated profiles)
+and as the independent oracle the closed forms are checked against.
 
 The integrator is Dormand and Prince's DOP853 (Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, Sec. II.10) with the step
 control of scipy's solve_ivp, run over a batch of independent lanes.  A
-lane is one initial value problem with its own start, end and step size,
-and its own accept/reject decisions; each Runge-Kutta stage is one array
-operation over the lanes still running, and a lane leaves the batch when
-it reaches its end.  A batch of one is the plain integrator.
+lane is one initial value problem from t = 0 with its own end and step
+size, and its own accept/reject decisions; each Runge-Kutta stage is one
+array operation over the lanes still running, and a lane leaves the batch
+when it reaches its end.  A batch of one is the plain integrator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Protocol, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -185,9 +189,9 @@ def _stage_views(X: np.ndarray, rows: np.ndarray) -> list:
 class BatchSolution:
     """Final state of every lane, and what the integration cost.
 
-    t holds the first lane's start, then the end of each accepted lane step
-    in the order taken, so len(t) - 1 counts accepted steps; nfev counts
-    right-hand-side evaluations, one per lane per stage.
+    t holds the lanes' common start 0, then the end of each accepted lane
+    step in the order taken, so len(t) - 1 counts accepted steps; nfev
+    counts right-hand-side evaluations, one per lane per stage.
     """
 
     y: np.ndarray
@@ -195,50 +199,77 @@ class BatchSolution:
     nfev: int
 
 
-class LinearSystem(Protocol):
-    """dy/dt = L(t) y + g(t) for a batch of lanes, each y of shape (n,).
+class _Oscillators:
+    """Lanes of q'' = -W(t) q for n coordinates q, each lane a matrix
+    Y = [Q; P] of shape (2n, cols) with
 
-    terms(t, h, lanes) evaluates the time-dependent parts, times a step h
-    per lane, at the times t, shape (stages, m), of the m running lanes,
-    whose indices into the batch are the array `lanes`.  rhs(terms, s, y,
-    out) writes h dy/dt of those lanes, y of shape (m, n), at the times of
-    row s.  The terms of a step are evaluated together because they depend
-    on t alone.
+        dY/dt = G(t) Y,    G = [[0, 1], [-W(t), 0]],
+
+    plus kappa(t) in the velocity of the last column when drives are given.
+    W comes from one LaneMap: a squared frequency per lane for n = 1, an
+    n x n coupling matrix for n > 1.
+
+    terms(t, h, lanes) evaluates h G and h kappa, with a step h per lane, at
+    the times t, shape (stages, m), of the m running lanes, whose indices
+    into the batch are the array `lanes`.  rhs(terms, s, y, out) writes
+    h dY/dt of those lanes, y of shape (m, 2n, cols), at the times of row s.
+    For n = 1, h G Y = (h P, -h w Q) is Y with its rows swapped, times one
+    factor per row: one elementwise multiply instead of a matmul.
     """
 
-    def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> object: ...
+    def __init__(self, w: LaneMap, n: int, drive: Optional[LaneMap]) -> None:
+        self.w, self.n, self.drive = w, n, drive
 
-    def rhs(self, terms: object, s: int, y: np.ndarray, out: np.ndarray) -> None: ...
+    def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> tuple:
+        n, w = self.n, self.w(t, lanes)
+        if n == 1:
+            hg = np.empty(t.shape + (2, 1))
+            hg[..., 0, 0] = h
+            np.multiply(w.reshape(t.shape), -h, out=hg[..., 1, 0])
+        else:
+            hg = np.zeros(t.shape + (2 * n, 2 * n))
+            hg[..., range(n), range(n, 2 * n)] = h[:, None]
+            np.multiply(w, -h[:, None, None], out=hg[..., n:, :n])
+        return hg, None if self.drive is None else self.drive(t, lanes) * h
+
+    def rhs(self, terms: tuple, s: int, y: np.ndarray, out: np.ndarray) -> None:
+        hg, drive = terms
+        if self.n == 1:
+            np.multiply(y[:, ::-1], hg[s], out=out)
+        else:
+            np.matmul(hg[s], y, out=out)
+        if drive is not None:
+            out[:, -1, -1] += drive[s]
 
 
 def solve_ivp(
-    system: LinearSystem,
-    t_start: np.ndarray,
+    system: _Oscillators,
     t_final: np.ndarray,
     y0: np.ndarray,
     first_step: np.ndarray,
     cfg: IntegratorConfig,
 ) -> BatchSolution:
-    """Integrate each lane of y0, shape (L, n), from t_start to t_final.
+    """Integrate each lane of y0, shape (L, 2n, cols), from 0 to t_final.
 
     Each lane takes DOP853 steps under scipy's control: the error norm of
     the 5th-order estimator damped by the 3rd-order one, acceptance below
     1, the next step scaled by 0.9 err^(-1/8) within [0.2, 10] (at most 1
     right after a rejection), the last step cut to end exactly at t_final,
     and failure when a step falls below ten spacings of the floats at t.
-    A lane with t_final == t_start keeps y0.  Raises IntegrationError when
-    a step fails or a lane has not finished after cfg.max_steps attempts.
+    A lane with t_final == 0 keeps y0.  Raises IntegrationError when a step
+    fails or a lane has not finished after cfg.max_steps attempts.
     """
     y_final = np.array(y0, dtype=float)
-    lanes = np.flatnonzero(t_final != t_start)
-    t, t_end, h_abs = t_start[lanes], t_final[lanes], first_step[lanes]
-    m, n = lanes.size, y_final.shape[1]
-    times = [t_start[:1] if t_start.size else np.zeros(1)]
+    lanes = np.flatnonzero(t_final != 0.0)
+    t, t_end, h_abs = np.zeros(lanes.size), t_final[lanes], first_step[lanes]
+    lane = y_final.shape[1:]
+    m, n = lanes.size, math.prod(lane)
+    times = [np.zeros(1)]
     if m == 0:
         return BatchSolution(y_final, times[0], 0)
     rtol, atol = cfg.rtol, cfg.atol
     X = np.empty((14, m * n))
-    rows = X.reshape(14, m, n)
+    rows = X.reshape(14, m, *lane)
     rows[0] = y_final[lanes]
     # row 1 carries dy/dt at t from step to step, rescaled to each step's h
     h_row = np.ones(m)
@@ -258,17 +289,17 @@ def solve_ivp(
         h_abs = np.fmax(h_abs, min_step)
         t_new = np.minimum(t + h_abs, t_end)
         h = t_new - t
-        rows[1] *= (h / h_row)[:, None]
+        rows[1] *= (h / h_row)[:, None, None]
         h_row = h
         terms = system.terms(t + _C_STAGES * h, h, lanes)
         for s, (w, x, out) in enumerate(stages):
-            rhs(terms, s, (w @ x).reshape(m, n), out)
-        y_new = (_W_NEW @ X[:13]).reshape(m, n)
+            rhs(terms, s, (w @ x).reshape(out.shape), out)
+        y_new = (_W_NEW @ X[:13]).reshape(m, *lane)
         rhs(terms, 10, y_new, rows[13])  # stage 11 runs at c = 1, the time t + h
         nfev += 12 * m
 
         scale = atol + np.maximum(np.abs(rows[0]), np.abs(y_new)) * rtol
-        err = (_W_ERR @ X).reshape(2, m, n) / scale
+        err = (_W_ERR @ X).reshape(2, m, n) / scale.reshape(m, n)
         e5, e3 = (err * err).sum(axis=2)
         # the rows carry h, so this is scipy's |h| e5 / sqrt((e5 + e3 / 100) n);
         # _TINY only keeps 0 / 0 and 0^(-1/8) out, below where the factor caps at 10
@@ -302,98 +333,57 @@ def solve_ivp(
             )
             m = lanes.size
             X = rows[:, keep].reshape(14, m * n)  # rows[:, keep] is not C-ordered
-            rows = X.reshape(14, m, n)
+            rows = X.reshape(14, m, *lane)
             stages = _stage_views(X, rows)
     raise IntegrationError(f"integrator exceeded the step budget ({cfg.max_steps} steps)")
 
 
-def _integrate(
-    system: LinearSystem,
-    y0: np.ndarray,
-    t_start: np.ndarray,
-    t_final: np.ndarray,
-    omega_start: np.ndarray,
+def _run_lanes(
+    w: LaneMap,
+    n: int,
+    cols: int,
+    t_finals: Sequence[float],
     cfg: IntegratorConfig,
+    drive: Optional[LaneMap] = None,
 ) -> np.ndarray:
-    """Final states, shape (lanes, n), held to cfg's tolerances and step budget.
+    """Final Y, shape (lanes, 2n, cols), of _Oscillators lanes run over
+    [0, t_final], held to cfg's tolerances and step budget.
 
-    Each lane's first step is 0.1 / max(omega_start, 1), capped at its span.
+    Every lane starts from the first cols columns of I_2n: the fundamental
+    solutions (q, p) = (1, 0) and (0, 1), then the driven one at rest; all
+    of I_2n for n modes.  Its first step is 0.1 / max(omega, 1), capped at
+    its span, where omega^2 is the largest entry of W at t = 0.
     """
-    first = np.minimum(0.1 / np.maximum(omega_start, 1.0), t_final - t_start)
-    return solve_ivp(system, t_start, t_final, y0, first, cfg).y
+    t_final = np.array(t_finals, dtype=float)
+    size = t_final.size
+    y0 = np.broadcast_to(np.eye(2 * n, cols), (size, 2 * n, cols))
+    if not size:
+        return y0
+    w0 = w(np.zeros((1, size)), np.arange(size)).reshape(size, -1).max(axis=1)
+    first = np.minimum(0.1 / np.maximum(np.sqrt(np.maximum(w0, 0.0)), 1.0), t_final)
+    return solve_ivp(_Oscillators(w, n, drive), t_final, y0, first, cfg).y
 
 
-class _Hill:
-    """Lanes of k solutions of q'' = -omega(t)^2 q, the last one driven by
-    kappa(t) when kappas are given.
-
-    A lane holds q_1 .. q_k, then p_k .. p_1, so that the reversed lane sets
-    each p against its q: dy/dt = reversed(y) * (1 .. 1, -w2 .. -w2), plus
-    kappa in the slot of the driven solution's p.  omega^2 and kappa come
-    from one LaneMap each.
-    """
-
-    def __init__(
-        self,
-        profiles: Sequence[FrequencyProfile],
-        kappas: Optional[Sequence[Callable[[float], float]]],
-    ) -> None:
-        self.omega_sq = LaneMap(profiles, lambda profile: profile.omega_sq)
-        self.kappa = None if kappas is None else LaneMap(kappas)
-        self.k = 2 if kappas is None else 3
-
-    def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> tuple:
-        k = self.k
-        coef = np.empty(t.shape + (2 * k,))
-        coef[..., :k] = h[:, None]
-        np.multiply(self.omega_sq(t, lanes)[..., None], -h[:, None], out=coef[..., k:])
-        if self.kappa is None:
-            return coef, None
-        return coef, self.kappa(t, lanes) * h
-
-    def rhs(self, terms: tuple, s: int, y: np.ndarray, out: np.ndarray) -> None:
-        coef, drive = terms
-        np.multiply(y[:, ::-1], coef[s], out=out)
-        if drive is not None:
-            out[:, self.k] += drive[s]
+def _omega_sq(profiles: Sequence[FrequencyProfile]) -> LaneMap:
+    """W of Hill and forced lanes: omega^2 of one profile per lane."""
+    return LaneMap(profiles, lambda profile: profile.omega_sq)
 
 
-def _hill(
-    runs: Sequence[tuple],
-    kappas: Optional[Sequence[Callable[[float], float]]],
-    cfg: IntegratorConfig,
-) -> np.ndarray:
-    """Final lanes of each (profile, t_start, t_final) run, laid out as in _Hill.
-
-    The solutions start at (q, p) = (1, 0) and (0, 1), and the driven one at rest.
-    """
-    system = _Hill([profile for profile, _, _ in runs], kappas)
-    t_start = np.array([t0 for _, t0, _ in runs], dtype=float)
-    t_final = np.array([t1 for _, _, t1 in runs], dtype=float)
-    w0 = np.array([
-        math.sqrt(max(profile.omega_sq(t0), 0.0))
-        for (profile, _, _), t0 in zip(runs, t_start.tolist())
-    ])
-    y0 = np.zeros((len(runs), 2 * system.k))
-    y0[:, 0] = y0[:, -2] = 1.0
-    return _integrate(system, y0, t_start, t_final, w0, cfg)
-
-
-def _pieces(profile: FrequencyProfile, t_start: float, t_final: float):
-    """(profile, t_start, t_final) of each smooth piece of a run.
+def _pieces(profile: FrequencyProfile, t_final: float):
+    """(profile, t_final) of each smooth piece of a run over [0, t_final].
 
     A Piecewise profile is split at its breakpoints, each segment on its own
     clock: the smooth RK error model does not apply across an omega jump.
     """
     if not isinstance(profile, Piecewise):
-        yield profile, t_start, t_final
+        yield profile, t_final
         return
     edge = 0.0
     for prof, dur in profile.segments:
-        lo, hi = max(t_start - edge, 0.0), min(t_final - edge, dur)
-        if hi > lo:
+        hi = min(t_final - edge, dur)
+        if hi > 0.0:
             prof.check_domain(hi)
-            yield from _pieces(prof, lo, hi)
+            yield from _pieces(prof, hi)
         edge += dur
         if edge >= t_final:
             break
@@ -403,31 +393,26 @@ def propagate_ode_batch(
     profiles: Sequence[FrequencyProfile],
     t_finals: Sequence[float],
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-    *,
-    t_starts: Optional[Sequence[float]] = None,
 ) -> List[EvolutionMatrix]:
-    """Integrated evolution matrix of each profile over [t_start, t_final].
+    """Integrated evolution matrix of each profile over [0, t_final].
 
     All runs are integrated together, one lane each; a Piecewise profile
     takes one lane per segment and its matrix is their product, with exact
-    state handoff at the breakpoints.  t_starts defaults to 0 everywhere.
+    state handoff at the breakpoints.
     """
-    if t_starts is None:
-        t_starts = [0.0] * len(profiles)
-    if not len(profiles) == len(t_finals) == len(t_starts):
-        raise DomainError("need one t_final and one t_start per profile")
+    if len(profiles) != len(t_finals):
+        raise DomainError("need one t_final per profile")
     runs, owner = [], []
-    for i, (profile, t0, t1) in enumerate(zip(profiles, t_starts, t_finals)):
-        if t1 < t0:
-            raise DomainError(f"t_final = {t1!r} precedes t_start = {t0!r}")
-        profile.check_domain(t1)
-        for run in _pieces(profile, t0, t1):
+    for i, (profile, t_final) in enumerate(zip(profiles, t_finals)):
+        profile.check_domain(t_final)
+        for run in _pieces(profile, t_final):
             runs.append(run)
             owner.append(i)
     out: List[Optional[EvolutionMatrix]] = [
         EvolutionMatrix.identity() if isinstance(p, Piecewise) else None for p in profiles
     ]
-    for i, (q1, q2, p2, p1) in zip(owner, _hill(runs, None, cfg).tolist()):
+    y = _run_lanes(_omega_sq([p for p, _ in runs]), 1, 2, [t for _, t in runs], cfg)
+    for i, ((q1, q2), (p1, p2)) in zip(owner, y.tolist()):
         s = EvolutionMatrix(q1, q2, p1, p2)
         out[i] = s if out[i] is None else compose(s, out[i])
     return out  # type: ignore[return-value]
@@ -437,12 +422,10 @@ def propagate_ode(
     profile: FrequencyProfile,
     t_final: float,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-    *,
-    t_start: float = 0.0,
 ) -> EvolutionMatrix:
-    """Numerically integrated evolution matrix over [t_start, t_final]: a
-    batch of one (see propagate_ode_batch)."""
-    return propagate_ode_batch([profile], [t_final], cfg, t_starts=[t_start])[0]
+    """Numerically integrated evolution matrix over [0, t_final]: a batch
+    of one (see propagate_ode_batch)."""
+    return propagate_ode_batch([profile], [t_final], cfg)[0]
 
 
 def propagate_forced_batch(
@@ -470,10 +453,10 @@ def propagate_forced_batch(
                 f"kappa must vanish at both endpoints, got kappa(0) = {k0!r}, "
                 f"kappa(T) = {k1!r}"
             )
-    rows = _hill([(p, 0.0, t) for p, t in zip(profiles, t_finals)], kappas, cfg).tolist()
+    y = _run_lanes(_omega_sq(profiles), 1, 3, t_finals, cfg, LaneMap(kappas))
     return [
         ForcedResult(EvolutionMatrix(q1, q2, p1, p2), qc, pc)
-        for q1, q2, qc, pc, p2, p1 in rows
+        for (q1, q2, qc), (p1, p2, pc) in y.tolist()
     ]
 
 

@@ -189,11 +189,16 @@ class Piecewise(FrequencyProfile):
 
     def omega_sq(self, t: float) -> float:
         rem = t
-        for prof, dur in self.segments:
+        for prof, dur in self.segments[:-1]:
             if rem <= dur:
                 return prof.omega_sq(rem)
             rem -= dur
-        raise DomainError(f"t = {t!r} beyond the piecewise domain [0, {self.duration!r}]")
+        # the last segment takes every t that check_domain allows: subtracting
+        # the durations one at a time can leave rem past it at t = duration
+        if not t <= self.duration * (1.0 + 1e-12):
+            raise DomainError(f"t = {t!r} beyond the piecewise domain [0, {self.duration!r}]")
+        prof, dur = self.segments[-1]
+        return prof.omega_sq(min(rem, dur))
 
 
 @dataclass(frozen=True)

@@ -738,6 +738,27 @@ class TestVerify:
         assert column(doc, "status") == ["FAIL"]
 
 
+class TestIntegratedGoldens:
+    """Full stdout of the routes that run the ODE integrator, frozen bytes."""
+
+    GOLDEN = Path(__file__).resolve().parent / "golden"
+    RUNS = {
+        "verify_seed7.csv": ["verify", "--seed", "7"],
+        **{
+            f"propagate_ode_{family}.csv": [
+                "propagate", "--method", "ode", "--family", family, *extra,
+                "--v-grid", "0.1:3:7", "--lambda", "0.4",
+            ]
+            for family, extra in (("inverse-linear", []), ("power", ["--k", "-3"]), ("exponential", []))
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_output_matches_golden_bytes(self, capsys, name):
+        golden = (self.GOLDEN / name).read_text(encoding="utf-8")
+        assert run(capsys, *self.RUNS[name]) == (0, golden, "")
+
+
 class TestErrorPromise:
     """README: exit 2 or 3 with one JSON line on stderr; clean runs are silent."""
 

@@ -49,6 +49,7 @@ from cyclosc import (
     propagate_ode_batch,
     random_coupling,
     random_fourier_profile,
+    random_piecewise_cycle,
 )
 from cyclosc.profiles import LaneMap
 
@@ -85,15 +86,6 @@ class TestAgainstExactSolutions:
 
 
 class TestComposition:
-    def test_time_slicing(self):
-        prof = Exponential(0.4)
-        t1, t2 = 0.8, 2.0
-        full = propagate_ode(prof, t2, TIGHT)
-        first = propagate_ode(prof, t1, TIGHT)
-        second = propagate_ode(prof, t2, TIGHT, t_start=t1)
-        glued = compose(second, first)
-        assert np.max(np.abs(full.as_array() - glued.as_array())) < 1e-8
-
     def test_piecewise_handoff(self):
         # a jump in omega between segments must not lose canonical structure
         segs = ((InverseLinear(1.0, 1.0), 1.0), (Exponential(-0.5), 1.2))
@@ -133,10 +125,6 @@ class TestConfigAndErrors:
         # fails there, instead of running through the step budget
         with pytest.raises(IntegrationError, match="spacing between numbers"):
             propagate_ode(Custom(lambda t: math.nan, duration=1.0), 1.0)
-
-    def test_backwards_interval_rejected(self):
-        with pytest.raises(DomainError):
-            propagate_ode(InverseLinear(1.0, 1.0), 1.0, t_start=2.0)
 
     def test_domain_violation_rejected(self):
         # inverse-linear hits omega -> inf at t = -1/v for v < 0
@@ -220,6 +208,22 @@ class TestForced:
         assert np.max(np.abs(res.matrix.as_array() - plain.as_array())) < 1e-11
         assert res.qc == 0.0 and res.qc_dot == 0.0
 
+    def test_piecewise_cycles_take_their_own_duration(self):
+        # duration sums the segment durations, and omega_sq subtracts them one
+        # at a time: at t = duration the remainder can come out past the last
+        # segment, which must still take it (13 of these 40 cycles)
+        profs = [random_piecewise_cycle(np.random.default_rng(seed)) for seed in range(40)]
+        for prof in profs:
+            last, dur = prof.segments[-1]
+            assert prof.omega_sq(prof.duration) == pytest.approx(last.omega_sq(dur), rel=1e-12)
+            with pytest.raises(DomainError):
+                prof.omega_sq(prof.duration * (1.0 + 1e-9))
+        # forced lanes run across the breakpoints, so they agree only loosely
+        durations = [prof.duration for prof in profs]
+        forced = propagate_forced_batch(profs, [lambda t: 0.0] * len(profs), durations)
+        for res, plain in zip(forced, propagate_ode_batch(profs, durations)):
+            assert np.max(np.abs(res.matrix.as_array() - plain.as_array())) < 1e-6
+
     def test_resonant_kick_on_constant_frequency(self):
         # kappa = sin(t) on omega = 1 over one period: Q_c = (sin t - t cos t)/2
         t_end = 2.0 * math.pi
@@ -260,25 +264,25 @@ def test_integrated_results_are_python_floats():
     assert "np.float64" not in repr(gain) + repr(res)
 
 
-def _scipy_final(rhs, y0, t_start, t_final, omega_start, cfg):
+def _scipy_final(rhs, y0, t_final, omega_start, cfg):
     """Final state from scipy's DOP853 at cfg's tolerances and our first step."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     sol = scipy_solve_ivp(
-        rhs, (t_start, t_final), y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
-        first_step=min(0.1 / max(omega_start, 1.0), t_final - t_start),
+        rhs, (0.0, t_final), y0, method="DOP853", rtol=cfg.rtol, atol=cfg.atol,
+        first_step=min(0.1 / max(omega_start, 1.0), t_final),
     )
     assert sol.success
     return sol.y[:, -1]
 
 
-def _scipy_matrix(prof, t_final, cfg=DEFAULT_CONFIG, t_start=0.0):
+def _scipy_matrix(prof, t_final, cfg=DEFAULT_CONFIG):
     def rhs(t, y):
         w2 = prof.omega_sq(t)
         return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2]])
 
-    w0 = math.sqrt(prof.omega_sq(t_start))
-    q1, p1, q2, p2 = _scipy_final(rhs, np.array([1.0, 0.0, 0.0, 1.0]), t_start, t_final, w0, cfg)
+    w0 = math.sqrt(prof.omega_sq(0.0))
+    q1, p1, q2, p2 = _scipy_final(rhs, np.array([1.0, 0.0, 0.0, 1.0]), t_final, w0, cfg)
     return np.array([[q1, q2], [p1, p2]])
 
 
@@ -325,7 +329,7 @@ class TestBatch:
                 return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2], y[5], -w2 * y[4] + kappa(t)])
 
             q1, p1, q2, p2, qc, pc = _scipy_final(
-                rhs, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.0, prof.duration, 1.0, DEFAULT_CONFIG
+                rhs, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), prof.duration, 1.0, DEFAULT_CONFIG
             )
             assert np.max(np.abs(got - [q1, q2, p1, p2, qc, pc])) <= 1e-12
 
@@ -343,33 +347,26 @@ class TestBatch:
             return out.ravel()
 
         w0 = math.sqrt(float(np.max(np.diag(coupling(0.0)))))
-        s = _scipy_final(rhs, np.eye(2 * n).ravel(), 0.0, 2.0, w0, DEFAULT_CONFIG).reshape(2 * n, 2 * n)
+        s = _scipy_final(rhs, np.eye(2 * n).ravel(), 2.0, w0, DEFAULT_CONFIG).reshape(2 * n, 2 * n)
         w_start, w_end = np.diag(coupling(0.0)), np.diag(coupling(2.0))
         ratio = (w_end ** 0.25)[:, None] / (w_start ** 0.25)[None, :]
         prod = (w_end ** 0.25)[:, None] * (w_start ** 0.25)[None, :]
         a = 0.5 * (ratio * s[:n, :n] + s[n:, n:] / ratio + 1j * (s[n:, :n] / prod - prod * s[:n, n:]))
         assert np.max(np.abs(bg.A - a)) <= 1e-12
 
-    def test_mixed_starts_and_zero_spans(self):
-        prof = PowerLaw(-3.0, 0.7)
-        starts, finals = [0.0, 0.8, 1.5, 1.2, 0.0], [2.0, 2.0, 3.0, 1.2, 0.0]
-        batch = propagate_ode_batch([prof] * 5, finals, t_starts=starts)
-        for s, t0, t1 in zip(batch, starts, finals):
-            one = propagate_ode(prof, t1, t_start=t0)
-            assert np.max(np.abs(s.as_array() - one.as_array())) <= 1e-12
-            if t0 == t1:
-                assert s == EvolutionMatrix.identity()
-            else:
-                assert np.max(np.abs(s.as_array() - _scipy_matrix(prof, t1, t_start=t0))) <= 1e-12
-
     def test_zero_span_lane_keeps_its_start_and_costs_nothing(self):
-        y0 = np.array([[1.0, 2.0, 3.0, 4.0], [1.0, 0.0, 1.0, 0.0]])
-        system = ode._Hill([InverseLinear(1.0, 1.0)] * 2, None)
-        sol = ode.solve_ivp(system, np.array([0.5, 0.0]), np.array([0.5, 1.0]), y0,
-                            np.array([0.1, 0.1]), DEFAULT_CONFIG)
+        y0 = np.array([[[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]])
+        system = ode._Oscillators(ode._omega_sq([InverseLinear(1.0, 1.0)] * 2), 1, None)
+        sol = ode.solve_ivp(system, np.array([0.0, 1.0]), y0, np.array([0.1, 0.1]), DEFAULT_CONFIG)
         assert np.array_equal(sol.y[0], y0[0])
         # the running lane: one evaluation at its start, 12 per attempted step
         assert (sol.nfev - 1) % 12 == 0 and len(sol.t) - 1 >= 1
+        # through the public route: a zero span is the identity, beside lanes that run
+        prof = PowerLaw(-3.0, 0.7)
+        batch = propagate_ode_batch([prof] * 3, [2.0, 0.0, 3.0])
+        assert batch[1] == EvolutionMatrix.identity()
+        for s, t1 in zip(batch, [2.0, 0.0, 3.0]):
+            assert np.max(np.abs(s.as_array() - propagate_ode(prof, t1).as_array())) <= 1e-12
 
     def test_step_budget_counts_per_lane(self):
         # ten lanes of three to five steps each, 40 in all, fit a ten-step budget

@@ -102,8 +102,30 @@ def test_each_closed_form_is_called_only_from_the_leg_dispatcher():
     assert calls(tree) == calls(dispatcher) == names
 
 
-# library names a submodule exports that the package does not re-export
-NOT_REEXPORTED = {("cycles", "leg")}
+def test_one_oscillator_system_is_all_that_solve_ivp_integrates():
+    # Hill legs, forced drives and multimode couplings are all lanes of
+    # ode._Oscillators: solve_ivp has one call site, in ode's lane runner,
+    # and no other class anywhere has a system's terms or rhs
+    calls, systems = [], set()
+
+    def visit(node, module, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if isinstance(node, ast.ClassDef) and {"terms", "rhs"} & {
+            f.name for f in node.body if isinstance(f, ast.FunctionDef)
+        }:
+            systems.add((module, node.name))
+        if isinstance(node, ast.Call) and "solve_ivp" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            calls.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    assert calls == [("ode", "_run_lanes")]
+    assert systems == {("ode", "_Oscillators")}
 
 
 def test_package_exports_match_the_submodules():
@@ -119,4 +141,4 @@ def test_package_exports_match_the_submodules():
         for name in getattr(module, "__all__", ()):
             if name not in cyclosc.__all__ or getattr(cyclosc, name) is not getattr(module, name):
                 unexported.add((path.stem, name))
-    assert unexported == NOT_REEXPORTED
+    assert unexported == set()
