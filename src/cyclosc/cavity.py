@@ -105,6 +105,9 @@ def _endpoints(coupling: Callable[[float], np.ndarray], t_final: float) -> Tuple
     n = w_start.shape[0]
     if w_start.shape != (n, n) or w_end.shape != (n, n):
         raise DomainError("coupling must return a square matrix of fixed size")
+    for tag, w in (("initial", w_start), ("final", w_end)):
+        if not np.isfinite(w).all():
+            raise DomainError(f"{tag} coupling matrix has non-finite entries {w[~np.isfinite(w)].tolist()}")
     if np.max(np.abs(w_start - w_start.T)) > 1e-9 * max(1.0, np.max(np.abs(w_start))):
         raise DomainError("coupling matrix must be symmetric")
     for tag, w in (("initial", w_start), ("final", w_end)):

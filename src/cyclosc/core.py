@@ -273,10 +273,10 @@ def bogoliubov_energy(bp: BogoliubovPair, state: StationaryState) -> float:
     return state.omega0 * (0.5 + a2 * state.n + b2 * (state.n + 1))
 
 
-def random_symplectic(rng: np.random.Generator, max_squeeze: float = 2.0) -> EvolutionMatrix:
-    """Random element of Sp(2) from the rotation-squeeze-rotation decomposition."""
+def random_symplectic(rng: np.random.Generator) -> EvolutionMatrix:
+    """Random element of Sp(2): a rotation, a squeeze e^r with |r| < 2, a rotation."""
     t1, t2 = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    r = rng.uniform(-max_squeeze, max_squeeze)
+    r = rng.uniform(-2.0, 2.0)
     return compose(
         EvolutionMatrix.rotation(t1),
         compose(EvolutionMatrix.squeeze(math.exp(r)), EvolutionMatrix.rotation(t2)),

@@ -435,10 +435,7 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, xtol: float) 
 
 
 def find_unity_points(
-    result: ScanResult,
-    tol: float = 1e-6,
-    refine: bool = True,
-    v_resolution: float = 1e-6,
+    result: ScanResult, tol: float = 1e-6, refine: bool = True
 ) -> Tuple[Tuple[float, float, float], ...]:
     """(v, lambda, gain) triples where the gain dips back to 1 within tol.
 
@@ -463,33 +460,27 @@ def find_unity_points(
             spec = CycleSpec(result.family, v=v_min, lam=lam_i, omega0=omega0.item(i),
                              n_cycles=result.n_cycles, k=result.k)
             v_min, g_min = _golden_min(
-                lambda x: cycle_gain(replace(spec, v=x)), v.item(i - 1), v.item(i + 1), v_resolution
+                lambda x: cycle_gain(replace(spec, v=x)), v.item(i - 1), v.item(i + 1), 1e-6
             )
         if g_min - 1.0 < tol:
             found.append((v_min, lam_i, g_min))
     return tuple(found)
 
 
-def random_fourier_profile(
-    rng: np.random.Generator,
-    n_harmonics: int = 4,
-    amplitude: float = 0.4,
-    duration_range: Tuple[float, float] = (2.0, 8.0),
-) -> Fourier:
-    """Smooth random cycle profile omega(t) = exp(sum_j c_j sin(pi j t / T)).
+def random_fourier_profile(rng: np.random.Generator) -> Fourier:
+    """Smooth random cycle profile omega(t) = exp(sum_j c_j sin(pi j t / T)),
+    4 harmonics with c_j ~ N(0, 0.4^2) / j over T in [2, 8].
 
     The sine basis pins omega(0) = omega(T) = 1 exactly and exponentiation
     keeps the frequency positive.
     """
-    t0 = rng.uniform(*duration_range)
-    harmonics = np.arange(1, n_harmonics + 1)
-    coef = rng.normal(0.0, amplitude, size=n_harmonics) / harmonics
-    return Fourier(SineSeries(coef, t0))
+    t0 = rng.uniform(2.0, 8.0)
+    return Fourier(SineSeries(rng.normal(0.0, 0.4, size=4) / np.arange(1, 5), t0))
 
 
-def random_piecewise_cycle(rng: np.random.Generator, max_segments: int = 3) -> Piecewise:
-    """Random palindromic piecewise profile; closes at omega = 1, may jump inside."""
-    n = int(rng.integers(1, max_segments + 1))
+def random_piecewise_cycle(rng: np.random.Generator) -> Piecewise:
+    """Random palindromic profile, 1 to 3 segments a side; closes at omega = 1, may jump inside."""
+    n = int(rng.integers(1, 4))
     forward = []
     for _ in range(n):
         kind = rng.integers(0, 3)

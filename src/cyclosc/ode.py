@@ -364,29 +364,54 @@ def _run_lanes(
     return solve_ivp(_Oscillators(w, n, drive), t_final, y0, first, cfg).y
 
 
-def _omega_sq(profiles: Sequence[FrequencyProfile]) -> LaneMap:
-    """W of Hill and forced lanes: omega^2 of one profile per lane."""
-    return LaneMap(profiles, lambda profile: profile.omega_sq)
-
-
-def _pieces(profile: FrequencyProfile, t_final: float):
-    """(profile, t_final) of each smooth piece of a run over [0, t_final].
-
-    A Piecewise profile is split at its breakpoints, each segment on its own
-    clock: the smooth RK error model does not apply across an omega jump.
-    """
+def _pieces(profile: FrequencyProfile, t_final: float, edge: float = 0.0):
+    """(profile, t_final, edge) of each smooth piece of a run, edge being its
+    start on the run's clock: a Piecewise profile is split at its breakpoints,
+    since the smooth RK error model does not apply across an omega jump."""
+    profile.check_domain(t_final)
     if not isinstance(profile, Piecewise):
-        yield profile, t_final
+        yield profile, t_final, edge
         return
-    edge = 0.0
+    start = 0.0
     for prof, dur in profile.segments:
-        hi = min(t_final - edge, dur)
+        hi = min(t_final - start, dur)
         if hi > 0.0:
-            prof.check_domain(hi)
-            yield from _pieces(prof, hi)
-        edge += dur
-        if edge >= t_final:
-            break
+            yield from _pieces(prof, hi, edge + start)
+        start += dur
+
+
+def _propagate(
+    profiles: Sequence[FrequencyProfile],
+    t_finals: Sequence[float],
+    cfg: IntegratorConfig,
+    kappas: Optional[Sequence[Callable[[float], float]]] = None,
+) -> List[ForcedResult]:
+    """Matrix and driven trajectory (at rest without kappas) of each run.
+
+    Every smooth piece of every run is one lane of a single batch, its
+    drive shifted to the run's clock.  A Piecewise run folds its pieces in
+    time order as affine maps, with exact handoff at the breakpoints:
+    (S, c) after (S0, c0) is (S S0, S c0 + c).
+    """
+    runs = [(i, *piece) for i, (profile, t_final) in enumerate(zip(profiles, t_finals))
+            for piece in _pieces(profile, t_final)]
+    drive = None if kappas is None else LaneMap([
+        kappas[i] if edge == 0.0 else lambda t, k=kappas[i], e=edge: k(t + e) for i, _, _, edge in runs
+    ])
+    w = LaneMap([p for _, p, _, _ in runs], lambda profile: profile.omega_sq)
+    y = _run_lanes(w, 1, 2 if drive is None else 3, [t for _, _, t, _ in runs], cfg, drive)
+    start = ForcedResult(EvolutionMatrix.identity(), 0.0, 0.0)
+    out = [start if isinstance(p, Piecewise) else None for p in profiles]
+    for (i, *_), (q, p) in zip(runs, y.tolist()):
+        s = EvolutionMatrix(q[0], q[1], p[0], p[1])
+        qc, pc = (0.0, 0.0) if drive is None else (q[2], p[2])
+        done = out[i]
+        out[i] = ForcedResult(s, qc, pc) if done is None else ForcedResult(
+            compose(s, done.matrix),
+            s.a * done.qc + s.b * done.qc_dot + qc,
+            s.c * done.qc + s.d * done.qc_dot + pc,
+        )
+    return out  # type: ignore[return-value]
 
 
 def propagate_ode_batch(
@@ -396,26 +421,12 @@ def propagate_ode_batch(
 ) -> List[EvolutionMatrix]:
     """Integrated evolution matrix of each profile over [0, t_final].
 
-    All runs are integrated together, one lane each; a Piecewise profile
-    takes one lane per segment and its matrix is their product, with exact
-    state handoff at the breakpoints.
+    All runs are integrated together; a Piecewise profile is split at its
+    breakpoints, and its matrix is the product of its segments'.
     """
     if len(profiles) != len(t_finals):
         raise DomainError("need one t_final per profile")
-    runs, owner = [], []
-    for i, (profile, t_final) in enumerate(zip(profiles, t_finals)):
-        profile.check_domain(t_final)
-        for run in _pieces(profile, t_final):
-            runs.append(run)
-            owner.append(i)
-    out: List[Optional[EvolutionMatrix]] = [
-        EvolutionMatrix.identity() if isinstance(p, Piecewise) else None for p in profiles
-    ]
-    y = _run_lanes(_omega_sq([p for p, _ in runs]), 1, 2, [t for _, t in runs], cfg)
-    for i, ((q1, q2), (p1, p2)) in zip(owner, y.tolist()):
-        s = EvolutionMatrix(q1, q2, p1, p2)
-        out[i] = s if out[i] is None else compose(s, out[i])
-    return out  # type: ignore[return-value]
+    return [r.matrix for r in _propagate(profiles, t_finals, cfg)]
 
 
 def propagate_ode(
@@ -434,18 +445,17 @@ def propagate_forced_batch(
     t_finals: Sequence[float],
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> List[ForcedResult]:
-    """Forced oscillators H = (p^2 + omega(t)^2 q^2)/2 - kappa(t) q, one lane each.
+    """Forced oscillators H = (p^2 + omega(t)^2 q^2)/2 - kappa(t) q.
 
     Integrates the two homogeneous fundamental solutions together with the
     classical particular solution Q_c (initial conditions Q_c = dQ_c = 0),
-    so the mean motion and the matrix share every accepted step.  Each drive
-    must vanish at both endpoints of its run [0, t_final].
+    so the mean motion and the matrix share every accepted step; a Piecewise
+    run is split and handed over at its breakpoints as in propagate_ode_batch.
+    Each drive must vanish at both endpoints of its run [0, t_final].
     """
     if not len(profiles) == len(kappas) == len(t_finals):
         raise DomainError("need one kappa and one t_final per profile")
     for profile, kappa, t_final in zip(profiles, kappas, t_finals):
-        if t_final < 0.0:
-            raise DomainError(f"t_final must be >= 0, got {t_final!r}")
         profile.check_domain(t_final)
         k0, k1 = float(kappa(0.0)), float(kappa(t_final))
         if abs(k0) > 1e-9 or abs(k1) > 1e-9:
@@ -453,11 +463,7 @@ def propagate_forced_batch(
                 f"kappa must vanish at both endpoints, got kappa(0) = {k0!r}, "
                 f"kappa(T) = {k1!r}"
             )
-    y = _run_lanes(_omega_sq(profiles), 1, 3, t_finals, cfg, LaneMap(kappas))
-    return [
-        ForcedResult(EvolutionMatrix(q1, q2, p1, p2), qc, pc)
-        for (q1, q2, qc), (p1, p2, pc) in y.tolist()
-    ]
+    return _propagate(profiles, t_finals, cfg, kappas)
 
 
 def propagate_forced(

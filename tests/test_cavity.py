@@ -134,6 +134,14 @@ class TestMultimode:
         (lambda t: np.diag([1.0, 2.0]) + 0.5 * t * (1.0 - np.eye(2)), 1.0,
          "final coupling matrix must be diagonal in the mode basis"),
         (lambda t: np.diag([1.0, -2.0]), 1.0, "initial squared frequencies must be positive"),
+        (lambda t: np.array([[np.nan, 0.0], [0.0, 1.0]]), 1.0,
+         "initial coupling matrix has non-finite entries [nan]"),
+        (lambda t: np.array([[1.0, 0.0], [0.0, np.inf]]), 1.0,
+         "initial coupling matrix has non-finite entries [inf]"),
+        (lambda t: np.array([[1.0, np.nan], [np.nan, 1.0]]), 1.0,
+         "initial coupling matrix has non-finite entries [nan, nan]"),
+        (lambda t: np.diag([1.0, 2.0 if t < 1.0 else np.nan]), 1.0,
+         "final coupling matrix has non-finite entries [nan]"),
     ])
     def test_bad_coupling_in_a_batch_raises_its_own_message(self, bad, t_end, message):
         good = random_coupling(np.random.default_rng(5), 3, 2.0)

@@ -218,11 +218,30 @@ class TestForced:
             assert prof.omega_sq(prof.duration) == pytest.approx(last.omega_sq(dur), rel=1e-12)
             with pytest.raises(DomainError):
                 prof.omega_sq(prof.duration * (1.0 + 1e-9))
-        # forced lanes run across the breakpoints, so they agree only loosely
         durations = [prof.duration for prof in profs]
         forced = propagate_forced_batch(profs, [lambda t: 0.0] * len(profs), durations)
         for res, plain in zip(forced, propagate_ode_batch(profs, durations)):
-            assert np.max(np.abs(res.matrix.as_array() - plain.as_array())) < 1e-6
+            assert np.max(np.abs(res.matrix.as_array() - plain.as_array())) < 1e-9
+
+    def test_driven_nested_piecewise_against_segmentwise_scipy(self):
+        # the oracle integrates each constant-omega segment on its own and
+        # hands the state, Q_c and dQ_c included, across the jumps
+        omegas, durations = (1.0, 2.3, 0.7), (1.1, 0.9, 1.6)
+        segments = [(Custom(lambda t, w=w: w * w, duration=d), d) for w, d in zip(omegas, durations)]
+        inner = Piecewise(tuple(segments[1:]))
+        prof = Piecewise((segments[0], (inner, inner.duration)))
+        kappa = SineSeries((0.4, -0.3, 0.2), prof.duration)
+        res = propagate_forced(prof, kappa, prof.duration)
+        y, edge = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), 0.0
+        for w, dur in zip(omegas, durations):
+            def rhs(t, y, w2=w * w, edge=edge):
+                return np.array([y[1], -w2 * y[0], y[3], -w2 * y[2], y[5], -w2 * y[4] + kappa(t + edge)])
+
+            y = _scipy_final(rhs, y, dur, w, IntegratorConfig(rtol=1e-13, atol=1e-15))
+            edge += dur
+        q1, p1, q2, p2, qc, pc = y
+        assert np.max(np.abs(res.matrix.as_array() - [[q1, q2], [p1, p2]])) <= 1e-10
+        assert max(abs(res.qc - qc), abs(res.qc_dot - pc)) <= 1e-10
 
     def test_resonant_kick_on_constant_frequency(self):
         # kappa = sin(t) on omega = 1 over one period: Q_c = (sin t - t cos t)/2
@@ -284,6 +303,13 @@ def _scipy_matrix(prof, t_final, cfg=DEFAULT_CONFIG):
     w0 = math.sqrt(prof.omega_sq(0.0))
     q1, p1, q2, p2 = _scipy_final(rhs, np.array([1.0, 0.0, 0.0, 1.0]), t_final, w0, cfg)
     return np.array([[q1, q2], [p1, p2]])
+
+
+def _per_point(prof):
+    """The same omega^2 as prof, reached one scalar call at a time."""
+    if isinstance(prof, Piecewise):
+        return Piecewise(tuple((_per_point(p), dur) for p, dur in prof.segments))
+    return Custom(prof.omega_sq, duration=getattr(prof, "duration", math.inf))
 
 
 def _drive(rng, prof):
@@ -356,7 +382,7 @@ class TestBatch:
 
     def test_zero_span_lane_keeps_its_start_and_costs_nothing(self):
         y0 = np.array([[[1.0, 2.0], [3.0, 4.0]], [[1.0, 0.0], [0.0, 1.0]]])
-        system = ode._Oscillators(ode._omega_sq([InverseLinear(1.0, 1.0)] * 2), 1, None)
+        system = ode._Oscillators(LaneMap([InverseLinear(1.0, 1.0)] * 2, lambda p: p.omega_sq), 1, None)
         sol = ode.solve_ivp(system, np.array([0.0, 1.0]), y0, np.array([0.1, 0.1]), DEFAULT_CONFIG)
         assert np.array_equal(sol.y[0], y0[0])
         # the running lane: one evaluation at its start, 12 per attempted step
@@ -492,19 +518,23 @@ class TestStackedBatches:
             assert s == propagate_ode(prof, t_end)
         assert batch[0] == batch[1]
 
-    def test_forced_lanes_equal_their_per_point_twins(self):
+    @pytest.mark.parametrize("piecewise", [False, True], ids=["fourier", "piecewise"])
+    def test_forced_lanes_equal_their_per_point_twins(self, piecewise):
         # forced lanes (6 columns each) are not bit-identical to batches of
         # one, so the same batch is run once more with every omega^2 and
-        # kappa called per point, which must give the same bits
+        # kappa called per point, which must give the same bits; past a
+        # Piecewise run's first segment its drive is called per point anyway
         rng = np.random.default_rng(32)
         profiles = [random_fourier_profile(rng) for _ in range(5)]
+        if piecewise:  # Fourier segments glued to random piecewise cycles, one of them nested
+            cycles = [random_piecewise_cycle(rng) for _ in profiles]
+            profiles = [Piecewise(((p, p.duration), (c, c.duration))) for p, c in zip(profiles, cycles)]
+            profiles[2] = Piecewise(((cycles[2], cycles[2].duration), (profiles[2], profiles[2].duration)))
         kappas = [SineSeries(rng.normal(0.0, 0.5, size=3), p.duration) for p in profiles]
         kappas[1] = _drive(rng, profiles[1])  # a plain function among the sine series
         durations = [p.duration for p in profiles]
         batch = propagate_forced_batch(profiles, kappas, durations)
         twins = propagate_forced_batch(
-            [Custom(p.omega_sq, duration=p.duration) for p in profiles],
-            [lambda t, f=kappa: f(t) for kappa in kappas],
-            durations,
+            [_per_point(p) for p in profiles], [lambda t, f=kappa: f(t) for kappa in kappas], durations
         )
         assert batch == twins

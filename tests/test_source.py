@@ -102,20 +102,14 @@ def test_each_closed_form_is_called_only_from_the_leg_dispatcher():
     assert calls(tree) == calls(dispatcher) == names
 
 
-def test_one_oscillator_system_is_all_that_solve_ivp_integrates():
-    # Hill legs, forced drives and multimode couplings are all lanes of
-    # ode._Oscillators: solve_ivp has one call site, in ode's lane runner,
-    # and no other class anywhere has a system's terms or rhs
-    calls, systems = [], set()
+def _call_sites(name):
+    """(module, enclosing function) of every call to `name` in the package."""
+    calls = []
 
     def visit(node, module, where):
         if isinstance(node, ast.FunctionDef):
             where = node.name
-        if isinstance(node, ast.ClassDef) and {"terms", "rhs"} & {
-            f.name for f in node.body if isinstance(f, ast.FunctionDef)
-        }:
-            systems.add((module, node.name))
-        if isinstance(node, ast.Call) and "solve_ivp" in (
+        if isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None)
         ):
             calls.append((module, where))
@@ -124,8 +118,30 @@ def test_one_oscillator_system_is_all_that_solve_ivp_integrates():
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
-    assert calls == [("ode", "_run_lanes")]
+    return calls
+
+
+def test_one_oscillator_system_is_all_that_solve_ivp_integrates():
+    # Hill legs, forced drives and multimode couplings are all lanes of
+    # ode._Oscillators: solve_ivp has one call site, in ode's lane runner,
+    # and no other class anywhere has a system's terms or rhs
+    systems = {
+        (path.stem, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and {"terms", "rhs"} & {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+    }
+    assert _call_sites("solve_ivp") == [("ode", "_run_lanes")]
     assert systems == {("ode", "_Oscillators")}
+
+
+def test_every_hill_and_forced_run_is_split_and_folded_in_one_place():
+    # propagate_ode_batch and propagate_forced_batch both go through
+    # ode._propagate; the lane runner's only other caller is the multimode batch
+    assert _call_sites("_run_lanes") == [
+        ("cavity", "multimode_from_hamiltonian_batch"), ("ode", "_propagate")
+    ]
 
 
 def test_package_exports_match_the_submodules():
