@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, _run_lanes
-from .profiles import LaneMap, _pow_each
+from .profiles import LaneMap, _at
 
 # Not called here, but bench/tracing.py wraps this name in this module.
 from .ode import solve_ivp  # noqa: F401
@@ -365,7 +365,6 @@ class WindowedCoupling:
     d1: np.ndarray
     c: np.ndarray
     t_final: float
-    _drift: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("d0", "d1", "c"):
@@ -375,28 +374,23 @@ class WindowedCoupling:
             raise DomainError("need d0 and d1 of N entries and an N x N c")
         if not self.t_final > 0.0:
             raise DomainError(f"t_final must be positive, got {self.t_final!r}")
-        object.__setattr__(self, "_drift", self.d1 - self.d0)
 
     def __call__(self, t: float) -> np.ndarray:
-        x = min(max(t / self.t_final, 0.0), 1.0)
-        s = math.sin(0.5 * math.pi * x) ** 2
-        window = math.sin(math.pi * x) ** 2
-        w = window * self.c  # c has a zero diagonal
-        np.fill_diagonal(w, self.d0 + self._drift * s)
-        return w
+        return _at(self, t)
 
     @classmethod
     def stacked(cls, couplings: Sequence["WindowedCoupling"]) -> Callable:
         # one mode count per stack, as a multimode batch groups its lanes
-        d0, drift, c = (np.stack([getattr(w, name) for w in couplings]) for name in ("d0", "_drift", "c"))
+        d0, d1, c = (np.stack([getattr(w, name) for w in couplings]) for name in ("d0", "d1", "c"))
+        drift = d1 - d0
         t_final = np.array([w.t_final for w in couplings])
         diagonal = (Ellipsis, *np.diag_indices(d0.shape[1]))
 
         def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
             x = np.minimum(np.maximum(t / t_final[rows], 0.0), 1.0)
-            s = _pow_each(np.sin(0.5 * math.pi * x), 2.0).astype(float)
-            window = _pow_each(np.sin(math.pi * x), 2.0).astype(float)
-            w = window[..., None, None] * c[rows]
+            s = np.sin(0.5 * math.pi * x) ** 2
+            window = np.sin(math.pi * x) ** 2
+            w = window[..., None, None] * c[rows]  # c has a zero diagonal
             w[diagonal] = d0[rows] + drift[rows] * s[..., None]
             return w
 

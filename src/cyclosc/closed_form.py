@@ -196,13 +196,19 @@ def _wronskian_map(start: np.ndarray, end: np.ndarray) -> EvolutionMatrix:
     """Evolution matrix end @ start^-1 between two fundamental frames.
 
     start is inverted through its adjugate over its determinant, the
-    Wronskian, which is constant along the frame.
+    Wronskian, which is constant along the frame.  The frames are built
+    from Python floats, so an entry that left the floats is inf or nan,
+    without numpy warnings, and is refused here.
     """
-    det = start[0, 0] * start[1, 1] - start[0, 1] * start[1, 0]
+    (a, b), (c, d) = start.tolist()
+    det = a * d - b * c  # not finite where any entry of start is not
+    if not (math.isfinite(det) and all(map(math.isfinite, end.flat))):
+        raise DomainError(f"the Bessel frame is not finite: its Wronskian evaluates to {det!r}")
     if det == 0.0:
         raise DomainError("the Bessel frame is degenerate: its Wronskian evaluates to 0")
-    inv = np.array([[start[1, 1], -start[0, 1]], [-start[1, 0], start[0, 0]]]) / det
-    return EvolutionMatrix.from_array(end @ inv)
+    inv = np.array([[d, -b], [-c, a]]) / det
+    with np.errstate(over="ignore"):  # a map past the float range reads inf, which compose refuses
+        return EvolutionMatrix.from_array(end @ inv)
 
 
 def _power_law_frame(z: float, k: float, v: float) -> np.ndarray:
@@ -219,11 +225,11 @@ def _power_law_frame(z: float, k: float, v: float) -> np.ndarray:
     if not 0.0 < w < math.inf:
         raise DomainError(f"w = (2/|k v|) z^(k/2) is not a positive float at z = {z!r}, k = {k!r}, v = {v!r}")
     rt = math.sqrt(z)
-    jw, yw = jv(nu, w), yv(nu, w)
+    (jw, jm), (yw, ym) = jv([nu, nu - 1.0], w).tolist(), yv([nu, nu - 1.0], w).tolist()
     # Z_nu'(w) = Z_(nu-1)(w) - (nu/w) Z_nu(w); dw/dz = (k/2) w / z.
     dwdz = 0.5 * k * w / z
-    jp = jv(nu - 1.0, w) - (nu / w) * jw
-    yp = yv(nu - 1.0, w) - (nu / w) * yw
+    jp = jm - (nu / w) * jw
+    yp = ym - (nu / w) * yw
     dq1 = 0.5 / rt * jw + rt * jp * dwdz
     dq2 = 0.5 / rt * yw + rt * yp * dwdz
     return np.array([[rt * jw, rt * yw], [v * dq1, v * dq2]])
@@ -254,13 +260,9 @@ def propagate_power_law(k: float, v: float, z_final: float) -> EvolutionMatrix:
 def _exponential_frame(z: float, v: float) -> np.ndarray:
     """Fundamental frame for omega = exp(v t): q_i = {J0, Y0}(z/|v|), p_i = dq_i/dt."""
     w = z / abs(v)
+    (j0, j1), (y0, y1) = jv([0.0, 1.0], w).tolist(), yv([0.0, 1.0], w).tolist()
     # d/dt Z0(w(t)) = -Z1(w) * dw/dt with dw/dt = v w.
-    return np.array(
-        [
-            [jv(0.0, w), yv(0.0, w)],
-            [-v * w * jv(1.0, w), -v * w * yv(1.0, w)],
-        ]
-    )
+    return np.array([[j0, y0], [-v * w * j1, -v * w * y1]])
 
 
 def propagate_exponential(v: float, z_final: float) -> EvolutionMatrix:

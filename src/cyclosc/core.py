@@ -108,14 +108,15 @@ class EvolutionMatrix:
             self.c * other.b + self.d * other.d,
         )
 
-    def _trace_form(self) -> float:
-        """R = Tr[S S^T]/2 from products x * x (gain_factor squares with **)."""
-        return 0.5 * (self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d)
+    def _energy_ratio(self, omega_final: float = 1.0) -> float:
+        """E_fin/E_in = (omega_f^2 (a^2 + b^2) + c^2 + d^2)/2 from products x * x; R at omega_f = 1."""
+        w2 = omega_final * omega_final
+        return 0.5 * (w2 * (self.a * self.a + self.b * self.b) + self.c * self.c + self.d * self.d)
 
     def is_symplectic(self) -> bool:
         """|det S - 1| < DET_TOL_INPUT * R, R = Tr[S S^T]/2 finite, elementwise. det = ad - bc
         subtracts products of size ~R; with R = inf any finite det would pass."""
-        r = self._trace_form()
+        r = self._energy_ratio()
         return (abs(self.det() - 1.0) < DET_TOL_INPUT * r) & (r < math.inf)
 
     def is_orthogonal(self, tol: float = 1e-9) -> bool:
@@ -126,7 +127,7 @@ class EvolutionMatrix:
 def _require_symplectic(s: EvolutionMatrix, op: str) -> None:
     if s.is_symplectic():
         return
-    r = s._trace_form()
+    r = s._energy_ratio()
     if not r < math.inf:
         raise SymplecticError(f"{op}: Tr[S S^T]/2 overflows to {r!r}")
     raise SymplecticError(
@@ -192,17 +193,13 @@ def compose(s2: EvolutionMatrix, s1: EvolutionMatrix) -> EvolutionMatrix:
     return s2 @ s1
 
 
-def _energy_form(s: EvolutionMatrix, omega_final: float) -> float:
-    return 0.5 * (omega_final**2 * (s.a**2 + s.b**2) + s.c**2 + s.d**2)
-
-
 def gain_factor(s: EvolutionMatrix) -> float:
     """Energy ratio R = Tr[S S^T]/2 for a cycle that closes at omega = 1.
 
     R >= 1 for every symplectic S, with R = 1 exactly on rotations.
     """
     _require_symplectic(s, "gain_factor")
-    return 0.5 * (s.a**2 + s.b**2 + s.c**2 + s.d**2)
+    return s._energy_ratio()
 
 
 def final_energy(s: EvolutionMatrix, state: StationaryState, omega_final: float) -> float:
@@ -220,7 +217,7 @@ def final_energy(s: EvolutionMatrix, state: StationaryState, omega_final: float)
         )
     if not 0.0 < omega_final <= _SQUARE_MAX:
         raise DomainError(f"omega_final must be positive, its square finite, got {omega_final!r}")
-    return state.energy * _energy_form(s, omega_final)
+    return state.energy * s._energy_ratio(omega_final)
 
 
 def final_energy_general(

@@ -52,7 +52,6 @@ from .profiles import (
     PowerLaw,
     SineSeries,
     TimeReversed,
-    _pow_each,
 )
 
 __all__ = [
@@ -293,15 +292,13 @@ class GridAxis:
             raise DomainError(f"count must be an integer >= 1, got {self.count!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise DomainError(f"endpoints must be finite, got {self.start!r} and {self.stop!r}")
+        if self.spacing not in ("linear", "log"):
+            raise DomainError(f"unknown spacing {self.spacing!r}")
+        if self.spacing == "log" and not (self.start > 0.0 and self.stop > 0.0):
+            raise DomainError("log spacing needs positive endpoints")
         if self.count == 1:
             return np.array([self.start])
-        if self.spacing == "linear":
-            return np.linspace(self.start, self.stop, self.count)
-        if self.spacing == "log":
-            if not (self.start > 0.0 and self.stop > 0.0):
-                raise DomainError("log spacing needs positive endpoints")
-            return np.geomspace(self.start, self.stop, self.count)
-        raise DomainError(f"unknown spacing {self.spacing!r}")
+        return (np.linspace if self.spacing == "linear" else np.geomspace)(self.start, self.stop, self.count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,9 +320,9 @@ class ScanResult:
     error: Tuple[str, ...]
 
 
-# the scalar code lifted to arrays: numpy's own log, cosh, sinh and x*x
-# differ from libm's log, cosh, sinh and pow(x, 2) in the last bit on part
-# of their inputs, so each element goes through the same scalar code
+# the scalar code lifted to arrays: numpy's own log, cosh and sinh differ
+# from libm's in the last bit on part of their inputs, so each element goes
+# through the same scalar code
 _inverse_linear_each = np.frompyfunc(_inverse_linear_entries, 3, 4)
 
 
@@ -340,9 +337,9 @@ def _inverse_linear_scan(
 
     Both are NaN where build_cycle or gain_factor would raise, and at lam = 1
     (the identity, with no formula), for the per-point path to fill in.  The
-    legs come from _one_cycle's scalar formula and each check of compose and
-    gain_factor is made on the same products, so every other point carries
-    the per-point path's bits.
+    legs come from _one_cycle's scalar formula, and each check of compose
+    and gain_factor and the gain itself are made on the same products, so
+    every other point carries the per-point path's bits.
     """
     # entries overflow where the cycle grows, and 1/lam where lam is
     # subnormal; those points fail a symplectic check or the argument checks
@@ -365,11 +362,10 @@ def _inverse_linear_scan(
             total = once @ total
         ok &= total.is_symplectic()
         det_err = total.det_error()
+        r = total._energy_ratio()
     at = at[ok]
-    # gain_factor's a**2 + b**2 + c**2 + d**2, each square from libm's pow
-    a2, b2, c2, d2 = (_pow_each(x[ok], 2.0).astype(float) for x in (total.a, total.b, total.c, total.d))
     gain = np.full(v.shape, math.nan)
-    gain[at] = 0.5 * (a2 + b2 + c2 + d2)
+    gain[at] = r[ok]
     det = np.full(v.shape, math.nan)
     det[at] = det_err[ok]
     return gain, det

@@ -217,7 +217,7 @@ class _Oscillators:
     factor per row: one elementwise multiply instead of a matmul.
     """
 
-    def __init__(self, w: LaneMap, n: int, drive: Optional[LaneMap]) -> None:
+    def __init__(self, w: LaneMap, n: int, drive: Optional[Callable]) -> None:
         self.w, self.n, self.drive = w, n, drive
 
     def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> tuple:
@@ -344,7 +344,7 @@ def _run_lanes(
     cols: int,
     t_finals: Sequence[float],
     cfg: IntegratorConfig,
-    drive: Optional[LaneMap] = None,
+    drive: Optional[Callable] = None,
 ) -> np.ndarray:
     """Final Y, shape (lanes, 2n, cols), of _Oscillators lanes run over
     [0, t_final], held to cfg's tolerances and step budget.
@@ -389,15 +389,15 @@ def _propagate(
     """Matrix and driven trajectory (at rest without kappas) of each run.
 
     Every smooth piece of every run is one lane of a single batch, its
-    drive shifted to the run's clock.  A Piecewise run folds its pieces in
-    time order as affine maps, with exact handoff at the breakpoints:
-    (S, c) after (S0, c0) is (S S0, S c0 + c).
+    drive read at t + edge on the run's clock.  A Piecewise run folds its
+    pieces in time order as affine maps, with exact handoff at the
+    breakpoints: (S, c) after (S0, c0) is (S S0, S c0 + c).
     """
     runs = [(i, *piece) for i, (profile, t_final) in enumerate(zip(profiles, t_finals))
             for piece in _pieces(profile, t_final)]
-    drive = None if kappas is None else LaneMap([
-        kappas[i] if edge == 0.0 else lambda t, k=kappas[i], e=edge: k(t + e) for i, _, _, edge in runs
-    ])
+    edges = np.array([edge for *_, edge in runs])
+    kappa = None if kappas is None else LaneMap([kappas[i] for i, *_ in runs])
+    drive = None if kappa is None else lambda t, lanes: kappa(t + edges[lanes], lanes)
     w = LaneMap([p for _, p, _, _ in runs], lambda profile: profile.omega_sq)
     y = _run_lanes(w, 1, 2 if drive is None else 3, [t for _, _, t, _ in runs], cfg, drive)
     start = ForcedResult(EvolutionMatrix.identity(), 0.0, 0.0)

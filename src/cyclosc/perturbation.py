@@ -25,7 +25,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .profiles import LaneMap, _pow_each
+from .profiles import LaneMap, _at
 
 __all__ = [
     "OperatorMatrix",
@@ -86,7 +86,7 @@ class WindowedCarrier:
     frequency: float
 
     def __call__(self, t: float) -> float:
-        return self.epsilon * math.sin(math.pi * t / self.duration) ** 2 * math.cos(self.frequency * t)
+        return _at(self, t)
 
     @classmethod
     def stacked(cls, carriers: Sequence["WindowedCarrier"]) -> Callable:
@@ -95,7 +95,7 @@ class WindowedCarrier:
         )
 
         def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            window = _pow_each(np.sin(math.pi * t / duration[rows]), 2.0).astype(float)
+            window = np.sin(math.pi * t / duration[rows]) ** 2
             return eps[rows] * window * np.cos(frequency[rows] * t)
 
         return evaluate

@@ -7,11 +7,11 @@ the container types (Piecewise, Tabulated, Custom, Fourier, TimeReversed)
 that carry an intrinsic domain.
 
 A type whose values have a formula over arrays (Fourier, SineSeries, and
-the coupling and carrier types of cavity and perturbation) also has a
-class method stacked(items), returning evaluate(t, rows): the value of
-items[rows] at the times t, computed as arrays with the same floating-point
-operations as one scalar call.  LaneMap uses it to evaluate many lanes of
-an integration at once.
+the coupling and carrier types of cavity and perturbation) writes it once,
+as a class method stacked(items) returning evaluate(t, rows): the value of
+items[rows] at the times t.  Its scalar call evaluates that formula at one
+point (_at), and LaneMap uses it to evaluate many lanes of an integration
+at once.
 """
 
 from __future__ import annotations
@@ -37,10 +37,11 @@ __all__ = [
     "TimeReversed",
 ]
 
-# libm's exp and pow lifted to arrays: numpy's own exp and x*x differ from
-# them in the last bit on part of their inputs (np.sin and np.cos do not)
-_exp_each = np.frompyfunc(math.exp, 1, 1)
-_pow_each = np.frompyfunc(pow, 2, 1)
+
+def _at(item, t: float):
+    """The value of item at the time t: its type's stacked formula at one point."""
+    value = type(item).stacked([item])(np.array([[t]], dtype=float), np.zeros(1, dtype=int))[0, 0]
+    return float(value) if value.ndim == 0 else value
 
 
 class FrequencyProfile:
@@ -262,17 +263,13 @@ class SineSeries:
     duration: float
 
     def __post_init__(self) -> None:
-        # plain floats keep every call out of numpy scalar arithmetic
+        # a tuple of floats, so that series compare and hash by value
         object.__setattr__(self, "coef", tuple(float(c) for c in self.coef))
         if not (self.duration > 0.0 and math.isfinite(self.duration)):
             raise DomainError(f"duration must be positive, got {self.duration!r}")
 
     def __call__(self, t: float) -> float:
-        phase = math.pi * t / self.duration
-        s = 0.0
-        for j, c in enumerate(self.coef, start=1):
-            s += c * math.sin(j * phase)
-        return s
+        return _at(self, t)
 
     @classmethod
     def stacked(cls, series: Sequence["SineSeries"]) -> Callable:
@@ -287,7 +284,7 @@ class SineSeries:
             phase = math.pi * t / duration[rows]
             terms = coef[rows] * np.sin(phase[..., None] * harmonics)
             s = np.zeros(phase.shape)
-            for j in range(harmonics.size):  # in the order of the scalar sum
+            for j in range(harmonics.size):  # in harmonic order: np.sum would group the terms otherwise
                 s += terms[..., j]
             return s
 
@@ -309,14 +306,14 @@ class Fourier(FrequencyProfile):
         return self.series.duration
 
     def omega_sq(self, t: float) -> float:
-        return math.exp(2.0 * self.series(t))
+        return _at(self, t)
 
     @classmethod
     def stacked(cls, profiles: Sequence["Fourier"]) -> Callable:
         f = SineSeries.stacked([p.series for p in profiles])
 
         def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return _exp_each(2.0 * f(t, rows)).astype(float)
+            return np.exp(2.0 * f(t, rows))
 
         return evaluate
 
@@ -342,7 +339,7 @@ class TimeReversed(FrequencyProfile):
 class LaneMap:
     """The values fn_i(t) of many lanes i, each with its own function.
 
-    items are grouped by type.  A type that defines a stacked(items)
+    items are grouped by type.  A type that defines its stacked(items)
     formula itself is evaluated by one array call per group; any other item
     (a Custom, Tabulated or family profile, a Piecewise segment, a plain
     function, a subclass that may have changed the scalar call) is called

@@ -241,6 +241,17 @@ class TestCycleAndScan:
             "1,2,1,1.1738286005928731,6.6613381477509392e-16,",
         ]
 
+    # power-law frames at u = v/omega0 ~ 1e300 overflow to nan
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_bessel_frame_is_a_nan_row(self, capsys):
+        note = "the Bessel frame is not finite: its Wronskian evaluates to nan"
+        rc, out, err = run(
+            capsys, "scan", "--family", "power", "--k", "-3", "--omega0-grid", "1e-300:1e-300:1",
+            "--v-grid", "0.5:2:3", "--lambda", "2",
+        )
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[2:] == [f"1e-300,2,{v},nan,nan,{note}" for v in ("0.5", "1.25", "2")]
+
 
 # Float columns with repeats, signed zeros, nan, infinities and subnormals;
 # text cells with csv's special characters; mixed Python and numpy values.
@@ -769,6 +780,7 @@ class TestErrorPromise:
         (("propagate", "--v", "inf"), 2),
         (("scan", "--lambda-grid", "inf:inf:1"), 2),
         (("scan", "--v-grid", "1:inf:2", "--lambda", "2"), 2),
+        (("scan", "--v-grid=-1:1:1:log", "--lambda", "2"), 2),
         (("perturb", "--duration", "inf"), 2),
         (("perturb", "--epsilon", "inf"), 2),
         (("perturb", "--epsilon", "nan"), 2),
@@ -785,6 +797,9 @@ class TestErrorPromise:
         (("propagate", "--family", "power", "--k", "1.9", "--lambda", "1e300", "--method", "ode"), 3),
         (("cycle", "--family", "power", "--k", "-0.1", "--v", "5e-324", "--lambda", "2"), 3),
         (("propagate", "--family", "power", "--k", "-0.1", "--v", "5e-324", "--lambda", "2"), 3),
+        # Bessel frames that overflow
+        (("propagate", "--family", "power", "--k", "-1", "--v", "1e160", "--lambda", "2"), 3),
+        (("propagate", "--family", "exponential", "--v", "1.7e308", "--lambda", "0.5"), 3),
     ]
 
     @pytest.mark.parametrize(

@@ -189,8 +189,7 @@ class TestPowerLaw:
         for v in self.EXTREMES + tuple(-m for m in self.EXTREMES):
             for z in self.EXTREMES:
                 try:
-                    with np.errstate(all="ignore"):
-                        s = propagate_power_law(k, v, z)
+                    s = propagate_power_law(k, v, z)
                 except (DomainError, SymplecticError):
                     continue
                 assert isinstance(s, EvolutionMatrix)
@@ -208,6 +207,13 @@ class TestPowerLaw:
     def test_extreme_valid_points_keep_their_bits(self, k, v, z, entries):
         s = propagate_power_law(k, v, z)
         assert (s.a, s.b, s.c, s.d) == entries
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_frame_is_a_domain_error(self):
+        # both frames are finite, but the Wronskian of the start overflows
+        not_finite = r"^the Bessel frame is not finite: its Wronskian evaluates to -inf$"
+        with pytest.raises(DomainError, match=not_finite):
+            propagate_power_law(-2.0, 1e205, math.sqrt(2.0))
 
     @pytest.mark.parametrize("k, v, z", [(-0.1, 5e-324, 2.0), (-1e300, 5e-324, 2.0), (3.0, 1e-300, 1e300),
                                          (-1e300, -5e-324, 5e-324), (1.0, 1e-300, 1e20)])

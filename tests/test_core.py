@@ -115,7 +115,7 @@ class TestSymplecticContract:
 
     def test_overflowing_r_is_refused_not_raised_as_overflow(self):
         # det is 1 to roundoff, but the squares overflow: without the
-        # finite-R clause inf * 1e-6 would admit it and ** would raise
+        # finite-R clause inf * 1e-6 would admit it and R would read inf
         s = EvolutionMatrix.squeeze(1e200)
         overflow = r"^gain_factor: Tr\[S S\^T\]/2 overflows to inf$"
         with pytest.raises(SymplecticError, match=overflow):
@@ -150,6 +150,14 @@ class TestGainFactor:
 
     def test_squeeze_hand_value(self):
         assert gain_factor(EvolutionMatrix.squeeze(2.0)) == pytest.approx(2.125, abs=0.0)
+
+    def test_squares_are_correctly_rounded_products(self):
+        # libm's pow(a, 2) is one bit off a * a here (R from pow reads 1.4010639103749387)
+        a = 1.5434958358546733
+        s = EvolutionMatrix(a, 0.0, 0.0, 1 / a)
+        r = 0.5 * (s.a * s.a + s.b * s.b + s.c * s.c + s.d * s.d)
+        assert gain_factor(s) == r == 1.401063910374939
+        assert final_energy(s, StationaryState(0), 1.0) == 0.5 * r
 
     def test_rejects_non_symplectic(self):
         with pytest.raises(SymplecticError):

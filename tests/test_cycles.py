@@ -479,6 +479,15 @@ class TestScan:
         with pytest.raises(DomainError, match="finite"):
             GridAxis(start, stop, 3, spacing).values()
 
+    @pytest.mark.parametrize("start,stop,spacing,reason", [
+        (-1.0, 1.0, "log", "positive endpoints"), (1.0, 0.0, "log", "positive endpoints"),
+        (1.0, 2.0, "cubic", "unknown spacing 'cubic'"),
+    ])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_grid_axis_checks_its_spacing_at_any_count(self, start, stop, spacing, reason, count):
+        with pytest.raises(DomainError, match=reason):
+            GridAxis(start, stop, count, spacing).values()
+
     @pytest.mark.filterwarnings("error")
     def test_array_scan_leaves_non_finite_points_to_the_per_point_path(self):
         inf, nan = math.inf, math.nan

@@ -223,6 +223,17 @@ class TestForced:
         for res, plain in zip(forced, propagate_ode_batch(profs, durations)):
             assert np.max(np.abs(res.matrix.as_array() - plain.as_array())) < 1e-9
 
+    def test_piecewise_drives_stay_on_their_array_formula(self, monkeypatch):
+        # every piece reads its drive at t + edge through the stacked formula,
+        # so the only scalar calls left are each run's two endpoint checks
+        rng = np.random.default_rng(33)
+        profiles = [random_piecewise_cycle(rng) for _ in range(20)]
+        kappas = [SineSeries(rng.normal(0.0, 0.5, size=3), p.duration) for p in profiles]
+        calls, scalar = [], SineSeries.__call__
+        monkeypatch.setattr(SineSeries, "__call__", lambda f, t: calls.append(t) or scalar(f, t))
+        propagate_forced_batch(profiles, kappas, [p.duration for p in profiles])
+        assert calls == [t for p in profiles for t in (0.0, p.duration)]
+
     def test_driven_nested_piecewise_against_segmentwise_scipy(self):
         # the oracle integrates each constant-omega segment on its own and
         # hands the state, Q_c and dQ_c included, across the jumps
@@ -428,15 +439,16 @@ def _bits(x):
 
 def _lane_times(rng, durations, count=2000):
     """Times of shape (count + 3, lanes): 0, each lane's end, a bit past it,
-    then random times inside (libm's pow and exp differ from numpy's own in
-    the last bit on ~0.1% and ~5% of inputs, so it takes many to see them)."""
+    then many random times inside, so that a formula whose bits depended on
+    a point's place in the array would show."""
     durations = np.asarray(durations, dtype=float)
     inside = rng.uniform(0.0, 1.0, size=(count, durations.size)) * durations
     return np.vstack([np.zeros(durations.size), durations, 1.0000001 * durations, inside])
 
 
 class TestStackedTerms:
-    """Each stacked formula gives the bits of one scalar call per lane and time."""
+    """Each stacked formula, gathered per lane, gives the bits of one scalar
+    call per lane and time (the scalar call evaluates it at one point)."""
 
     def _check(self, items, scalar, durations, rng):
         t = _lane_times(rng, durations)
@@ -523,7 +535,7 @@ class TestStackedBatches:
         # forced lanes (6 columns each) are not bit-identical to batches of
         # one, so the same batch is run once more with every omega^2 and
         # kappa called per point, which must give the same bits; past a
-        # Piecewise run's first segment its drive is called per point anyway
+        # Piecewise run's first segment a drive is read at t + edge
         rng = np.random.default_rng(32)
         profiles = [random_fourier_profile(rng) for _ in range(5)]
         if piecewise:  # Fourier segments glued to random piecewise cycles, one of them nested

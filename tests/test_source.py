@@ -144,6 +144,34 @@ def test_every_hill_and_forced_run_is_split_and_folded_in_one_place():
     ]
 
 
+def test_the_one_scalar_lift_left_is_the_inverse_linear_legs():
+    # every array formula is written once with numpy's own functions; only
+    # the scan's legs go through libm's log, cosh and sinh per element
+    lifts = [
+        (path.stem, target.id)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assign) and "frompyfunc" in ast.unparse(node.value)
+        for target in node.targets
+    ]
+    assert lifts == [("cycles", "_inverse_linear_each")]
+    assert [module for module, _ in _call_sites("frompyfunc")] == ["cycles"]
+
+
+def test_core_writes_the_energy_form_once():
+    # (omega_f^2 (a^2 + b^2) + c^2 + d^2)/2 from products x * x; R is its
+    # value at omega_f = 1, read by the symplectic check, gain_factor,
+    # final_energy and the array scan
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_energy_form" not in functions
+    assert not [node for node in ast.walk(functions["gain_factor"]) if isinstance(node, ast.Pow)]
+    assert sorted(_call_sites("_energy_ratio")) == [
+        ("core", "_require_symplectic"), ("core", "final_energy"), ("core", "gain_factor"),
+        ("core", "is_symplectic"), ("cycles", "_inverse_linear_scan"),
+    ]
+
+
 def test_package_exports_match_the_submodules():
     # every exported name resolves, and every library submodule's exports
     # are the package's too (cli is the front end: `import cyclosc` skips it)
