@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple, Union
 
 import numpy as np
 from scipy.special import jv, yv
 
-from .core import _SQUARE_MAX, _SQUARE_MIN, EvolutionMatrix
+from .core import _SQUARE_MAX, _SQUARE_MIN, EvolutionMatrix, _libm_each
 from .errors import DomainError
 
 __all__ = [
@@ -75,26 +76,30 @@ def exponent_pair(omega0: float, v: float) -> ExponentPair:
     return ExponentPair(0.25 - (omega0 / v) ** 2)
 
 
-def _coshlike(s2: float, x: float) -> float:
-    """cosh(sqrt(s2) x) for s2 >= 0, cos(sqrt(-s2) x) for s2 < 0; entire in s2 x^2."""
-    u = s2 * x * x
-    if abs(u) < _SERIES_CUT:
-        return 1.0 + u / 2.0 * (1.0 + u / 12.0 * (1.0 + u / 30.0))
-    if s2 > 0.0:
-        return math.cosh(math.sqrt(s2) * x)
-    return math.cos(math.sqrt(-s2) * x)
+def _cosh_sinch(s2: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(cosh(sqrt(s2) x), sinh(sqrt(s2) x)/sqrt(s2)) elementwise, read as
+    (cos(sqrt(-s2) x), sin(sqrt(-s2) x)/sqrt(-s2)) for s2 < 0.
 
-
-def _sinchlike(s2: float, x: float) -> float:
-    """sinh(sqrt(s2) x)/sqrt(s2) (resp. sin/sqrt(-s2)); tends to x as s2 -> 0."""
-    u = s2 * x * x
-    if abs(u) < _SERIES_CUT:
-        return x * (1.0 + u / 6.0 * (1.0 + u / 20.0 * (1.0 + u / 42.0)))
-    if s2 > 0.0:
-        r = math.sqrt(s2)
-        return math.sinh(r * x) / r
-    r = math.sqrt(-s2)
-    return math.sin(r * x) / r
+    Both are entire in u = s2 x^2, the second tending to x as s2 -> 0; their
+    Taylor series in u take over below |u| = _SERIES_CUT.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # u and y past the float range
+        u = s2 * x * x
+        r = np.sqrt(np.abs(s2))
+        y = r * x
+    ch, sh = np.empty_like(u), np.empty_like(u)
+    near = np.abs(u) < _SERIES_CUT
+    far, grows = ~near, s2 > 0.0
+    for branch, cosine, sine in ((far & grows, math.cosh, math.sinh), (far & ~grows, math.cos, math.sin)):
+        if branch.any():
+            yb = y[branch]
+            ch[branch] = _libm_each(cosine, yb)
+            sh[branch] = _libm_each(sine, yb) / r[branch]
+    if near.any():
+        u, x = u[near], x[near]
+        ch[near] = 1.0 + u / 2.0 * (1.0 + u / 12.0 * (1.0 + u / 30.0))
+        sh[near] = x * (1.0 + u / 6.0 * (1.0 + u / 20.0 * (1.0 + u / 42.0)))
+    return ch, sh
 
 
 def _coshm1_over(s2: float, x: float) -> float:
@@ -102,7 +107,8 @@ def _coshm1_over(s2: float, x: float) -> float:
     u = s2 * x * x
     if abs(u) < _SERIES_CUT:
         return x * x / 2.0 * (1.0 + u / 12.0 * (1.0 + u / 30.0 * (1.0 + u / 56.0)))
-    return (_coshlike(s2, x) - 1.0) / s2
+    ch, _ = _cosh_sinch(np.array([s2]), np.array([x]))
+    return (ch.item() - 1.0) / s2
 
 
 def _check_inverse_linear_args(omega0: float, v: float, lam: float) -> None:
@@ -134,34 +140,50 @@ def _inverse_linear_args_ok(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) 
 
 
 def _inverse_linear_entries(
-    omega0: float, v: float, lam: float
-) -> tuple[float, float, float, float]:
-    """Entries (a, b, c, d) of propagate_inverse_linear(omega0, v, lam), for
-    arguments that pass its checks, with lam != 1."""
-    s2 = 0.25 - (omega0 / v) ** 2
-    ln = math.log(lam)
-    rt = math.sqrt(lam)
-    ch = _coshlike(s2, ln)
-    sh = _sinchlike(s2, ln)
-    return (
-        rt * (ch - 0.5 * sh),
-        rt * sh / v,
-        -(omega0**2 / v) * sh / rt,
-        (ch + 0.5 * sh) / rt,
-    )
+    omega0: np.ndarray, v: np.ndarray, lam: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Entries (a, b, c, d) of propagate_inverse_linear(omega0, v, lam),
+    elementwise over 1-D arrays that pass its checks, with lam != 1.
+    Entries past the float range read inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = omega0 / v
+        ch, sh = _cosh_sinch(0.25 - w * w, _libm_each(math.log, lam))
+        rt = np.sqrt(lam)
+        return (
+            rt * (ch - 0.5 * sh),
+            rt * sh / v,
+            -(omega0 * omega0 / v) * sh / rt,
+            (ch + 0.5 * sh) / rt,
+        )
 
 
-def propagate_inverse_linear(omega0: float, v: float, lam: float) -> EvolutionMatrix:
+def propagate_inverse_linear(
+    omega0: Union[float, np.ndarray], v: Union[float, np.ndarray], lam: Union[float, np.ndarray]
+) -> EvolutionMatrix:
     """Evolution matrix for omega(t) = omega0/(1 + v t), run until 1 + v t = lam.
 
     Valid in all three exponent regimes, including the confluent point
     Omega = omega0/|v| = 1/2 and a neighborhood around it (series evaluation
     keeps the entries smooth through the boundary).
+
+    The arguments may also be 1-D arrays, broadcast together, one leg per
+    element: the entries are then arrays, and the first leg that fails a
+    check raises that leg's error.
     """
-    _check_inverse_linear_args(omega0, v, lam)
-    if lam == 1.0:
-        return EvolutionMatrix.identity()
-    return EvolutionMatrix(*_inverse_linear_entries(omega0, v, lam))
+    scalar = np.ndim(omega0) == np.ndim(v) == np.ndim(lam) == 0
+    omega0, v, lam = np.broadcast_arrays(*(np.array(x, dtype=float, ndmin=1) for x in (omega0, v, lam)))
+    for args in zip(omega0.tolist(), v.tolist(), lam.tolist()):
+        _check_inverse_linear_args(*args)
+    moved = lam != 1.0
+    if moved.all():
+        entries = _inverse_linear_entries(omega0, v, lam)
+    else:  # the identity where lam = 1
+        entries = [np.full(lam.shape, x) for x in (1.0, 0.0, 0.0, 1.0)]
+        for entry, x in zip(entries, _inverse_linear_entries(omega0[moved], v[moved], lam[moved])):
+            entry[moved] = x
+    if scalar:
+        return EvolutionMatrix(*(x.item() for x in entries))
+    return EvolutionMatrix(*entries)
 
 
 def energy_inverse_linear(omega0: float, v: float, lam: float, e_initial: float) -> float:

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +53,18 @@ DET_TOL_INPUT = 1e-6
 # x**2 is a finite normal float for _SQUARE_MIN <= |x| <= _SQUARE_MAX (**
 # raises OverflowError above); below, the square is 0 or subnormal.
 _SQUARE_MIN, _SQUARE_MAX = 1.4916681462400413e-154, 1.3407807929942596e154
+
+
+def _libm_each(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndarray:
+    """fn(xi, *args) of each element xi of the 1-D array x, as an array.
+
+    numpy runs its exp, log, cosh, sinh, sin, cos and power through kernels
+    picked by the host's instruction set, and the AVX-512 ones differ from
+    libm in the last bit on part of their inputs.  fn is a libm function
+    (math.cosh, pow, ...), so these values, and every byte written from
+    them, are the same on every CPU.
+    """
+    return np.fromiter(map(fn, x.tolist(), *(repeat(a, x.size) for a in args)), float, count=x.size)
 
 
 @dataclass(frozen=True)

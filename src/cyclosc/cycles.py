@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -157,13 +157,42 @@ def _leg_end(family: str, v: float, lam: float, k: float) -> Tuple[type, float, 
     return cls, (v if end > 1.0 else -v), end
 
 
-def _closed_leg(cls: type, v: float, end: float, omega0: float, k: float) -> EvolutionMatrix:
-    """Closed form of the family profile cls of rate v (omega0, k if it has them) run to scale end."""
-    if cls is InverseLinear:
-        return propagate_inverse_linear(omega0, v, end)
-    if cls is PowerLaw:
-        return propagate_power_law(k, v, end)
-    return propagate_exponential(v, end)
+# A closed-form leg (cls, rate, end, omega0, k): the family profile cls of
+# this rate (omega0 and k if it has them), run from scale 1 to scale end.
+_Leg = Tuple[type, float, float, float, float]
+
+
+def _closed_legs(legs: Iterable[_Leg]) -> Dict[_Leg, EvolutionMatrix]:
+    """Closed form of each distinct leg: the power-law and exponential legs
+    one by one, in order, then all the inverse-linear legs together, as arrays."""
+    mats, inverse_linear = {}, []
+    for leg in legs:
+        if leg in mats:
+            continue
+        cls, rate, end, _, k = leg
+        if cls is InverseLinear:
+            inverse_linear.append(leg)
+            mats[leg] = None
+        elif cls is PowerLaw:
+            mats[leg] = propagate_power_law(k, rate, end)
+        else:
+            mats[leg] = propagate_exponential(rate, end)
+    if inverse_linear:
+        _, rate, end, omega0, _ = zip(*inverse_linear)
+        s = propagate_inverse_linear(np.array(omega0), np.array(rate), np.array(end))
+        mats.update(zip(inverse_linear, map(EvolutionMatrix, s.a.tolist(), s.b.tolist(), s.c.tolist(), s.d.tolist())))
+    return mats
+
+
+def _in_order(batch: Callable[[Sequence], list], items: Sequence) -> list:
+    """batch(items); where that raises, the error of the first item that fails
+    on its own, as evaluating the items one by one would raise."""
+    try:
+        return batch(items)
+    except (DomainError, SymplecticError):
+        for item in items:
+            batch([item])
+        raise
 
 
 def _leg_profile(family: str, v: float, lam: float, k: float) -> Tuple[FrequencyProfile, float]:
@@ -179,9 +208,15 @@ def legs(runs: Sequence[Tuple[str, float, float, float]], method: str = "closed"
     for family, v, _, k in runs:
         _check_leg_args(family, v, k, method)
     if method == "closed":
-        return [_closed_leg(*_leg_end(*run), 1.0, run[3]) for run in runs]
+        return _in_order(_closed_runs, runs)
     profiles = [_leg_profile(*run) for run in runs]
     return propagate_ode_batch([p for p, _ in profiles], [t for _, t in profiles])
+
+
+def _closed_runs(runs: Sequence[Tuple[str, float, float, float]]) -> List[EvolutionMatrix]:
+    legs = [(*_leg_end(*run), 1.0, run[3]) for run in runs]
+    mats = _closed_legs(legs)
+    return [mats[leg] for leg in legs]
 
 
 def leg(family: str, v: float, lam: float, k: float = -2.0, method: str = "closed") -> EvolutionMatrix:
@@ -194,13 +229,18 @@ def _reversed(s: EvolutionMatrix) -> EvolutionMatrix:
     return EvolutionMatrix(s.d, s.b, s.c, s.a)
 
 
-def _segment(prof: FrequencyProfile, dur: float) -> Optional[EvolutionMatrix]:
-    """Closed-form matrix of prof over [0, dur], or None if it needs the ODE."""
+# One cycle from closed forms: its steps (leg, mirrored) in time order; a
+# mirrored step runs its leg backwards.
+_Plan = Tuple[Tuple[_Leg, bool], ...]
+
+
+def _segment_step(prof: FrequencyProfile, dur: float) -> Optional[Tuple[_Leg, bool]]:
+    """(leg, mirrored) of prof over [0, dur], or None if it needs the ODE."""
     if isinstance(prof, TimeReversed):
         if dur != prof.duration:
             return None
-        base = _segment(prof.base, dur)
-        return None if base is None else _reversed(base)
+        base = _segment_step(prof.base, dur)
+        return None if base is None else (base[0], not base[1])
     if not isinstance(prof, (InverseLinear, Exponential, PowerLaw)):
         return None
     omega0 = prof.omega(0.0)
@@ -208,38 +248,55 @@ def _segment(prof: FrequencyProfile, dur: float) -> Optional[EvolutionMatrix]:
         return None
     if isinstance(prof, PowerLaw) and (prof.omega0 != 1.0 or abs(1.0 / prof.k) > MAX_BESSEL_ORDER):
         return None
-    return _closed_leg(type(prof), prof.v, prof.scale(dur), omega0, getattr(prof, "k", 0.0))
+    return (type(prof), prof.v, prof.scale(dur), omega0, getattr(prof, "k", 0.0)), False
 
 
-def _closed_piecewise(profile: FrequencyProfile, duration: float) -> Optional[EvolutionMatrix]:
-    """Product of a whole Piecewise profile's segment matrices, or None if
-    any segment, or a run shorter than the profile, needs the ODE."""
+def _piecewise_plan(profile: FrequencyProfile, duration: float) -> Optional[_Plan]:
+    """One step per segment of a whole Piecewise profile, or None if any
+    segment, or a run shorter than the profile, needs the ODE."""
     if not isinstance(profile, Piecewise) or duration != profile.duration:
         return None
-    total = EvolutionMatrix.identity()
+    steps = []
     for prof, dur in profile.segments:
-        s = _segment(prof, dur)
-        if s is None:
+        step = _segment_step(prof, dur)
+        if step is None:
             return None
-        total = compose(s, total)
-    return total
+        steps.append(step)
+    return tuple(steps)
 
 
-def _closed_cycle(spec: CycleSpec) -> Optional[EvolutionMatrix]:
-    """One cycle from closed forms, or None for a custom cycle to integrate."""
+def _cycle_plan(spec: CycleSpec) -> Optional[_Plan]:
+    """One cycle's closed-form plan, or None for a custom cycle to integrate."""
     lam = spec.lam
     if spec.family == "custom":
-        return _closed_piecewise(spec.profile, spec.duration)
+        return _piecewise_plan(spec.profile, spec.duration)
     u = spec.v / spec.omega0  # normalized rate; gain is invariant under this rescaling
     if lam == 1.0:
-        return EvolutionMatrix.identity()
+        return ()
     if spec.family != "inverse-linear":  # u may leave the float range; inverse-linear takes u = inf
         _check_leg_args(spec.family, u, spec.k)
     cls, rate, end = _leg_end(spec.family, u, lam, spec.k)
-    out = _closed_leg(cls, rate, end, 1.0, spec.k)
+    out = (cls, rate, end, 1.0, spec.k)
     if cls is InverseLinear:  # the return leg of the module docstring, from omega0 = 1/lam
-        return compose(_closed_leg(cls, -rate, 1.0 / lam, 1.0 / lam, spec.k), out)
-    return compose(_reversed(out), out)
+        return (out, False), ((cls, -rate, 1.0 / lam, 1.0 / lam, spec.k), False)
+    return (out, False), (out, True)
+
+
+def _fold(mats: Dict[_Leg, EvolutionMatrix], plan: _Plan) -> EvolutionMatrix:
+    """Product of the plan's steps, each composed onto the ones before it."""
+    total = None
+    for leg, mirrored in plan:
+        s = _reversed(mats[leg]) if mirrored else mats[leg]
+        total = s if total is None else compose(s, total)
+    return EvolutionMatrix.identity() if total is None else total
+
+
+def _closed_cycles(specs: Sequence[CycleSpec]) -> List[Optional[EvolutionMatrix]]:
+    """One cycle of each spec from closed forms (None for a custom cycle to
+    integrate); the inverse-linear legs of all specs are evaluated together."""
+    plans = [_cycle_plan(spec) for spec in specs]
+    mats = _closed_legs(leg for plan in plans if plan is not None for leg, _ in plan)
+    return [None if plan is None else _fold(mats, plan) for plan in plans]
 
 
 def _repeat(once: EvolutionMatrix, n_cycles: int) -> EvolutionMatrix:
@@ -255,16 +312,19 @@ def build_cycle(spec: CycleSpec, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Evol
     cfg applies to the custom cycles that are integrated, not to those
     composed from closed forms.
     """
-    once = _closed_cycle(spec)
-    if once is None:
+    plan = _cycle_plan(spec)
+    if plan is None:
         once = propagate_ode(spec.profile, spec.duration, cfg)
+    else:
+        once = _fold(_closed_legs(leg for leg, _ in plan), plan)
     return _repeat(once, spec.n_cycles)
 
 
 def build_cycles(specs: Sequence[CycleSpec], cfg: IntegratorConfig = DEFAULT_CONFIG) -> List[EvolutionMatrix]:
-    """build_cycle of each spec; the custom cycles that need the ODE are
-    integrated together, as one batch."""
-    once = [_closed_cycle(spec) for spec in specs]
+    """build_cycle of each spec.  The inverse-linear legs of all the specs are
+    evaluated together, as arrays, and the custom cycles that need the ODE
+    are integrated together, as one batch."""
+    once = _in_order(_closed_cycles, specs)
     todo = [i for i, s in enumerate(once) if s is None]
     integrated = propagate_ode_batch(
         [specs[i].profile for i in todo], [specs[i].duration for i in todo], cfg
@@ -320,26 +380,17 @@ class ScanResult:
     error: Tuple[str, ...]
 
 
-# the scalar code lifted to arrays: numpy's own log, cosh and sinh differ
-# from libm's in the last bit on part of their inputs, so each element goes
-# through the same scalar code
-_inverse_linear_each = np.frompyfunc(_inverse_linear_entries, 3, 4)
-
-
-def _inverse_linear_legs(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) -> EvolutionMatrix:
-    return EvolutionMatrix(*(x.astype(float) for x in _inverse_linear_each(omega0, v, lam)))
-
-
 def _inverse_linear_scan(
     omega0: np.ndarray, lam: np.ndarray, v: np.ndarray, n_cycles: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(gain, det_err): gain_factor and det_error of build_cycle, as arrays.
 
     Both are NaN where build_cycle or gain_factor would raise, and at lam = 1
-    (the identity, with no formula), for the per-point path to fill in.  The
-    legs come from _one_cycle's scalar formula, and each check of compose
-    and gain_factor and the gain itself are made on the same products, so
-    every other point carries the per-point path's bits.
+    (the identity, with no formula), for the per-point path to fill in.  Both
+    legs of every point come from one call of the formula every leg uses,
+    _inverse_linear_entries, and each check of compose and gain_factor and
+    the gain itself are made on the same products, so every other point
+    carries the per-point path's bits.
     """
     # entries overflow where the cycle grows, and 1/lam where lam is
     # subnormal; those points fail a symplectic check or the argument checks
@@ -351,8 +402,10 @@ def _inverse_linear_scan(
                             & (lam != 1.0) & (lam < math.inf)
                             & _inverse_linear_args_ok(1.0, u_out, lam)
                             & _inverse_linear_args_ok(inv, -u_out, inv))
-        out = _inverse_linear_legs(1.0, u_out[at], lam[at])
-        back = _inverse_linear_legs(inv[at], -u_out[at], inv[at])
+        u_at, inv_at = u_out[at], inv[at]
+        entries = _inverse_linear_entries(np.concatenate((np.ones(at.size), inv_at)),
+                                          np.concatenate((u_at, -u_at)), np.concatenate((lam[at], inv_at)))
+        out, back = (EvolutionMatrix(*half) for half in zip(*(np.split(x, 2) for x in entries)))
         ok = out.is_symplectic() & back.is_symplectic()
         once = total = back @ out
         for _ in range(n_cycles - 1):

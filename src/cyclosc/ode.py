@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import EvolutionMatrix, StationaryState, compose, final_energy
+from .core import EvolutionMatrix, StationaryState, _libm_each, compose, final_energy
 from .errors import DomainError, IntegrationError
 from .profiles import FrequencyProfile, LaneMap, Piecewise
 
@@ -304,7 +304,8 @@ def solve_ivp(
         # the rows carry h, so this is scipy's |h| e5 / sqrt((e5 + e3 / 100) n);
         # _TINY only keeps 0 / 0 and 0^(-1/8) out, below where the factor caps at 10
         error_norm = e5 / np.sqrt((e5 + 0.01 * e3) * n + _TINY)
-        factor = _SAFETY * np.maximum(error_norm, _TINY) ** _EXPONENT
+        # libm's pow per lane, as scipy's scalar control takes it (numpy's power depends on the CPU)
+        factor = _SAFETY * _libm_each(math.pow, np.maximum(error_norm, _TINY), _EXPONENT)
         accepted = error_norm < 1.0
         # fmax first: a NaN error norm shrinks the step like a large one
         h_abs = h * np.fmin(

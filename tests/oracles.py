@@ -1,10 +1,15 @@
 """Independent numerical oracles shared by the unit and acceptance tests.
 
 These deliberately avoid the library's own matrix-propagation route so that
-agreement is evidence and not tautology.
+agreement is evidence and not tautology.  The one exception is
+inverse_linear_entries_scalar, the library's inverse-linear formula written
+for one point: a reference for the bits of the array formula, not an oracle
+for its accuracy.
 """
 
 from __future__ import annotations
+
+import math
 
 from scipy.integrate import solve_ivp
 
@@ -73,3 +78,28 @@ def inverse_linear_cycle_gain_mp(v, lam, n_cycles, dps=60):
         once = leg(1.0 / lam, -u, 1.0 / lam) * leg(1.0, u, lam)
         total = once ** n_cycles
         return float(sum(mpmath.re(x) ** 2 for x in total) / 2)
+
+
+def inverse_linear_entries_scalar(omega0, v, lam):
+    """(a, b, c, d) of one inverse-linear leg in Python float arithmetic.
+
+    The library's real cosh/sinc form written for one point, with libm's
+    log, cosh, sinh, cos and sin, squares as x * x, and the Taylor series in
+    u = s2 ln(lam)^2 below |u| = 1e-6: the array formula must give these
+    bits for every element of a batch.
+    """
+    w = omega0 / v
+    s2 = 0.25 - w * w
+    ln = math.log(lam)
+    rt = math.sqrt(lam)
+    u = s2 * ln * ln
+    if abs(u) < 1e-6:
+        ch = 1.0 + u / 2.0 * (1.0 + u / 12.0 * (1.0 + u / 30.0))
+        sh = ln * (1.0 + u / 6.0 * (1.0 + u / 20.0 * (1.0 + u / 42.0)))
+    elif s2 > 0.0:
+        r = math.sqrt(s2)
+        ch, sh = math.cosh(r * ln), math.sinh(r * ln) / r
+    else:
+        r = math.sqrt(-s2)
+        ch, sh = math.cos(r * ln), math.sin(r * ln) / r
+    return rt * (ch - 0.5 * sh), rt * sh / v, -(omega0 * omega0 / v) * sh / rt, (ch + 0.5 * sh) / rt

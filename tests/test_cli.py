@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import cyclosc
 import cyclosc.cli as cli
+import cyclosc.closed_form
 from cyclosc import __version__
 from cyclosc.cli import main
 from cyclosc.cycles import leg
@@ -747,6 +748,68 @@ class TestVerify:
         assert rc == 1
         doc = json.loads(out)
         assert column(doc, "status") == ["FAIL"]
+
+
+    def test_inverse_linear_legs_are_evaluated_in_batches(self, capsys, monkeypatch):
+        # every build_cycles and closed legs call evaluates all of its
+        # inverse-linear legs with one call of the array formula, and no
+        # leg is evaluated on its own
+        sizes, batches = [], []
+        formula = cyclosc.closed_form._inverse_linear_entries
+
+        def counted(omega0, v, lam):
+            sizes.append(lam.size)
+            return formula(omega0, v, lam)
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args):
+                if name == "build_cycles" or args[1] == "closed":
+                    batches.append(name)
+                return real(*args)
+            return wrapper
+
+        monkeypatch.setattr(cyclosc.closed_form, "_inverse_linear_entries", counted)
+        for name in ("build_cycles", "legs"):
+            monkeypatch.setattr(cli, name, spy(name))
+        assert run(capsys, "verify", "--seed", "0")[0] == 0
+        assert batches == ["build_cycles", "legs"]
+        assert len(sizes) == len(batches) and min(sizes) > 1
+
+
+class TestSameBytesOnEveryCpu:
+    """numpy picks its transcendental kernels by the host's instruction set;
+    these commands write the same stdout with AVX-512 kernels and without
+    (NPY_DISABLE_CPU_FEATURES=X86_V4).  A host without AVX-512 runs the same
+    kernels twice.  forced and spectrum, and scans over log axes, still
+    differ (see README, "Numerical guarantees")."""
+
+    RUNS = {
+        "scan": ["scan", "--family", "inverse-linear", "--v-grid", "0.03:50:80",
+                 "--lambda-grid", "0.1:10:50", "--cycles", "2"],
+        **{
+            f"propagate-ode-{family}": ["propagate", "--method", "ode", "--family", family, *extra,
+                                        "--v-grid", "0.1:3:7", "--lambda", "0.4"]
+            for family, extra in (("inverse-linear", []), ("power", ["--k", "-3"]), ("exponential", []))
+        },
+        "verify-seed-7": ["verify", "--seed", "7"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_stdout_is_the_same_without_avx512(self, name):
+        src = str(Path(cyclosc.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")}
+        env["PYTHONPATH"] = src
+        procs = [
+            subprocess.Popen([sys.executable, "-m", "cyclosc.cli", *self.RUNS[name]], env=dict(env, **extra),
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+            for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": "X86_V4"})
+        ]
+        native, baseline = (proc.communicate(timeout=120)[0] for proc in procs)
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert native.count("\n") > 5 and native == baseline
 
 
 class TestIntegratedGoldens:

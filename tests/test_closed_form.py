@@ -29,6 +29,7 @@ from cyclosc import (
     propagate_inverse_linear,
     propagate_power_law,
 )
+from oracles import inverse_linear_entries_scalar
 
 # ODE oracle, inverse-linear omega0=1, v=1, lambda=2.
 IL_ORACLE = (
@@ -110,6 +111,18 @@ class TestInverseLinear:
                 energy_inverse_linear(omega0, v, lam, 0.5)
         assert propagate_inverse_linear(1.0, 1.0 / top, 2.0).det_error() < 1e-12
         assert propagate_inverse_linear(1e-300, 1e-300, 1.0) == propagate_inverse_linear(1.0, 1.0, 1.0)
+
+    def test_arrays_are_legs_checked_one_by_one(self):
+        # one leg per element, the identity where lam = 1; the first leg
+        # that fails a check raises its own error
+        s = propagate_inverse_linear(1.0, np.array([1.0, 0.0, -2.0]), np.array([2.0, 1.0, 0.5]))
+        assert s.a.shape == (3,)
+        for i, one in enumerate((propagate_inverse_linear(1.0, 1.0, 2.0), EvolutionMatrix.identity(),
+                                 propagate_inverse_linear(1.0, -2.0, 0.5))):
+            assert EvolutionMatrix(s.a[i], s.b[i], s.c[i], s.d[i]) == one
+        with pytest.raises(DomainError, match=r"^lambda = 0\.5 is not reachable with rate v = 1\.0"):
+            propagate_inverse_linear(np.array([1.0, 1.0, -1.0]), np.array([1.0, 1.0, 1.0]),
+                                     np.array([2.0, 0.5, 0.5]))
 
     def test_energy_frozen_oracle(self):
         e = energy_inverse_linear(1.0, 1.0, 10.0, 0.5)
@@ -270,6 +283,42 @@ class TestAsymptoticEnergy:
 @settings(max_examples=150, deadline=None)
 def test_property_inverse_linear_det_is_one(v, lam):
     assert propagate_inverse_linear(1.0, v, lam).det_error() < 1e-11
+
+
+@st.composite
+def inverse_linear_legs(draw):
+    """(omega0, v, lam) of one leg: growing (Omega = omega0/|v| < 1/2),
+    oscillating (Omega > 1/2), within 1e-6 of the confluent Omega = 1/2, or
+    with u = s2 ln(lam)^2 at the series cut, |u| = 1e-6 up to a factor 2."""
+    omega0 = draw(st.floats(min_value=0.1, max_value=10.0))
+    regime = draw(st.sampled_from(["growing", "oscillating", "confluent", "series-cut"]))
+    if regime == "growing":
+        big = draw(st.floats(min_value=1e-3, max_value=0.5, exclude_max=True))
+    elif regime == "oscillating":
+        big = draw(st.floats(min_value=0.5, max_value=50.0, exclude_min=True))
+    elif regime == "confluent":
+        big = 0.5 + draw(st.floats(min_value=-1e-6, max_value=1e-6))
+    else:
+        big = draw(st.floats(min_value=0.3, max_value=0.45) | st.floats(min_value=0.55, max_value=0.7))
+    if regime == "series-cut":
+        ln = math.sqrt(1e-6 * draw(st.floats(min_value=0.5, max_value=2.0)) / abs(0.25 - big * big))
+        lam = math.exp(draw(st.sampled_from([-ln, ln])))
+    else:
+        lam = draw(st.floats(min_value=0.05, max_value=20.0).filter(lambda x: x != 1.0))
+    return omega0, math.copysign(omega0 / big, lam - 1.0), lam
+
+
+@given(st.lists(inverse_linear_legs(), min_size=1, max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_property_inverse_linear_batch_is_each_leg_alone(points):
+    # one array formula: each element of a batch carries the bits of its
+    # one-point evaluation and of the scalar reference, in every regime
+    batch = propagate_inverse_linear(*(np.array(x) for x in zip(*points)))
+    for i, point in enumerate(points):
+        one = propagate_inverse_linear(*point)
+        bits = [x.hex() for x in (one.a, one.b, one.c, one.d)]
+        assert [x[i].item().hex() for x in (batch.a, batch.b, batch.c, batch.d)] == bits
+        assert [x.hex() for x in inverse_linear_entries_scalar(*point)] == bits
 
 
 @given(

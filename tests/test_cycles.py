@@ -635,8 +635,7 @@ class TestRandomCycles:
         rng = np.random.default_rng(12)
         specs = [random_cycle_spec(rng) for _ in range(40)]
         specs.append(replace(specs[-1], n_cycles=3))
-        integrated = [s.family == "custom" and cyclosc.cycles._closed_piecewise(
-            s.profile, s.duration) is None for s in specs]
+        integrated = [cyclosc.cycles._cycle_plan(s) is None for s in specs]
         assert any(integrated) and not all(integrated)
         for spec, s, ode_route in zip(specs, build_cycles(specs), integrated):
             one = build_cycle(spec)
@@ -645,6 +644,25 @@ class TestRandomCycles:
             else:
                 assert s == one
         assert build_cycles([]) == []
+
+    def test_batches_raise_the_first_failing_items_own_error(self):
+        # a batch evaluates its inverse-linear legs before its Bessel legs,
+        # yet raises what the first failing spec or run raises on its own
+        bessel = CycleSpec("power-law", v=0.5, lam=2.0, omega0=1e-300, k=-3.0)
+        inverse_linear = CycleSpec("inverse-linear", v=1.0, lam=1e-320)
+        for specs in ([bessel, inverse_linear], [inverse_linear, bessel]):
+            with pytest.raises(DomainError) as alone:
+                build_cycle(specs[0])
+            with pytest.raises(DomainError) as batch:
+                build_cycles(specs)
+            assert str(batch.value) == str(alone.value)
+        runs = [("power-law", 1e205, 2.0, -2.0), ("inverse-linear", 1e-200, 2.0, -2.0)]
+        for order in (runs, runs[::-1]):
+            with pytest.raises(DomainError) as alone:
+                leg(*order[0])
+            with pytest.raises(DomainError) as batch:
+                legs(order)
+            assert str(batch.value) == str(alone.value)
 
     def test_piecewise_palindrome_closes(self):
         rng = np.random.default_rng(23)

@@ -88,10 +88,10 @@ def test_det_tolerance_is_referenced_only_in_core():
 
 
 def test_each_closed_form_is_called_only_from_the_leg_dispatcher():
-    # the family -> closed form choice is written once, in cycles._closed_leg
+    # the family -> closed form choice is written once, in cycles._closed_legs
     names = ["propagate_exponential", "propagate_inverse_linear", "propagate_power_law"]
     tree = ast.parse((PACKAGE / "cycles.py").read_text(encoding="utf-8"))
-    dispatcher = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_closed_leg")
+    dispatcher = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_closed_legs")
 
     def calls(root):
         return sorted(
@@ -144,18 +144,35 @@ def test_every_hill_and_forced_run_is_split_and_folded_in_one_place():
     ]
 
 
-def test_the_one_scalar_lift_left_is_the_inverse_linear_legs():
-    # every array formula is written once with numpy's own functions; only
-    # the scan's legs go through libm's log, cosh and sinh per element
-    lifts = [
-        (path.stem, target.id)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assign) and "frompyfunc" in ast.unparse(node.value)
-        for target in node.targets
+def test_libm_is_reached_per_element_only_through_one_helper():
+    # numpy picks its exp, log, cosh, sinh, sin, cos and power kernels by the
+    # host's instruction set, and the AVX-512 ones differ from libm in the
+    # last bit.  The inverse-linear formula and the ODE step control take
+    # libm's values per element through core._libm_each, use none of those
+    # numpy functions (nor ** on arrays), and nothing lifts a scalar function
+    # to arrays any other way.
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "frompyfunc" not in text and "vectorize" not in text, path.name
+    assert sorted(_call_sites("_libm_each")) == [
+        ("closed_form", "_cosh_sinch"), ("closed_form", "_cosh_sinch"),
+        ("closed_form", "_inverse_linear_entries"), ("ode", "solve_ivp"),
     ]
-    assert lifts == [("cycles", "_inverse_linear_each")]
-    assert [module for module, _ in _call_sites("frompyfunc")] == ["cycles"]
+    host_dependent = {"exp", "expm1", "exp2", "log", "log1p", "log2", "log10", "cosh", "sinh",
+                      "tanh", "cos", "sin", "tan", "power", "float_power", "geomspace", "logspace"}
+    checked = {"closed_form": {"_cosh_sinch", "_inverse_linear_entries", "propagate_inverse_linear"},
+               "ode": {"solve_ivp"}}
+    for module, names in checked.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in names]
+        assert {f.name for f in functions} == names
+        for f in functions:
+            numpy_names = {
+                node.attr for node in ast.walk(f)
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+            }
+            assert not numpy_names & host_dependent, (module, f.name)
+            assert not [node for node in ast.walk(f) if isinstance(node, ast.Pow)], (module, f.name)
 
 
 def test_core_writes_the_energy_form_once():
