@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
-from scipy.special import jv, yv
 
 from .core import _SQUARE_MAX, _SQUARE_MIN, EvolutionMatrix, _libm_each
 from .errors import DomainError
@@ -116,6 +115,8 @@ def _check_inverse_linear_args(omega0: float, v: float, lam: float) -> None:
         raise DomainError(f"omega0 must be positive, got {omega0!r}")
     if not lam > 0.0:
         raise DomainError(f"lambda must be positive, got {lam!r}")
+    if lam == math.inf:
+        raise DomainError("lambda must be finite, got inf")
     if lam != 1.0:
         if v == 0.0:
             raise DomainError("v = 0 cannot reach lambda != 1")
@@ -136,7 +137,7 @@ def _inverse_linear_args_ok(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         reachable = (v != 0.0) & ~((lam - 1.0) / v < 0.0)
         in_range = (omega0 <= _SQUARE_MAX) & (np.abs(omega0 / v) <= _SQUARE_MAX)
-    return (omega0 > 0.0) & (lam > 0.0) & ((lam == 1.0) | (reachable & in_range))
+    return (omega0 > 0.0) & (0.0 < lam) & (lam < math.inf) & ((lam == 1.0) | (reachable & in_range))
 
 
 def _inverse_linear_entries(
@@ -214,26 +215,26 @@ def _bessel_order_check(nu: float) -> None:
         )
 
 
-def _wronskian_map(start: np.ndarray, end: np.ndarray) -> EvolutionMatrix:
+def _wronskian_map(start: EvolutionMatrix, end: EvolutionMatrix) -> EvolutionMatrix:
     """Evolution matrix end @ start^-1 between two fundamental frames.
 
     start is inverted through its adjugate over its determinant, the
     Wronskian, which is constant along the frame.  The frames are built
-    from Python floats, so an entry that left the floats is inf or nan,
-    without numpy warnings, and is refused here.
+    from Python floats, so an entry that left the floats is inf or nan, and
+    is refused here, as is a map whose entries leave the float range.
     """
-    (a, b), (c, d) = start.tolist()
-    det = a * d - b * c  # not finite where any entry of start is not
-    if not (math.isfinite(det) and all(map(math.isfinite, end.flat))):
-        raise DomainError(f"the Bessel frame is not finite: its Wronskian evaluates to {det!r}")
-    if det == 0.0:
+    w = start.det()  # not finite where any entry of start is not
+    if not (math.isfinite(w) and all(map(math.isfinite, (end.a, end.b, end.c, end.d)))):
+        raise DomainError(f"the Bessel frame is not finite: its Wronskian evaluates to {w!r}")
+    if w == 0.0:
         raise DomainError("the Bessel frame is degenerate: its Wronskian evaluates to 0")
-    inv = np.array([[d, -b], [-c, a]]) / det
-    with np.errstate(over="ignore"):  # a map past the float range reads inf, which compose refuses
-        return EvolutionMatrix.from_array(end @ inv)
+    s = end @ EvolutionMatrix(start.d / w, -start.b / w, -start.c / w, start.a / w)
+    if not all(map(math.isfinite, (s.a, s.b, s.c, s.d))):
+        raise DomainError(f"the Bessel map leaves the float range: {s!r}")
+    return s
 
 
-def _power_law_frame(z: float, k: float, v: float) -> np.ndarray:
+def _power_law_frame(z: float, k: float, v: float, jv: Callable, yv: Callable) -> EvolutionMatrix:
     """Fundamental-solution frame [[q1, q2], [p1, p2]] at scale z.
 
     q_i are sqrt(z) J_nu(w) and sqrt(z) Y_nu(w) with nu = 1/k and
@@ -254,7 +255,7 @@ def _power_law_frame(z: float, k: float, v: float) -> np.ndarray:
     yp = ym - (nu / w) * yw
     dq1 = 0.5 / rt * jw + rt * jp * dwdz
     dq2 = 0.5 / rt * yw + rt * yp * dwdz
-    return np.array([[rt * jw, rt * yw], [v * dq1, v * dq2]])
+    return EvolutionMatrix(rt * jw, rt * yw, v * dq1, v * dq2)
 
 
 def propagate_power_law(k: float, v: float, z_final: float) -> EvolutionMatrix:
@@ -276,15 +277,16 @@ def propagate_power_law(k: float, v: float, z_final: float) -> EvolutionMatrix:
         raise DomainError(
             f"z_final = {z_final!r} is not reachable with rate v = {v!r}"
         )
-    return _wronskian_map(_power_law_frame(1.0, k, v), _power_law_frame(z_final, k, v))
+    from scipy.special import jv, yv  # on the first Bessel leg: `import cyclosc` loads no scipy
+    return _wronskian_map(_power_law_frame(1.0, k, v, jv, yv), _power_law_frame(z_final, k, v, jv, yv))
 
 
-def _exponential_frame(z: float, v: float) -> np.ndarray:
+def _exponential_frame(z: float, v: float, jv: Callable, yv: Callable) -> EvolutionMatrix:
     """Fundamental frame for omega = exp(v t): q_i = {J0, Y0}(z/|v|), p_i = dq_i/dt."""
     w = z / abs(v)
     (j0, j1), (y0, y1) = jv([0.0, 1.0], w).tolist(), yv([0.0, 1.0], w).tolist()
     # d/dt Z0(w(t)) = -Z1(w) * dw/dt with dw/dt = v w.
-    return np.array([[j0, y0], [-v * w * j1, -v * w * y1]])
+    return EvolutionMatrix(j0, y0, -v * w * j1, -v * w * y1)
 
 
 def propagate_exponential(v: float, z_final: float) -> EvolutionMatrix:
@@ -301,7 +303,8 @@ def propagate_exponential(v: float, z_final: float) -> EvolutionMatrix:
         raise DomainError(
             f"z_final = {z_final!r} is not reachable with rate v = {v!r}"
         )
-    return _wronskian_map(_exponential_frame(1.0, v), _exponential_frame(z_final, v))
+    from scipy.special import jv, yv  # imported on the first Bessel leg, as in propagate_power_law
+    return _wronskian_map(_exponential_frame(1.0, v, jv, yv), _exponential_frame(z_final, v, jv, yv))
 
 
 def asymptotic_energy(lam: float, omega: float = 1.0) -> float:

@@ -134,8 +134,9 @@ class EvolutionMatrix:
         return (abs(self.det() - 1.0) < DET_TOL_INPUT * r) & (r < math.inf)
 
     def is_orthogonal(self, tol: float = 1e-9) -> bool:
-        g = self.as_array()
-        return bool(np.max(np.abs(g @ g.T - np.eye(2))) < tol)
+        """Every entry of S S^T - 1 within tol."""
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return all(abs(x) < tol for x in (a * a + b * b - 1.0, a * c + b * d, c * c + d * d - 1.0))
 
 
 def _require_symplectic(s: EvolutionMatrix, op: str) -> None:

@@ -235,13 +235,14 @@ _Plan = Tuple[Tuple[_Leg, bool], ...]
 
 
 def _segment_step(prof: FrequencyProfile, dur: float) -> Optional[Tuple[_Leg, bool]]:
-    """(leg, mirrored) of prof over [0, dur], or None if it needs the ODE."""
-    if isinstance(prof, TimeReversed):
+    """(leg, mirrored) of prof over [0, dur], or None if it needs the ODE.
+    Only the exact family and TimeReversed types qualify: a subclass may change omega."""
+    if type(prof) is TimeReversed:
         if dur != prof.duration:
             return None
         base = _segment_step(prof.base, dur)
         return None if base is None else (base[0], not base[1])
-    if not isinstance(prof, (InverseLinear, Exponential, PowerLaw)):
+    if type(prof) not in (InverseLinear, Exponential, PowerLaw):
         return None
     omega0 = prof.omega(0.0)
     if not abs(prof.v) >= _SLOW_RATE * omega0:
@@ -399,7 +400,7 @@ def _inverse_linear_scan(
         u_out = np.where(lam > 1.0, u, -u)
         inv = 1.0 / lam
         at = np.flatnonzero((0.0 < v) & (v < math.inf) & (0.0 < omega0) & (omega0 < math.inf)
-                            & (lam != 1.0) & (lam < math.inf)
+                            & (lam != 1.0)
                             & _inverse_linear_args_ok(1.0, u_out, lam)
                             & _inverse_linear_args_ok(inv, -u_out, inv))
         u_at, inv_at = u_out[at], inv[at]

@@ -25,6 +25,7 @@ from cyclosc import (
     exponent_pair,
     final_energy,
     gain_factor,
+    leg,
     propagate_exponential,
     propagate_inverse_linear,
     propagate_power_law,
@@ -111,6 +112,14 @@ class TestInverseLinear:
                 energy_inverse_linear(omega0, v, lam, 0.5)
         assert propagate_inverse_linear(1.0, 1.0 / top, 2.0).det_error() < 1e-12
         assert propagate_inverse_linear(1e-300, 1e-300, 1.0) == propagate_inverse_linear(1.0, 1.0, 1.0)
+
+    def test_infinite_lambda_is_a_domain_error(self):
+        # cos(inf) would raise ValueError where Omega > 1/2 and give nan where Omega < 1/2
+        for run in (lambda: propagate_inverse_linear(1.0, 0.1, math.inf),
+                    lambda: propagate_inverse_linear(1.0, 10.0, math.inf),
+                    lambda: leg("inverse-linear", 0.1, math.inf)):
+            with pytest.raises(DomainError, match=r"^lambda must be finite, got inf$"):
+                run()
 
     def test_arrays_are_legs_checked_one_by_one(self):
         # one leg per element, the identity where lam = 1; the first leg
@@ -208,13 +217,13 @@ class TestPowerLaw:
                 assert isinstance(s, EvolutionMatrix)
 
     @pytest.mark.parametrize("k, v, z, entries", [
-        (-4.0, 0.5, 2.0, (0.41886731314788034, 1.813704531167164, -0.35647272870324004, 0.8438562418658362)),
-        (3.0, -2.0, 0.5, (0.9740612539325618, 0.24805142337378047, -0.1860710107636567, 0.9792452138718528)),
+        (-4.0, 0.5, 2.0, (0.4188673131478804, 1.813704531167164, -0.35647272870324, 0.8438562418658362)),
+        (3.0, -2.0, 0.5, (0.9740612539325618, 0.2480514233737805, -0.18607101076365673, 0.9792452138718528)),
         (-0.1, 1e-10, 1e10, (-176648.33337283498, 20448.543191700843, -6.466397138151704e-07,
                              -5.586110783167619e-06)),
         (0.1, -0.5, 1e-150, (5.209319987068916e-08, 8.4612958371932e-08, -1.1566653967154282e+128,
                              -1.8787266150951846e+128)),
-        (-50.0, 1e-300, 1e10, (-7.53014827157423e+129, -1.2710400598485265e+113, -8.514065999811551e-147,
+        (-50.0, 1e-300, 1e10, (-7.53014827157423e+129, -1.2746010305230148e+113, -1.0010415475915505e-146,
                                -7.53014827157423e-131)),
     ])
     def test_extreme_valid_points_keep_their_bits(self, k, v, z, entries):
@@ -227,6 +236,12 @@ class TestPowerLaw:
         not_finite = r"^the Bessel frame is not finite: its Wronskian evaluates to -inf$"
         with pytest.raises(DomainError, match=not_finite):
             propagate_power_law(-2.0, 1e205, math.sqrt(2.0))
+
+    @pytest.mark.parametrize("k, v, z", [(-2.0, 1e-300, 1.7e308), (-1.0, -1e150, 1e-300)])
+    def test_map_past_the_float_range_is_a_domain_error(self, k, v, z):
+        # both frames and the Wronskian are finite, their product is not
+        with pytest.raises(DomainError, match=r"^the Bessel map leaves the float range: "):
+            propagate_power_law(k, v, z)
 
     @pytest.mark.parametrize("k, v, z", [(-0.1, 5e-324, 2.0), (-1e300, 5e-324, 2.0), (3.0, 1e-300, 1e300),
                                          (-1e300, -5e-324, 5e-324), (1.0, 1e-300, 1e20)])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -264,6 +264,20 @@ class TestClosedPiecewise:
             piecewise += isinstance(spec.profile, Piecewise)
             assert gain >= 1.0 - 1e-12
         assert piecewise >= 5
+
+    @pytest.mark.parametrize("family", [InverseLinear, PowerLaw])
+    def test_subclassed_segments_match_the_ode(self, family):
+        # a subclass may change omega, so only the exact family types take a
+        # closed form; this one changes nothing, and the ODE must agree
+        @dataclass(frozen=True)
+        class Mine(family):
+            pass
+
+        seg = Mine(1.0, 0.8) if family is InverseLinear else Mine(-3.0, 0.8)
+        prof = Piecewise(((seg, 1.5), (TimeReversed(seg, 1.5), 1.5)))
+        closed = build_cycle(CycleSpec("custom", profile=prof, duration=prof.duration)).as_array()
+        numeric = propagate_ode(prof, prof.duration, TIGHT).as_array()
+        assert np.max(np.abs(closed - numeric)) < 1e-8
 
     @pytest.mark.parametrize("case", [
         "custom-segment", "omega0-power-law", "high-bessel-order", "slow-rate",

@@ -175,6 +175,27 @@ def test_libm_is_reached_per_element_only_through_one_helper():
             assert not [node for node in ast.walk(f) if isinstance(node, ast.Pow)], (module, f.name)
 
 
+def test_every_package_2x2_is_an_evolution_matrix():
+    # numpy's @ runs OpenBLAS's kernel for the CPU, and its FMA kernels round
+    # differently from plain products.  The Bessel frames, their Wronskian
+    # map and the orthogonality check are EvolutionMatrix arithmetic on
+    # Python floats, and nothing in the package builds one from an array.
+    checked = {"closed_form": {"_wronskian_map", "_power_law_frame", "_exponential_frame",
+                               "propagate_power_law", "propagate_exponential"},
+               "core": {"is_orthogonal"}}
+    for module, names in checked.items():
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in names]
+        assert {f.name for f in functions} == names
+        for f in functions:
+            numpy_names = [
+                node.attr for node in ast.walk(f)
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"
+            ]
+            assert numpy_names == [], (module, f.name)
+    assert _call_sites("from_array") == []
+
+
 def test_core_writes_the_energy_form_once():
     # (omega_f^2 (a^2 + b^2) + c^2 + d^2)/2 from products x * x; R is its
     # value at omega_f = 1, read by the symplectic check, gain_factor,
