@@ -17,17 +17,15 @@ from .errors import (
 from .core import (
     DET_TOL_INPUT,
     BogoliubovPair,
+    Covariance,
     EvolutionMatrix,
-    MomentTriple,
     StationaryState,
-    bogoliubov_energy,
     compose,
     final_energy,
-    final_energy_general,
     gain_factor,
     random_symplectic,
+    symplectic_error,
     to_bogoliubov,
-    transport_moments,
 )
 from .profiles import (
     Custom,
@@ -94,18 +92,15 @@ from .cavity import (
     STEFAN_SIGMA,
     WIEN_X,
     CavitySpec,
-    MultimodeBogoliubov,
     PlanckShift,
     SonoEstimate,
     WindowedCoupling,
     multimode_from_hamiltonian,
     multimode_from_hamiltonian_batch,
-    phonon_number_final,
     planck_density,
     random_coupling,
     shift_planck_spectrum,
     sonoluminescence_estimate,
-    thermal_gain,
     thermal_occupation,
 )
 
@@ -121,17 +116,15 @@ __all__ = [
     # core
     "DET_TOL_INPUT",
     "BogoliubovPair",
+    "Covariance",
     "EvolutionMatrix",
-    "MomentTriple",
     "StationaryState",
-    "bogoliubov_energy",
     "compose",
     "final_energy",
-    "final_energy_general",
     "gain_factor",
     "random_symplectic",
+    "symplectic_error",
     "to_bogoliubov",
-    "transport_moments",
     # profiles
     "Custom",
     "Exponential",
@@ -192,17 +185,14 @@ __all__ = [
     "STEFAN_SIGMA",
     "WIEN_X",
     "CavitySpec",
-    "MultimodeBogoliubov",
     "PlanckShift",
     "SonoEstimate",
     "WindowedCoupling",
     "multimode_from_hamiltonian",
     "multimode_from_hamiltonian_batch",
-    "phonon_number_final",
     "planck_density",
     "random_coupling",
     "shift_planck_spectrum",
     "sonoluminescence_estimate",
-    "thermal_gain",
     "thermal_occupation",
 ]

@@ -1,18 +1,12 @@
-"""Multimode Bogoliubov maps and the contracting-cavity Planck spectrum.
+"""Multimode evolution maps and the contracting-cavity Planck spectrum.
 
 The multimode half integrates a quadratic Hamiltonian
 
     H = 1/2 sum_i p_i^2 + 1/2 sum_ij W_ij(t) q_i q_j,
 
-whose endpoints must be diagonal in the mode basis, and converts the
-resulting 2N x 2N fundamental matrix into the mode map
-
-    a_i(final) = sum_k A_ik a_k + B_ik a_k^dagger,
-
-with A A^dagger - B B^dagger = 1 and A B^T - B A^T = 0.  The phonon number
-sum_i <a_i^dagger a_i> never decreases: the final value is
-
-    N_f = sum_k n_k + sum_ik |B_ik|^2 (2 n_k + 1).
+whose endpoints must be diagonal in the mode basis, into the real 2N x 2N
+map x -> S x of x = (q_1..q_N, p_1..p_N).  core.Covariance carries a state's
+second moments V to S V S^T and reads mode occupations and energy off them.
 
 The cavity half works in CGS units.  An adiabatic contraction of a cavity
 by lambda maps each mode nu -> nu/lambda and each mode energy E -> E/lambda,
@@ -26,7 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,12 +37,9 @@ __all__ = [
     "LIGHT_C",
     "STEFAN_SIGMA",
     "WIEN_X",
-    "MultimodeBogoliubov",
     "multimode_from_hamiltonian",
     "multimode_from_hamiltonian_batch",
-    "phonon_number_final",
     "thermal_occupation",
-    "thermal_gain",
     "CavitySpec",
     "PlanckShift",
     "planck_density",
@@ -76,30 +67,10 @@ _T_VISIBLE_LOW = 1.0e4   # K
 _T_VISIBLE_HIGH = 1.0e5  # K
 
 
-@dataclass(frozen=True)
-class MultimodeBogoliubov:
-    """Mode map a_i -> sum_k A_ik a_k + B_ik a_k^dagger (annihilation convention)."""
-
-    A: np.ndarray
-    B: np.ndarray
-
-    @property
-    def n_modes(self) -> int:
-        return self.A.shape[0]
-
-    def unitarity_error(self) -> float:
-        """max deviation in A A^+ - B B^+ = 1 and A B^T - B A^T = 0."""
-        eye = np.eye(self.n_modes)
-        e1 = np.max(np.abs(self.A @ self.A.conj().T - self.B @ self.B.conj().T - eye))
-        e2 = np.max(np.abs(self.A @ self.B.T - self.B @ self.A.T))
-        return float(max(e1, e2))
-
-
-def _endpoints(coupling: Callable[[float], np.ndarray], t_final: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The diagonals of coupling(0) and coupling(t_final), checked to be
-    squared frequencies of well-defined modes."""
-    if not t_final > 0.0:
-        raise DomainError(f"t_final must be positive, got {t_final!r}")
+def _mode_count(coupling: Callable[[float], np.ndarray], t_final: float) -> int:
+    """N of the N x N coupling, checked at both ends: diagonal, positive squared frequencies."""
+    if not 0.0 < t_final < math.inf:  # an infinite span would run the whole step budget
+        raise DomainError(f"t_final must be positive and finite, got {t_final!r}")
     w_start = np.asarray(coupling(0.0), dtype=float)
     w_end = np.asarray(coupling(t_final), dtype=float)
     n = w_start.shape[0]
@@ -116,31 +87,16 @@ def _endpoints(coupling: Callable[[float], np.ndarray], t_final: float) -> Tuple
             raise DomainError(f"{tag} coupling matrix must be diagonal in the mode basis")
         if np.any(np.diag(w) <= 0.0):
             raise DomainError(f"{tag} squared frequencies must be positive")
-    return np.diag(w_start), np.diag(w_end)
-
-
-def _mode_map(s: np.ndarray, w_start: np.ndarray, w_end: np.ndarray) -> MultimodeBogoliubov:
-    """The mode map of the fundamental matrix s between the diagonal
-    frequency matrices with squared frequencies w_start and w_end."""
-    n = w_start.size
-    sqq, sqp = s[:n, :n], s[:n, n:]
-    spq, spp = s[n:, :n], s[n:, n:]
-    s0 = np.sqrt(np.sqrt(w_start))[None, :]  # omega0_k ** (1/2), row
-    sf = np.sqrt(np.sqrt(w_end))[:, None]    # omegaf_i ** (1/2), column
-    ratio = sf / s0
-    prod = sf * s0
-    a_mat = 0.5 * (ratio * sqq + spp / ratio + 1j * (spq / prod - prod * sqp))
-    b_mat = 0.5 * (ratio * sqq - spp / ratio + 1j * (spq / prod + prod * sqp))
-    return MultimodeBogoliubov(a_mat, b_mat)
+    return n
 
 
 def multimode_from_hamiltonian_batch(
     couplings: Sequence[Callable[[float], np.ndarray]],
     t_finals: Sequence[float],
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-) -> List[MultimodeBogoliubov]:
-    """Integrate the quadratic Hamiltonian of each frequency matrix coupling(t)
-    over [0, t_final].
+) -> List[np.ndarray]:
+    """The 2N x 2N map S of x = (q_1..q_N, p_1..p_N) over [0, t_final] of the
+    quadratic Hamiltonian of each frequency matrix coupling(t).
 
     Each coupling must return a symmetric N x N array of squared
     frequencies, diagonal (with positive diagonal) at t = 0 and t = t_final
@@ -150,17 +106,13 @@ def multimode_from_hamiltonian_batch(
     """
     if len(couplings) != len(t_finals):
         raise DomainError("need one t_final per coupling")
-    ends = [_endpoints(coupling, t_final) for coupling, t_final in zip(couplings, t_finals)]
-    by_size: Dict[int, List[int]] = {}
-    for i, (w_start, _) in enumerate(ends):
-        by_size.setdefault(w_start.size, []).append(i)
-    out: List[MultimodeBogoliubov] = [None] * len(couplings)  # type: ignore[list-item]
-    for n, lanes in by_size.items():
-        y = _run_lanes(
-            LaneMap([couplings[i] for i in lanes]), n, 2 * n, [t_finals[i] for i in lanes], cfg
-        )
+    sizes = [_mode_count(coupling, t_final) for coupling, t_final in zip(couplings, t_finals)]
+    out: List[np.ndarray] = [None] * len(couplings)  # type: ignore[list-item]
+    for n in dict.fromkeys(sizes):
+        lanes = [i for i, size in enumerate(sizes) if size == n]
+        y = _run_lanes(LaneMap([couplings[i] for i in lanes]), n, 2 * n, [t_finals[i] for i in lanes], cfg)
         for i, s in zip(lanes, y):
-            out[i] = _mode_map(s, *ends[i])
+            out[i] = s
     return out
 
 
@@ -168,47 +120,21 @@ def multimode_from_hamiltonian(
     coupling: Callable[[float], np.ndarray],
     t_final: float,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
-) -> MultimodeBogoliubov:
+) -> np.ndarray:
     """One coupling: a batch of one (see multimode_from_hamiltonian_batch)."""
     return multimode_from_hamiltonian_batch([coupling], [t_final], cfg)[0]
 
 
-def phonon_number_final(bg: MultimodeBogoliubov, occupations: Sequence[float]) -> float:
-    """N_f = sum_k n_k + sum_ik |B_ik|^2 (2 n_k + 1); never below sum_k n_k."""
-    occ = np.asarray(occupations, dtype=float)
-    if occ.shape != (bg.n_modes,):
-        raise DomainError(
-            f"need {bg.n_modes} occupation numbers, got shape {occ.shape}"
-        )
-    if np.any(occ < 0.0):
-        raise DomainError("occupation numbers must be nonnegative")
-    return float(occ.sum() + (np.abs(bg.B) ** 2 @ (2.0 * occ + 1.0)).sum())
-
-
 def thermal_occupation(omega: float, temperature: float) -> float:
     """Bose-Einstein mean occupation at natural-unit temperature (k_B = 1)."""
-    if not (omega > 0.0 and temperature > 0.0):
-        raise DomainError("omega and temperature must be positive")
-    # past x = 709 expm1 nears overflow, and 1/expm1(x) = exp(-x) to roundoff
+    if not (0.0 < omega < math.inf and 0.0 < temperature < math.inf):
+        raise DomainError(f"need finite positive omega and temperature, got {omega!r}, {temperature!r}")
+    # 1/expm1(x) is exp(-x) to roundoff past x = 709, and overflows below x ~ 5.6e-309
     x = omega / temperature
-    return 1.0 / math.expm1(x) if x < 709.0 else math.exp(-x)
-
-
-def thermal_gain(
-    omegas: Sequence[float], temperature: float, gains: Sequence[float]
-) -> Tuple[float, float]:
-    """(E_initial, E_final) for independently cycled thermal modes.
-
-    Each mode starts in its thermal state, E_i = omega_i (n_i + 1/2), and is
-    multiplied by its cycle gain; since every R_i >= 1, E_final >= E_initial.
-    """
-    w = np.asarray(omegas, dtype=float)
-    r = np.asarray(gains, dtype=float)
-    if w.shape != r.shape:
-        raise DomainError("omegas and gains must have matching shapes")
-    occ = np.array([thermal_occupation(x, temperature) for x in w])
-    e0 = w * (occ + 0.5)
-    return float(e0.sum()), float((r * e0).sum())
+    n = math.exp(-x) if x >= 709.0 else 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if n == math.inf:
+        raise DomainError(f"the occupation at omega/temperature = {x!r} leaves the float range")
+    return n
 
 
 @dataclass(frozen=True)
@@ -400,6 +326,8 @@ class WindowedCoupling:
 def random_coupling(rng: np.random.Generator, n_modes: int, t_final: float) -> WindowedCoupling:
     """Random endpoint-diagonal coupling: smooth diagonal drift plus a
     sin^2-windowed symmetric off-diagonal mixing, kept diagonally dominant."""
+    if not n_modes >= 1:
+        raise DomainError(f"need at least one mode, got n_modes = {n_modes!r}")
     d0 = rng.uniform(0.5, 2.0, size=n_modes) ** 2
     d1 = rng.uniform(0.5, 2.0, size=n_modes) ** 2
     c = rng.normal(0.0, 1.0, size=(n_modes, n_modes))

@@ -17,6 +17,9 @@ and for a cycle (omega_f = 1) the ratio E_fin / E_in is the gain factor
     R = Tr[S S^T] / 2 >= 1,
 
 with equality exactly when S is orthogonal (a pure rotation).
+
+For N modes a linear evolution x -> S x of x = (q_1..q_N, p_1..p_N) has
+S J S^T = J and carries second moments V to S V S^T (Covariance).
 """
 
 from __future__ import annotations
@@ -34,20 +37,18 @@ __all__ = [
     "DET_TOL_INPUT",
     "EvolutionMatrix",
     "StationaryState",
-    "MomentTriple",
     "BogoliubovPair",
+    "Covariance",
     "compose",
     "gain_factor",
     "final_energy",
-    "final_energy_general",
-    "transport_moments",
     "to_bogoliubov",
-    "bogoliubov_energy",
+    "symplectic_error",
     "random_symplectic",
 ]
 
-# Largest |det S - 1| accepted from a matrix passed to this module's
-# functions, per unit of R = Tr[S S^T]/2; see EvolutionMatrix.is_symplectic.
+# Largest |det S - 1| (max|S J S^T - J| for N modes) accepted from a matrix passed to
+# this module's functions, per unit of Tr[S S^T]/(2N); see EvolutionMatrix.is_symplectic.
 DET_TOL_INPUT = 1e-6
 
 # x**2 is a finite normal float for _SQUARE_MIN <= |x| <= _SQUARE_MAX (**
@@ -168,26 +169,93 @@ class StationaryState:
     def energy(self) -> float:
         return (self.n + 0.5) * self.omega0
 
-    def virial_moments(self) -> "MomentTriple":
-        """Second moments <q^2> = E/omega0^2 = (n + 1/2)/omega0, <p^2> = E, <D> = 0."""
-        return MomentTriple((self.n + 0.5) / self.omega0, self.energy, 0.0)
+
+def _as_matrix(s, shape=None) -> np.ndarray:
+    """S as a float 2N x 2N array, N >= 1, of the given shape if any; an EvolutionMatrix is N = 1."""
+    s = s.as_array() if isinstance(s, EvolutionMatrix) else np.asarray(s, dtype=float)
+    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or not s.size or shape not in (None, s.shape):
+        raise DomainError(f"need a {shape or '2N x 2N'} matrix, got shape {s.shape}")
+    return s
 
 
-@dataclass(frozen=True)
-class MomentTriple:
-    """Symmetric second moments (<q^2>, <p^2>, <(qp+pq)/2>) of a centered state."""
+def _frequencies(omegas, n: int, top: float = math.inf) -> np.ndarray:
+    w = np.asarray(omegas, dtype=float)
+    if w.shape != (n,) or not ((w > 0.0) & (w < top)).all():
+        raise DomainError(f"need {n} frequencies in (0, {top!r}), got {w.tolist()}")
+    return w
 
-    qq: float
-    pp: float
-    d: float = 0.0
+
+def symplectic_error(s) -> float:
+    """max|S J S^T - J| of a 2N x 2N S, J = [[0, 1], [-1, 0]] in N x N blocks;
+    |det S - 1| for N = 1.  S J is S's column blocks swapped, one negated."""
+    s = _as_matrix(s)
+    n = len(s) // 2
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan for entries past the float range
+        m = np.hstack((-s[:, n:], s[:, :n])) @ s.T
+        m[:n, n:] -= np.eye(n)
+        m[n:, :n] += np.eye(n)
+    return float(np.abs(m).max())
+
+
+@dataclass(frozen=True, eq=False)
+class Covariance:
+    """Second moments V_ij = <x_i x_j + x_j x_i>/2 of a centered state of N modes, x =
+    (q_1..q_N, p_1..p_N): real symmetric 2N x 2N with V + iJ/2 >= 0 (det V >= 1/4 for N = 1)
+    to within 1e-9 of the largest eigenvalue or of 1.  thermal and evolved skip the check."""
+
+    v: np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.qq > 0.0 and self.pp > 0.0):
-            raise ValueError("qq and pp must be positive")
-        # Robertson-Schrodinger bound on det = qq*pp - d^2, with slack for its roundoff
-        det = self.qq * self.pp - self.d**2
-        if not det >= 0.25 - 1e-9 * max(1.0, self.qq * self.pp + self.d**2):
-            raise ValueError(f"moments violate the uncertainty bound: qq*pp - d^2 = {det!r} < 1/4")
+        v = _as_matrix(self.v).copy()
+        if not (np.isfinite(v).all() and np.array_equal(v, v.T)):
+            raise DomainError(f"covariance must be finite and symmetric, got {v.tolist()}")
+        eig = np.linalg.eigvalsh(v + 0.5j * np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(len(v) // 2)))
+        if not eig[0] >= -1e-9 * max(1.0, eig[-1]):
+            raise DomainError(f"moments violate the uncertainty bound: V + iJ/2 has eigenvalue {eig[0]!r}")
+        object.__setattr__(self, "v", v)
+
+    @classmethod
+    def _of(cls, v: np.ndarray) -> "Covariance":
+        out = object.__new__(cls)
+        object.__setattr__(out, "v", v)
+        return out
+
+    @classmethod
+    def thermal(cls, omegas, occupations) -> "Covariance":
+        """diag((n + 1/2)/omega, (n + 1/2) omega) of modes at frequencies omega
+        with mean occupations n: a thermal state, and also the moments of |n>."""
+        n = np.asarray(occupations, dtype=float)
+        w = _frequencies(omegas, n.size)
+        if n.shape != w.shape or not n.size or not ((n >= 0.0) & (n < math.inf)).all():
+            raise DomainError(f"need nonnegative finite occupations, one per frequency, got {n.tolist()}")
+        with np.errstate(over="ignore"):
+            v = np.diag(np.concatenate(((n + 0.5) / w, (n + 0.5) * w)))
+        if not np.isfinite(v).all():
+            raise DomainError(f"the moments of {n.tolist()} at {w.tolist()} leave the float range")
+        return cls._of(v)
+
+    def evolved(self, s) -> "Covariance":
+        """S V S^T after x -> S x (an EvolutionMatrix for one mode), S held to max|S J S^T - J|
+        < DET_TOL_INPUT * Tr[S S^T]/(2N), finite: EvolutionMatrix.is_symplectic for N = 1."""
+        s = _as_matrix(s, self.v.shape)
+        err, r = symplectic_error(s), float(np.vdot(s, s)) / len(s)
+        if not err < DET_TOL_INPUT * r < math.inf:
+            raise SymplecticError(f"evolved: max|S J S^T - J| = {err!r} (tolerance {DET_TOL_INPUT * r!r}; "
+                                  "Tr[S S^T] must be finite)")
+        w = s @ self.v @ s.T
+        return Covariance._of(0.5 * (w + w.T))
+
+    def energy(self, omegas) -> float:
+        """Mean energy 1/2 sum_i (omega_i^2 <q_i^2> + <p_i^2>) at frequencies omegas."""
+        n = len(self.v) // 2
+        w, d = _frequencies(omegas, n, _SQUARE_MAX), self.v.diagonal()  # squares finite
+        return float(0.5 * np.sum(w * w * d[:n] + d[n:]))
+
+    def occupations(self, omegas) -> np.ndarray:
+        """Mean occupation (omega <q^2> + <p^2>/omega)/2 - 1/2 of each mode at its frequency."""
+        n = len(self.v) // 2
+        w, d = _frequencies(omegas, n), self.v.diagonal()
+        return 0.5 * (w * d[:n] + d[n:] / w) - 0.5
 
 
 @dataclass(frozen=True)
@@ -228,32 +296,11 @@ def final_energy(s: EvolutionMatrix, state: StationaryState, omega_final: float)
     if state.omega0 != 1.0:
         raise ValueError(
             f"final_energy requires a state with omega0 = 1, got {state.omega0!r}; "
-            "normalize the profile or use final_energy_general"
+            "normalize the profile or use Covariance"
         )
     if not 0.0 < omega_final <= _SQUARE_MAX:
         raise DomainError(f"omega_final must be positive, its square finite, got {omega_final!r}")
     return state.energy * s._energy_ratio(omega_final)
-
-
-def final_energy_general(
-    s: EvolutionMatrix, m: MomentTriple, omega_final: float
-) -> float:
-    """Mean energy 1/2 <p_H^2 + omega_final^2 q_H^2> for arbitrary input moments."""
-    _require_symplectic(s, "final_energy_general")
-    if not 0.0 < omega_final <= _SQUARE_MAX:
-        raise DomainError(f"omega_final must be positive, its square finite, got {omega_final!r}")
-    out = transport_moments(s, m)
-    return 0.5 * (omega_final**2 * out.qq + out.pp)
-
-
-def transport_moments(s: EvolutionMatrix, m: MomentTriple) -> MomentTriple:
-    """Second moments after the evolution; preserves qq*pp - d^2 since det S = 1."""
-    _require_symplectic(s, "transport_moments")
-    return MomentTriple(
-        s.a**2 * m.qq + s.b**2 * m.pp + 2.0 * s.a * s.b * m.d,
-        s.c**2 * m.qq + s.d**2 * m.pp + 2.0 * s.c * s.d * m.d,
-        s.a * s.c * m.qq + s.b * s.d * m.pp + (s.a * s.d + s.b * s.c) * m.d,
-    )
 
 
 def to_bogoliubov(s: EvolutionMatrix) -> BogoliubovPair:
@@ -266,23 +313,6 @@ def to_bogoliubov(s: EvolutionMatrix) -> BogoliubovPair:
     alpha = complex(0.5 * (s.a + s.d), 0.5 * (s.c - s.b))
     beta = complex(0.5 * (s.a - s.d), 0.5 * (s.c + s.b))
     return BogoliubovPair(alpha, beta)
-
-
-def bogoliubov_energy(bp: BogoliubovPair, state: StationaryState) -> float:
-    """E_fin = omega0 [1/2 + |alpha|^2 n + |beta|^2 (n + 1)].
-
-    The |beta|^2 (n + 1) term carries the vacuum contribution: for n = 0 the
-    energy is omega0 (1/2 + |beta|^2) > omega0/2 whenever beta != 0, which is
-    what the cycle theorem requires.  Equivalent to E_in * R with
-    R = 1 + 2 |beta|^2.
-    """
-    # the matrix of the pair: det S = |alpha|^2 - |beta|^2, R = |alpha|^2 + |beta|^2
-    al, be = bp.alpha, bp.beta
-    s = EvolutionMatrix(al.real + be.real, be.imag - al.imag, al.imag + be.imag, al.real - be.real)
-    _require_symplectic(s, "bogoliubov_energy")
-    a2 = abs(bp.alpha) ** 2
-    b2 = abs(bp.beta) ** 2
-    return state.omega0 * (0.5 + a2 * state.n + b2 * (state.n + 1))
 
 
 def random_symplectic(rng: np.random.Generator) -> EvolutionMatrix:

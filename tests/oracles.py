@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.integrate import solve_ivp
 
 
@@ -103,3 +104,29 @@ def inverse_linear_entries_scalar(omega0, v, lam):
         r = math.sqrt(-s2)
         ch, sh = math.cos(r * ln), math.sin(r * ln) / r
     return rt * (ch - 0.5 * sh), rt * sh / v, -(omega0 * omega0 / v) * sh / rt, (ch + 0.5 * sh) / rt
+
+
+def mode_map(s, w_start, w_end):
+    """Complex mode map a_i(final) = sum_k A_ik a_k + B_ik a_k^dagger of the
+    2N x 2N map s of (q; p), a_k = (omega_k^(1/2) q_k + i omega_k^(-1/2) p_k)/sqrt(2)
+    at the squared frequencies w_start before and w_end after.
+
+    The annihilation-operator picture, in place of the library's real
+    second moments: A A^dagger - B B^dagger = 1 and A B^T - B A^T = 0.
+    """
+    n = len(w_start)
+    sqq, sqp, spq, spp = s[:n, :n], s[:n, n:], s[n:, :n], s[n:, n:]
+    s0 = np.sqrt(np.sqrt(w_start))[None, :]  # omega0_k ** (1/2), row
+    sf = np.sqrt(np.sqrt(w_end))[:, None]    # omegaf_i ** (1/2), column
+    ratio, prod = sf / s0, sf * s0
+    a_mat = 0.5 * (ratio * sqq + spp / ratio + 1j * (spq / prod - prod * sqp))
+    b_mat = 0.5 * (ratio * sqq - spp / ratio + 1j * (spq / prod + prod * sqp))
+    return a_mat, b_mat
+
+
+def phonon_numbers(s, w_start, w_end, occupations):
+    """<a_i^dagger a_i> after s from independent modes with occupations n_k:
+    sum_k |A_ik|^2 n_k + |B_ik|^2 (n_k + 1)."""
+    a_mat, b_mat = mode_map(s, w_start, w_end)
+    occ = np.asarray(occupations, dtype=float)
+    return np.abs(a_mat) ** 2 @ occ + np.abs(b_mat) ** 2 @ (occ + 1.0)

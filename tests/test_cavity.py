@@ -1,4 +1,5 @@
-"""Multimode Bogoliubov maps, thermal gains, and the shifted Planck spectrum."""
+"""Multimode maps and their moments, thermal occupations, remark (vi)'s
+energy theorem, and the shifted Planck spectrum."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import mode_map, phonon_numbers
 from scipy.optimize import brentq
 
 from cyclosc import (
@@ -15,20 +17,23 @@ from cyclosc import (
     STEFAN_SIGMA,
     WIEN_X,
     CavitySpec,
+    Covariance,
     DomainError,
+    EvolutionMatrix,
     IntegrationError,
     IntegratorConfig,
-    MultimodeBogoliubov,
+    WindowedCoupling,
+    gain_factor,
     multimode_from_hamiltonian,
     multimode_from_hamiltonian_batch,
-    phonon_number_final,
     planck_density,
     propagate_ode,
     random_coupling,
     random_fourier_profile,
+    random_symplectic,
     shift_planck_spectrum,
     sonoluminescence_estimate,
-    thermal_gain,
+    symplectic_error,
     thermal_occupation,
     to_bogoliubov,
 )
@@ -39,23 +44,26 @@ TIGHT = IntegratorConfig(rtol=1e-12, atol=1e-14)
 class TestMultimode:
     def test_constant_frequency_is_pure_phase(self):
         w, t = 1.7, 2.3
-        bg = multimode_from_hamiltonian(lambda _: np.array([[w * w]]), t, TIGHT)
-        assert abs(bg.A[0, 0] - np.exp(-1j * w * t)) < 1e-10
-        assert abs(bg.B[0, 0]) < 1e-10
-        assert bg.unitarity_error() < 1e-10
+        s = multimode_from_hamiltonian(lambda _: np.array([[w * w]]), t, TIGHT)
+        a_mat, b_mat = mode_map(s, [w * w], [w * w])
+        assert abs(a_mat[0, 0] - np.exp(-1j * w * t)) < 1e-10
+        assert abs(b_mat[0, 0]) < 1e-10
+        assert symplectic_error(s) < 1e-10
 
     def test_single_mode_matches_scalar_route(self):
         # same profile through the 2x2 matrix machinery and the N = 1
         # Hamiltonian integrator; both endpoints sit at omega = 1
         rng = np.random.default_rng(11)
         prof = random_fourier_profile(rng)
-        s = propagate_ode(prof, prof.duration, TIGHT)
-        pair = to_bogoliubov(s)
-        bg = multimode_from_hamiltonian(
+        one = propagate_ode(prof, prof.duration, TIGHT)
+        pair = to_bogoliubov(one)
+        s = multimode_from_hamiltonian(
             lambda t: np.array([[prof.omega_sq(t)]]), prof.duration, TIGHT
         )
-        assert abs(bg.A[0, 0] - pair.alpha) < 1e-9
-        assert abs(bg.B[0, 0] - pair.beta) < 1e-9
+        a_mat, b_mat = mode_map(s, [1.0], [1.0])
+        assert abs(a_mat[0, 0] - pair.alpha) < 1e-9
+        assert abs(b_mat[0, 0] - pair.beta) < 1e-9
+        assert np.max(np.abs(s - one.as_array())) < 1e-9
 
     def test_step_budget_applies(self):
         # ~46 steps at the default tolerances; the budget allows 10
@@ -68,31 +76,28 @@ class TestMultimode:
         rng = np.random.default_rng(100 + n_modes)
         for _ in range(4):
             coupling = random_coupling(rng, n_modes, 3.0)
-            bg = multimode_from_hamiltonian(coupling, 3.0, TIGHT)
-            assert bg.n_modes == n_modes
-            assert bg.unitarity_error() < 1e-9
+            s = multimode_from_hamiltonian(coupling, 3.0, TIGHT)
+            assert s.shape == (2 * n_modes, 2 * n_modes)
+            assert symplectic_error(s) < 1e-9
+            # the complex relations of the mode map hold to the same order
+            a_mat, b_mat = mode_map(s, coupling.d0, coupling.d1)
+            unit = a_mat @ a_mat.conj().T - b_mat @ b_mat.conj().T - np.eye(n_modes)
+            assert np.max(np.abs(unit)) < 1e-9
+            assert np.max(np.abs(a_mat @ b_mat.T - b_mat @ a_mat.T)) < 1e-9
 
     def test_phonon_number_two_routes_and_monotonicity(self):
         rng = np.random.default_rng(7)
         for _ in range(6):
             n_modes = int(rng.integers(1, 5))
             coupling = random_coupling(rng, n_modes, 2.5)
-            bg = multimode_from_hamiltonian(coupling, 2.5, TIGHT)
+            s = multimode_from_hamiltonian(coupling, 2.5, TIGHT)
             occ = rng.uniform(0.0, 3.0, size=n_modes)
-            total = phonon_number_final(bg, occ)
-            # direct expectation of the final number operator, mode by mode
-            direct = float(
-                np.sum(np.abs(bg.A) ** 2 @ occ + np.abs(bg.B) ** 2 @ (occ + 1.0))
-            )
-            assert total == pytest.approx(direct, rel=1e-10, abs=1e-12)
-            assert total >= occ.sum() - 1e-12
-
-    def test_hand_squeeze_numbers(self):
-        # one squeezed mode: alpha = 5/4, beta = 3/4
-        bg = MultimodeBogoliubov(np.array([[1.25 + 0j]]), np.array([[0.75 + 0j]]))
-        assert bg.unitarity_error() < 1e-15
-        assert phonon_number_final(bg, [0.0]) == pytest.approx(0.5625, abs=1e-15)
-        assert phonon_number_final(bg, [2.0]) == pytest.approx(2.0 + 0.5625 * 5.0, rel=1e-15)
+            start = Covariance.thermal(np.sqrt(coupling.d0), occ)
+            final = start.evolved(s).occupations(np.sqrt(coupling.d1))
+            # the mode map's expectation of each final number operator
+            direct = phonon_numbers(s, coupling.d0, coupling.d1, occ)
+            assert final == pytest.approx(direct, rel=1e-10, abs=1e-12)
+            assert final.sum() >= occ.sum() - 1e-12
 
     def test_validation(self):
         good = lambda t: np.diag([1.0, 2.0])
@@ -104,11 +109,13 @@ class TestMultimode:
             multimode_from_hamiltonian(lambda t: np.array([[1.0, 0.5], [0.5, 2.0]]), 1.0)
         with pytest.raises(DomainError):  # nonpositive frequency
             multimode_from_hamiltonian(lambda t: np.diag([1.0, -2.0]), 1.0)
-        bg = multimode_from_hamiltonian(good, 1.0, TIGHT)
+        s = multimode_from_hamiltonian(good, 1.0, TIGHT)
         with pytest.raises(DomainError):
-            phonon_number_final(bg, [1.0])
+            Covariance.thermal([1.0, math.sqrt(2.0)], [1.0]).evolved(s)
         with pytest.raises(DomainError):
-            phonon_number_final(bg, [1.0, -0.5])
+            Covariance.thermal([1.0, math.sqrt(2.0)], [1.0, -0.5]).evolved(s)
+        with pytest.raises(DomainError):
+            Covariance.thermal([1.0], [1.0]).evolved(s)  # a 2 x 2 state, a 4 x 4 map
 
     def test_batch_over_mode_counts_equals_batches_of_one(self):
         rng = np.random.default_rng(41)
@@ -119,14 +126,14 @@ class TestMultimode:
         couplings.append(lambda t, w=couplings[0]: w(t))
         t_ends.append(t_ends[0])
         batch = multimode_from_hamiltonian_batch(couplings, t_ends)
-        assert [bg.n_modes for bg in batch] == sizes + [2]
-        for coupling, t_end, bg in zip(couplings, t_ends, batch):
-            one = multimode_from_hamiltonian(coupling, t_end)
-            assert np.array_equal(bg.A, one.A) and np.array_equal(bg.B, one.B)
-        assert np.array_equal(batch[0].A, batch[-1].A) and np.array_equal(batch[0].B, batch[-1].B)
+        assert [len(s) // 2 for s in batch] == sizes + [2]
+        for coupling, t_end, s in zip(couplings, t_ends, batch):
+            assert np.array_equal(s, multimode_from_hamiltonian(coupling, t_end))
+        assert np.array_equal(batch[0], batch[-1])
 
     @pytest.mark.parametrize("bad, t_end, message", [
-        (lambda t: np.diag([1.0, 2.0]), 0.0, "t_final must be positive, got 0.0"),
+        (lambda t: np.diag([1.0, 2.0]), 0.0, "t_final must be positive and finite, got 0.0"),
+        (lambda t: np.diag([1.0, 2.0]), math.inf, "t_final must be positive and finite, got inf"),
         (lambda t: np.ones((2, 3)), 1.0, "coupling must return a square matrix of fixed size"),
         (lambda t: np.array([[1.0, 0.2], [0.0, 2.0]]), 1.0, "coupling matrix must be symmetric"),
         (lambda t: np.array([[1.0, 0.5], [0.5, 2.0]]), 1.0,
@@ -177,17 +184,71 @@ class TestThermal:
             thermal_occupation(1.0, 0.0)
 
     def test_gain_weighted_sum(self):
-        omegas = [1.0, 2.0]
-        gains = [1.5, 2.0]
-        e_in, e_fin = thermal_gain(omegas, 1.0, gains)
-        e0 = [w * (thermal_occupation(w, 1.0) + 0.5) for w in omegas]
-        assert e_in == pytest.approx(sum(e0), rel=1e-14)
-        assert e_fin == pytest.approx(1.5 * e0[0] + 2.0 * e0[1], rel=1e-14)
-        assert e_fin >= e_in
+        # modes cycled independently (a block-diagonal S) from a thermal start
+        # at omega = 1: each mode's energy is multiplied by its own gain
+        rng = np.random.default_rng(5)
+        s1, s2 = random_symplectic(rng), random_symplectic(rng)
+        s = np.zeros((4, 4))
+        s[np.ix_([0, 2], [0, 2])] = s1.as_array()
+        s[np.ix_([1, 3], [1, 3])] = s2.as_array()
+        omegas = [1.0, 1.0]
+        occ = [thermal_occupation(1.0, 1.0), thermal_occupation(1.0, 0.3)]
+        start = Covariance.thermal(omegas, occ)
+        e0 = [n + 0.5 for n in occ]
+        assert start.energy(omegas) == pytest.approx(sum(e0), rel=1e-14)
+        e_fin = start.evolved(s).energy(omegas)
+        assert e_fin == pytest.approx(gain_factor(s1) * e0[0] + gain_factor(s2) * e0[1], rel=1e-14)
+        assert e_fin >= start.energy(omegas)
 
-    def test_gain_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            thermal_gain([1.0, 2.0], 1.0, [1.5])
+
+def _closed_couplings():
+    """40 closed cycles of couplings, W(T) = W(0), from random_coupling
+    draws (seed 11), with a Bose-Einstein temperature each."""
+    rng = np.random.default_rng(11)
+    draws = []
+    for _ in range(40):
+        n = int(rng.integers(2, 6))
+        t_final = float(rng.uniform(1.0, 20.0))
+        k_t = math.exp(rng.uniform(math.log(0.05), math.log(5.0)))
+        w = random_coupling(rng, n, t_final)
+        draws.append((WindowedCoupling(w.d0, w.d0, w.c, t_final), k_t))
+    return draws
+
+
+class TestRemarkVi:
+    """N oscillators that start in thermal equilibrium (or in their ground
+    state) and are taken around a closed cycle of couplings never lose
+    energy: Gibbs states are passive.  An inverted start can lose energy."""
+
+    @pytest.fixture(scope="class")
+    def cycles(self):
+        draws = _closed_couplings()
+        maps = multimode_from_hamiltonian_batch([c for c, _ in draws], [c.t_final for c, _ in draws], TIGHT)
+        return [(c, k_t, s) for (c, k_t), s in zip(draws, maps)]
+
+    def test_maps_are_symplectic(self, cycles):
+        for _, _, s in cycles:
+            assert symplectic_error(s) < 1e-11 * np.vdot(s, s) / len(s)
+
+    def test_gibbs_and_ground_starts_never_lose_energy(self, cycles):
+        for coupling, k_t, s in cycles:
+            omegas = np.sqrt(coupling.d0)
+            gibbs = [thermal_occupation(w, k_t) for w in omegas]
+            for occ in (gibbs, np.zeros(omegas.size)):
+                start = Covariance.thermal(omegas, occ)
+                e_i = start.energy(omegas)
+                assert start.evolved(s).energy(omegas) >= e_i * (1.0 - 1e-10)
+
+    def test_an_inverted_start_can_lose_energy(self, cycles):
+        # 5 quanta in the upper mode of two, none in the lower: not passive
+        changes = []
+        for coupling, _, s in cycles:
+            if coupling.d0.size == 2:
+                omegas = np.sqrt(coupling.d0)
+                occ = np.where(omegas == omegas.max(), 5.0, 0.0)
+                start = Covariance.thermal(omegas, occ)
+                changes.append(start.evolved(s).energy(omegas) - start.energy(omegas))
+        assert changes and min(changes) < 0.0
 
 
 class TestCavitySpec:

@@ -11,25 +11,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclosc import (
-    BogoliubovPair,
     CavitySpec,
+    Covariance,
     DomainError,
     EvolutionMatrix,
     GridAxis,
-    MomentTriple,
     StationaryState,
     SymplecticError,
     asymptotic_energy,
-    bogoliubov_energy,
     compose,
     exponent_pair,
     final_energy,
-    final_energy_general,
     gain_factor,
+    random_coupling,
     random_symplectic,
+    symplectic_error,
     thermal_occupation,
     to_bogoliubov,
-    transport_moments,
 )
 
 ANGLES = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -130,14 +128,29 @@ class TestSymplecticContract:
             assert stacked.is_symplectic().tolist() == [m.is_symplectic() for m in mats]
         assert [bool(m.is_symplectic()) for m in mats] == [True, False, False, False, True]
 
-    def test_bogoliubov_energy_reads_the_same_contract(self):
-        # |alpha|^2 - |beta|^2 - 1 is ~5e-3 here, roundoff at R ~ 2.5e13
-        s = EvolutionMatrix.squeeze(1e7)
-        assert bogoliubov_energy(to_bogoliubov(s), StationaryState(0)) == pytest.approx(
+    def test_covariance_reads_the_same_contract(self):
+        # for N = 1, max|S J S^T - J| = |det S - 1| and Tr[S S^T]/(2N) = R
+        ground = Covariance.thermal([1.0], [0.0])
+        s = EvolutionMatrix(1e5, 3.0, 0.0, (1.0 + 2e-6) / 1e5)
+        assert symplectic_error(s) == s.det_error()
+        assert ground.evolved(s).energy([1.0]) == pytest.approx(
             final_energy(s, StationaryState(0), 1.0), rel=1e-12
         )
-        with pytest.raises(SymplecticError, match=r"^bogoliubov_energy: det = 2\.25 deviates"):
-            bogoliubov_energy(BogoliubovPair(1.5, 0.0), StationaryState(0))
+        with pytest.raises(SymplecticError, match=r"^evolved: max\|S J S\^T - J\| = 5999\.0 "
+                                                  r"\(tolerance 5000\.\d+; Tr\[S S\^T\] must be finite\)$"):
+            ground.evolved(EvolutionMatrix(1e5, 3.0, 0.0, 0.06))
+        # det is 1 to roundoff, but the squares overflow
+        with pytest.raises(SymplecticError, match=r"^evolved: max\|S J S\^T - J\| = 0\.0 \(tolerance inf;"):
+            ground.evolved(EvolutionMatrix.squeeze(1e200))
+        # N modes: the tolerance is DET_TOL_INPUT per unit of Tr[S S^T]/(2N)
+        s = np.diag([1e5, 1e5, 1e-5, 1e-5])  # squeezes both modes: Tr[S S^T]/4 = 5e9
+        s[2, 2] = 1.5e-5  # A D^T - 1 reads 0.5 at [0, 0]: within 5e3
+        assert symplectic_error(s) == pytest.approx(0.5, rel=1e-10)
+        two = Covariance.thermal([1.0, 2.0], [0.0, 1.0])
+        assert two.evolved(s).v.shape == (4, 4)
+        s[2, 2] = 0.06
+        with pytest.raises(SymplecticError, match=r"= 5999\.0\d* \(tolerance 5000\.\d+;"):
+            two.evolved(s)
 
 
 class TestGainFactor:
@@ -193,53 +206,91 @@ class TestFinalEnergy:
 
 class TestMoments:
     def test_virial_moments(self):
-        m = StationaryState(1).virial_moments()
-        assert (m.qq, m.pp, m.d) == (1.5, 1.5, 0.0)
+        # |n> at omega0: <q^2> = E/omega0^2 = (n + 1/2)/omega0, <p^2> = E, <D> = 0
+        assert np.array_equal(Covariance.thermal([1.0], [1.0]).v, np.diag([1.5, 1.5]))
+        assert np.array_equal(Covariance.thermal([2.0, 0.5], [0.0, 3.0]).v,
+                              np.diag([0.25, 7.0, 1.0, 1.75]))
 
     def test_uncertainty_floor_enforced(self):
-        with pytest.raises(ValueError):
-            MomentTriple(0.1, 0.1, 0.0)  # qq*pp = 0.01 < 1/4
-        with pytest.raises(ValueError):
-            MomentTriple(0.5, 0.5 - 5e-9, 0.0)  # small moments keep the slack 1e-9
+        with pytest.raises(DomainError, match="uncertainty bound"):
+            Covariance([[0.1, 0.0], [0.0, 0.1]])  # qq*pp = 0.01 < 1/4
+        with pytest.raises(DomainError, match="uncertainty bound"):
+            Covariance([[0.5, 0.0], [0.0, 0.5 - 5e-9]])  # small moments keep the slack 1e-9
+        # N modes: each mode alone obeys det >= 1/4, but V + iJ/2 has a
+        # negative eigenvalue once the modes' q are correlated this strongly
+        with pytest.raises(DomainError, match="uncertainty bound"):
+            Covariance([[0.5, 0.4, 0.0, 0.0], [0.4, 0.5, 0.0, 0.0],
+                        [0.0, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 0.5]])
+        for bad, message in (([[1.0, 0.2], [0.0, 1.0]], "symmetric"),
+                             (np.eye(3), "2N x 2N"), ([[1.0, math.inf], [math.inf, 1.0]], "finite")):
+            with pytest.raises(DomainError, match=message):
+                Covariance(bad)
 
     def test_uncertainty_slack_scales_with_the_moments(self):
         # R = 2.4e8: qq*pp and d^2 ~ 6e16 cancel to 1/4 with roundoff far
-        # above 1e-9, the bound of test_property_uncertainty_product_invariant
+        # above 1e-9, the bound of test_property_uncertainty_product_invariant;
+        # the transported ground state still passes the constructor's check
         s = sp2(0.7, math.exp(10.0), 0.3)
-        out = transport_moments(s, StationaryState(0).virial_moments())
-        p, d2 = out.qq * out.pp, out.d**2
+        v = Covariance.thermal([1.0], [0.0]).evolved(s).v
+        p, d2 = v[0, 0] * v[1, 1], v[0, 1] ** 2
         assert abs(p - d2 - 0.25) <= 64.0 * sys.float_info.epsilon * (p + d2)
+        assert np.array_equal(Covariance(v).v, v)
 
     def test_rotation_hand_value(self):
-        e = final_energy_general(
-            EvolutionMatrix.rotation(math.pi / 2), MomentTriple(2.0, 0.5, 0.0), 1.0
-        )
+        e = Covariance([[2.0, 0.0], [0.0, 0.5]]).evolved(EvolutionMatrix.rotation(math.pi / 2)).energy([1.0])
         assert e == pytest.approx(1.25, abs=1e-15)
 
     def test_general_reduces_to_stationary(self):
         s = sp2(0.5, 2.4, 1.9)
         state = StationaryState(3)
         direct = final_energy(s, state, 1.3)
-        via_moments = final_energy_general(s, state.virial_moments(), 1.3)
+        via_moments = Covariance.thermal([1.0], [3.0]).evolved(s).energy([1.3])
         assert direct == pytest.approx(via_moments, rel=1e-14)
 
     def test_transport_matches_general_energy(self):
         s = sp2(-0.3, 0.6, 2.2)
-        m = MomentTriple(1.0, 0.5, 0.3)
-        out = transport_moments(s, m)
-        assert 0.5 * (out.pp + 4.0 * out.qq) == pytest.approx(
-            final_energy_general(s, m, 2.0), rel=1e-14
-        )
+        out = Covariance([[1.0, 0.3], [0.3, 0.5]]).evolved(s)
+        qq, pp, d = out.v[0, 0], out.v[1, 1], out.v[0, 1]
+        # the three-term sums of the 2x2 transport, written out
+        a, b, c, dd = s.a, s.b, s.c, s.d
+        assert qq == pytest.approx(a * a * 1.0 + b * b * 0.5 + 2.0 * a * b * 0.3, rel=1e-14)
+        assert pp == pytest.approx(c * c * 1.0 + dd * dd * 0.5 + 2.0 * c * dd * 0.3, rel=1e-14)
+        assert d == pytest.approx(a * c * 1.0 + b * dd * 0.5 + (a * dd + b * c) * 0.3, rel=1e-14)
+        assert 0.5 * (pp + 4.0 * qq) == pytest.approx(out.energy([2.0]), rel=1e-14)
 
     def test_squeezed_state_energy_can_decrease(self):
         # a stationary state never loses energy over a cycle, but a squeezed
         # state divided by the right unsqueeze does
-        m = MomentTriple(1.0, 0.3, 0.0)
-        e_in = 0.5 * (m.pp + m.qq)
-        s_opt = EvolutionMatrix.squeeze((m.pp / m.qq) ** 0.25)
-        e_out = final_energy_general(s_opt, m, 1.0)
-        assert e_out == pytest.approx(math.sqrt(m.pp * m.qq), rel=1e-12)
+        qq, pp = 1.0, 0.3
+        m = Covariance(np.diag([qq, pp]))
+        e_in = m.energy([1.0])
+        e_out = m.evolved(EvolutionMatrix.squeeze((pp / qq) ** 0.25)).energy([1.0])
+        assert e_out == pytest.approx(math.sqrt(pp * qq), rel=1e-12)
         assert e_out < e_in
+
+    def test_occupations_of_a_squeezed_vacuum(self):
+        # S = squeeze(2): alpha = 5/4, beta = 3/4, so n_f = |alpha|^2 n + |beta|^2 (n + 1)
+        s = EvolutionMatrix.squeeze(2.0)
+        assert Covariance.thermal([1.0], [0.0]).evolved(s).occupations([1.0]) == pytest.approx([0.5625], abs=1e-15)
+        assert Covariance.thermal([1.0], [2.0]).evolved(s).occupations([1.0]) == pytest.approx(
+            [2.0 + 0.5625 * 5.0], rel=1e-15)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: Covariance.thermal([1.0, 2.0], [1.0]), r"need 1 frequencies in \(0, inf\), got \[1.0, 2.0\]"),
+        (lambda: Covariance.thermal([1.0, 2.0], [1.0, -0.5]), "nonnegative finite occupations"),
+        (lambda: Covariance.thermal([1.0], [math.nan]), "nonnegative finite occupations"),
+        (lambda: Covariance.thermal([1.0, 0.0], [1.0, 1.0]), r"in \(0, inf\)"),
+        (lambda: Covariance.thermal([], []), "one per frequency, got \\[\\]"),
+        (lambda: Covariance.thermal([1e-300], [1e10]), "leave the float range"),
+        (lambda: Covariance.thermal([1.0], [0.0]).energy([1.0, 2.0]), "need 1 frequencies"),
+        (lambda: Covariance.thermal([1.0], [0.0]).occupations([math.inf]), r"in \(0, inf\)"),
+        (lambda: Covariance.thermal([1.0], [0.0]).energy([1e200]), r"in \(0, 1\.34\d*e\+154\)"),
+        (lambda: Covariance.thermal([1.0], [0.0]).evolved(np.eye(4)), r"need a \(2, 2\) matrix, got shape \(4, 4\)"),
+        (lambda: symplectic_error(np.eye(3)), "2N x 2N"),
+    ])
+    def test_arguments_are_checked(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
 
 class TestBogoliubov:
@@ -258,20 +309,29 @@ class TestBogoliubov:
         assert abs(pair.alpha) ** 2 - abs(pair.beta) ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_energy_hand_values(self):
-        assert bogoliubov_energy(BogoliubovPair(1.0, 0.0), StationaryState(5)) == 5.5
-        e = bogoliubov_energy(BogoliubovPair(1.25, 0.75), StationaryState(0))
-        assert e == pytest.approx(1.0625, abs=0.0)
-        # |beta|^2 = 1 forces |alpha|^2 = 2: E = 1/2 + 2 n + (n + 1)
-        e = bogoliubov_energy(BogoliubovPair(math.sqrt(2.0), 1.0), StationaryState(1))
-        assert e == pytest.approx(4.5, rel=1e-15)
+        # E_fin = omega0 [1/2 + |alpha|^2 n + |beta|^2 (n + 1)] from the moments
+        def energy(s, n):
+            return Covariance.thermal([1.0], [n]).evolved(s).energy([1.0])
+
+        assert energy(EvolutionMatrix.identity(), 5) == 5.5
+        # alpha = 5/4, beta = 3/4
+        assert energy(EvolutionMatrix.squeeze(2.0), 0) == pytest.approx(1.0625, abs=0.0)
+        # alpha = sqrt(2), beta = 1: E = 1/2 + 2 n + (n + 1)
+        s = EvolutionMatrix.squeeze(1.0 + math.sqrt(2.0))
+        assert to_bogoliubov(s).alpha == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert energy(s, 1) == pytest.approx(4.5, rel=1e-15)
 
     def test_energy_matches_matrix_route(self):
+        # the moments' energy against the Bogoliubov form and final_energy
         rng = np.random.default_rng(11)
         for _ in range(50):
             s = random_symplectic(rng)
-            state = StationaryState(int(rng.integers(0, 8)))
-            via_pair = bogoliubov_energy(to_bogoliubov(s), state)
-            assert via_pair == pytest.approx(final_energy(s, state, 1.0), rel=1e-12)
+            n = int(rng.integers(0, 8))
+            pair = to_bogoliubov(s)
+            via_pair = 0.5 + abs(pair.alpha) ** 2 * n + abs(pair.beta) ** 2 * (n + 1)
+            via_moments = Covariance.thermal([1.0], [n]).evolved(s).energy([1.0])
+            assert via_moments == pytest.approx(via_pair, rel=1e-12)
+            assert via_moments == pytest.approx(final_energy(s, StationaryState(n), 1.0), rel=1e-12)
 
 
 class TestRandomSymplectic:
@@ -330,12 +390,11 @@ def test_property_uncertainty_product_invariant(t1, r, t2, qq, ratio, d):
     # entries add det S - 1 of a few eps; hence |after - before| <=
     # c eps (P + D) with c under 64 (c <= 6.5 over 3e5 random draws).
     pp = ratio * (0.25 + d * d) / qq
-    m = MomentTriple(qq, pp, d)
     s = sp2(t1, r, t2)
-    out = transport_moments(s, m)
-    before = m.qq * m.pp - m.d**2
-    after = out.qq * out.pp - out.d**2
-    bound = 64.0 * sys.float_info.epsilon * (out.qq * out.pp + out.d**2)
+    out = Covariance([[qq, d], [d, pp]]).evolved(s).v
+    before = qq * pp - d**2
+    after = out[0, 0] * out[1, 1] - out[0, 1] ** 2
+    bound = 64.0 * sys.float_info.epsilon * (out[0, 0] * out[1, 1] + out[0, 1] ** 2)
     assert abs(after - before) <= bound
 
 
@@ -346,15 +405,20 @@ def test_property_uncertainty_product_invariant(t1, r, t2, qq, ratio, d):
     (lambda: asymptotic_energy(1e-200), DomainError),
     (lambda: asymptotic_energy(1e200), DomainError),
     (lambda: final_energy(EvolutionMatrix.identity(), StationaryState(0), 1e200), DomainError),
-    (lambda: final_energy_general(EvolutionMatrix.identity(), MomentTriple(1.0, 1.0), 1e200),
-     DomainError),
+    (lambda: Covariance.thermal([1.0], [0.0]).energy([1e200]), DomainError),
     (lambda: thermal_occupation(1.0, 1e-300), 0.0),
     (lambda: thermal_occupation(709.0, 1.0), 1.0 / math.expm1(709.0)),
-    (lambda: StationaryState(0, 1e-200).virial_moments(),
-     MomentTriple(0.5 / 1e-200, 0.5 * 1e-200)),
-    (lambda: StationaryState(2, 1e200).virial_moments(), MomentTriple(2.5 / 1e200, 2.5 * 1e200)),
+    (lambda: thermal_occupation(1.0, math.inf), DomainError),
+    (lambda: thermal_occupation(math.inf, 1.0), DomainError),
+    (lambda: thermal_occupation(1e-300, 1e10), DomainError),
+    (lambda: thermal_occupation(5e-324, 1.0), DomainError),
+    (lambda: thermal_occupation(5e-324, 1e10), DomainError),
+    (lambda: Covariance.thermal([1e-200], [0.0]).v.tolist(), [[0.5 / 1e-200, 0.0], [0.0, 0.5 * 1e-200]]),
+    (lambda: Covariance.thermal([1e200], [2.0]).v.tolist(), [[2.5 / 1e200, 0.0], [0.0, 2.5 * 1e200]]),
 ], ids=["exponent-pair", "asymptotic-small", "asymptotic-large", "final-energy",
-        "final-energy-general", "occupation-underflow", "occupation-edge",
+        "covariance-energy", "occupation-underflow", "occupation-edge",
+        "occupation-infinite-temperature", "occupation-infinite-omega",
+        "occupation-overflow", "occupation-subnormal", "occupation-quotient-underflow",
         "virial-small", "virial-large"])
 def test_extreme_arguments_give_typed_errors_or_values(call, expected):
     if isinstance(expected, type):
@@ -367,10 +431,11 @@ def test_extreme_arguments_give_typed_errors_or_values(call, expected):
 # a NaN makes every comparison False, so each check is written to fail on
 # it; a grid count must be a whole number
 @pytest.mark.parametrize("call,error", [
-    (lambda: MomentTriple(1.0, 1.0, math.nan), ValueError),
+    (lambda: Covariance([[1.0, math.nan], [math.nan, 1.0]]), DomainError),
     (lambda: CavitySpec(1e-2, 300.0, 0.5, math.nan), DomainError),
     (lambda: GridAxis(0.0, 1.0, 2.5).values(), DomainError),
-], ids=["moment-nan-d", "cavity-nan-rate", "grid-fractional-count"])
+    (lambda: random_coupling(np.random.default_rng(0), 0, 1.0), DomainError),
+], ids=["moment-nan-d", "cavity-nan-rate", "grid-fractional-count", "coupling-no-modes"])
 def test_validators_refuse_nan_and_fractional_counts(call, error):
     with pytest.raises(error):
         call()

@@ -87,6 +87,24 @@ def test_det_tolerance_is_referenced_only_in_core():
             assert not imports or path.stem == "__init__", path.name
 
 
+def test_moments_are_real_and_one_contract_covers_one_and_n_modes():
+    # the multimode layer carries real second moments (core.Covariance), not
+    # a complex mode map; the 2N x 2N symplectic check lives next to the 2x2
+    # one in core, and both read DET_TOL_INPUT
+    tree = ast.parse((PACKAGE / "cavity.py").read_text(encoding="utf-8"))
+    complex_literals = [
+        node for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, complex)
+    ]
+    conj = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "conj"]
+    assert complex_literals == [] and conj == []
+    tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
+    readers = {
+        f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+        for node in ast.walk(f) if isinstance(node, ast.Name) and node.id == "DET_TOL_INPUT"
+    }
+    assert {"is_symplectic", "evolved"} <= readers
+
+
 def test_each_closed_form_is_called_only_from_the_leg_dispatcher():
     # the family -> closed form choice is written once, in cycles._closed_legs
     names = ["propagate_exponential", "propagate_inverse_linear", "propagate_power_law"]
