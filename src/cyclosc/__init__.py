@@ -78,7 +78,6 @@ from .cycles import (
 from .perturbation import (
     Drive,
     InequalityReport,
-    OperatorMatrix,
     WindowedCarrier,
     check_inequality,
     first_order_energy_shift,
@@ -172,7 +171,6 @@ __all__ = [
     # perturbation
     "Drive",
     "InequalityReport",
-    "OperatorMatrix",
     "WindowedCarrier",
     "check_inequality",
     "first_order_energy_shift",

@@ -24,6 +24,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
+from .core import _whole_count
 from .errors import DomainError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, _run_lanes
 from .profiles import LaneMap, _at
@@ -326,8 +327,8 @@ class WindowedCoupling:
 def random_coupling(rng: np.random.Generator, n_modes: int, t_final: float) -> WindowedCoupling:
     """Random endpoint-diagonal coupling: smooth diagonal drift plus a
     sin^2-windowed symmetric off-diagonal mixing, kept diagonally dominant."""
-    if not n_modes >= 1:
-        raise DomainError(f"need at least one mode, got n_modes = {n_modes!r}")
+    if not _whole_count(n_modes):
+        raise DomainError(f"n_modes must be an integer >= 1, got {n_modes!r}")
     d0 = rng.uniform(0.5, 2.0, size=n_modes) ** 2
     d1 = rng.uniform(0.5, 2.0, size=n_modes) ** 2
     c = rng.normal(0.0, 1.0, size=(n_modes, n_modes))

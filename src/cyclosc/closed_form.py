@@ -101,15 +101,6 @@ def _cosh_sinch(s2: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ch, sh
 
 
-def _coshm1_over(s2: float, x: float) -> float:
-    """(cosh(sqrt(s2) x) - 1)/s2, the entire function x^2/2 + s2 x^4/24 + ..."""
-    u = s2 * x * x
-    if abs(u) < _SERIES_CUT:
-        return x * x / 2.0 * (1.0 + u / 12.0 * (1.0 + u / 30.0 * (1.0 + u / 56.0)))
-    ch, _ = _cosh_sinch(np.array([s2]), np.array([x]))
-    return (ch.item() - 1.0) / s2
-
-
 def _check_inverse_linear_args(omega0: float, v: float, lam: float) -> None:
     if not omega0 > 0.0:
         raise DomainError(f"omega0 must be positive, got {omega0!r}")
@@ -192,7 +183,7 @@ def energy_inverse_linear(omega0: float, v: float, lam: float, e_initial: float)
     state of mean energy e_initial (read off at the final frequency omega0/lam).
 
     Closed form: E = E0 [lam^(2 delta) + lam^(-2 delta) + 2 (4 delta^2 - 1)]
-    / (4 lam delta^2), evaluated in real arithmetic for every regime.  The
+    / (8 lam delta^2), evaluated in real arithmetic for every regime.  The
     formula is invariant under time rescaling, so only Omega = omega0/v and
     lam enter.
     """
@@ -202,10 +193,11 @@ def energy_inverse_linear(omega0: float, v: float, lam: float, e_initial: float)
     if lam == 1.0:
         return e_initial
     s2 = 0.25 - (omega0 / v) ** 2
-    ln = math.log(lam)
-    # numerator/(4 lam s2) rewritten via (cosh(2 delta ln lam) - 1)/delta^2,
-    # which stays finite at the confluent point s2 = 0.
-    return e_initial * (_coshm1_over(s2, 2.0 * ln) + 4.0) / (4.0 * lam)
+    _, sh = _cosh_sinch(np.array([s2]), np.array([math.log(lam)]))
+    # numerator/(8 lam s2) is ((cosh(2 delta ln lam) - 1)/delta^2 + 4)/(4 lam),
+    # and (cosh(2 y) - 1)/delta^2 = 2 (sinh(y)/delta)^2 with y = delta ln lam:
+    # no cancellation, and finite at the confluent point s2 = 0.
+    return e_initial * (sh.item() ** 2 + 2.0) / (2.0 * lam)
 
 
 def _bessel_order_check(nu: float) -> None:

@@ -68,6 +68,12 @@ def _libm_each(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndar
     return np.fromiter(map(fn, x.tolist(), *(repeat(a, x.size) for a in args)), float, count=x.size)
 
 
+def _whole_count(n: object) -> bool:
+    """True for a Python or numpy integer >= 1: a count of cycles, grid
+    points, modes or ladder steps."""
+    return isinstance(n, (int, np.integer)) and n >= 1
+
+
 @dataclass(frozen=True)
 class EvolutionMatrix:
     """Heisenberg-picture map (q, p) -> (a q + b p, c q + d p)."""

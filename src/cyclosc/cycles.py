@@ -40,7 +40,7 @@ from .closed_form import (
     propagate_inverse_linear,
     propagate_power_law,
 )
-from .core import EvolutionMatrix, compose, gain_factor
+from .core import EvolutionMatrix, _whole_count, compose, gain_factor
 from .errors import DomainError, IntegrationError, SymplecticError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, propagate_ode, propagate_ode_batch
 from .profiles import (
@@ -118,10 +118,6 @@ class CycleSpec:
                 raise DomainError("custom cycles need a profile and a duration")
         else:
             _check_leg_args(self.family, self.v, self.k)
-
-
-def _whole_count(n: object) -> bool:
-    return isinstance(n, (int, np.integer)) and n >= 1
 
 
 def _check_leg_args(family: str, v: float, k: float, method: str = "closed") -> None:

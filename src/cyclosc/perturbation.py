@@ -1,7 +1,8 @@
 """First-order transitions driven by a weak x^N perturbation.
 
 The oscillator basis is omega0 = 1, so E_n = n + 1/2 and the position
-matrix is tridiagonal with <n+1|x|n> = sqrt((n+1)/2).  The perturbation is
+operator is the ladder x|k> = sqrt(k/2)|k-1> + sqrt((k+1)/2)|k+1>.  The
+perturbation is
 
     Delta V(t) = (delta(t) / 2) x^N,
 
@@ -10,10 +11,11 @@ endpoints.  First order in delta gives
 
     P(n -> f) = | integral dt (delta(t)/2) e^(i (f-n) t) |^2 |(x^N)_fn|^2.
 
-Powers of x are computed on a truncated basis whose last N rows are polluted
-by the edge and never reported.  An N-step ladder walk from |n> never rises
-above |n + N>, so a basis reaching N rows past the highest state involved
-already gives exact elements; every routine builds exactly that one.
+Column n of x^N is that ladder applied N times to |n> in Python floats, in a
+fixed order (_ladder_column): exact elements at any n, with no basis cutoff,
+no BLAS and no cost that grows with n.  Each element is a sum over the
+N-step ladder paths from n to f of positive products, so the nonzero ones
+are exactly those of the selection rule: |f - n| <= N with the parity of N.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
+from .core import _whole_count
 from .errors import DomainError, QuadratureError
 from .profiles import LaneMap, _at
 
 __all__ = [
-    "OperatorMatrix",
     "Drive",
     "WindowedCarrier",
     "x_power_matrix",
@@ -39,41 +41,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """x^N on a truncated number basis; rows >= usable_dim are edge-polluted."""
-
-    matrix: np.ndarray
-    power: int
-    usable_dim: int
-
-    def element(self, m: int, n: int) -> float:
-        if min(m, n) < 0:
-            raise DomainError(f"negative state index in ({m}, {n})")
-        if max(m, n) >= self.usable_dim:
-            raise DomainError(
-                f"element ({m}, {n}) is within {self.power} rows of the cutoff "
-                f"{self.matrix.shape[0]}; raise the cutoff"
-            )
-        return float(self.matrix[m, n])
+def _state_index(n: object) -> int:
+    if not (isinstance(n, (int, np.integer)) and n >= 0):
+        raise DomainError(f"state index must be an integer >= 0, got {n!r}")
+    return int(n)
 
 
-def x_power_matrix(power: int, cutoff: int) -> OperatorMatrix:
-    """Matrix of x^power on the states |0> .. |cutoff-1>.
+def _ladder_column(power: int, n: int) -> Dict[int, float]:
+    """Column n of x^power as {f: (x^power)_fn}, in ascending f, holding
+    every nonzero element and no other."""
+    if not _whole_count(power):
+        raise DomainError(f"power must be an integer >= 1, got {power!r}")
+    column = {_state_index(n): 1.0}
+    for _ in range(power):
+        step: Dict[int, float] = {}
+        # keys ascend two apart, so k - 1 may already hold k - 2's up step
+        # and k + 1 is always new
+        for k, c in column.items():
+            if k > 0:
+                step[k - 1] = step.get(k - 1, 0.0) + math.sqrt(k / 2.0) * c
+            step[k + 1] = math.sqrt((k + 1) / 2.0) * c
+        column = step
+    return column
 
-    Selection rules of the result: (x^N)_mn = 0 unless |m - n| <= N and
-    m - n has the parity of N.
-    """
-    if power < 1:
-        raise DomainError(f"power must be >= 1, got {power!r}")
-    if cutoff <= power:
-        raise DomainError(f"cutoff {cutoff!r} leaves no usable rows for power {power!r}")
-    n = np.arange(1, cutoff)
-    x = np.zeros((cutoff, cutoff))
-    off = np.sqrt(n / 2.0)
-    x[n, n - 1] = off
-    x[n - 1, n] = off
-    return OperatorMatrix(np.linalg.matrix_power(x, power), power, cutoff - power)
+
+def x_power_matrix(power: int, cutoff: int) -> np.ndarray:
+    """Exact matrix of x^power on the states |0> .. |cutoff-1>, one ladder
+    walk per column."""
+    if not _whole_count(cutoff):
+        raise DomainError(f"cutoff must be an integer >= 1, got {cutoff!r}")
+    matrix = np.zeros((cutoff, cutoff))
+    for n in range(cutoff):
+        for f, element in _ladder_column(power, n).items():
+            if f < cutoff:
+                matrix[f, n] = element
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -219,21 +221,8 @@ def _amplitude(drive: Drive, omega_fi: float) -> complex:
     return amp
 
 
-def _allowed(dm: int, power: int) -> bool:
-    """Selection rule: (x^N)_{n+dm, n} != 0 iff |dm| <= N with the parity of N."""
-    return abs(dm) <= power and (power - dm) % 2 == 0
-
-
-def _exact_operator(power: int, n_top: int) -> OperatorMatrix:
-    """x^power with exact elements between every pair of states <= n_top."""
-    return x_power_matrix(power, n_top + power + 1)
-
-
-def _weighted_probability(
-    drive: Drive, op: OperatorMatrix, n_from: int, n_to: int, weight: int
-) -> float:
-    """weight * P(n_from -> n_to) for a channel that passes the selection rule."""
-    element = op.element(n_to, n_from)
+def _weighted_probability(drive: Drive, n_from: int, n_to: int, element: float, weight: int) -> float:
+    """weight * P(n_from -> n_to) for the element (x^N)_{n_to, n_from}."""
     amp = _amplitude(drive, float(n_to - n_from))
     return float(weight * abs(amp) ** 2 * element**2)
 
@@ -244,12 +233,10 @@ def transition_probability(drive: Drive, n_from: int, n_to: int, power: int) -> 
     Zero exactly when the selection rule |n_to - n_from| <= power with
     matching parity fails.
     """
-    if min(n_from, n_to) < 0:
-        raise DomainError("state indices must be nonnegative")
-    if not _allowed(n_to - n_from, power):
+    element = _ladder_column(power, n_from).get(_state_index(n_to))
+    if element is None:
         return 0.0
-    op = _exact_operator(power, max(n_from, n_to))
-    return _weighted_probability(drive, op, n_from, n_to, 1)
+    return _weighted_probability(drive, n_from, n_to, element, 1)
 
 
 @dataclass(frozen=True)
@@ -270,18 +257,15 @@ def check_inequality(power: int, n_max: int) -> InequalityReport:
     Upward matrix elements dominate their downward mirrors; this is the
     mechanism that makes the first-order energy shift nonnegative.
     """
-    op = _exact_operator(power, n_max + power)
     checked = 0
     violations = []
-    for n in range(n_max + 1):
+    for n in range(_state_index(n_max) + 1):
+        column = _ladder_column(power, n)
         for m in range(1, min(n, power) + 1):
-            if not _allowed(m, power):
-                continue
-            up = abs(op.element(n + m, n))
-            down = abs(op.element(n - m, n))
-            checked += 1
-            if up < down * (1.0 - 1e-12):
-                violations.append((n, m))
+            if n - m in column:
+                checked += 1
+                if column[n + m] < column[n - m] * (1.0 - 1e-12):
+                    violations.append((n, m))
     return InequalityReport(power, n_max, checked, tuple(violations))
 
 
@@ -292,11 +276,8 @@ def first_order_energy_shift(drive: Drive, n: int, power: int) -> float:
     modulus, so each pair contributes m (P_up - P_down) >= 0 by the matrix
     element inequality.
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    op = _exact_operator(power, n + power)
     shift = 0.0
-    for m in range(-min(n, power), power + 1):
-        if m != 0 and _allowed(m, power):
-            shift += _weighted_probability(drive, op, n, n + m, m)
+    for f, element in _ladder_column(power, n).items():
+        if f != n:
+            shift += _weighted_probability(drive, n, f, element, f - n)
     return shift

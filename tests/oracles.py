@@ -4,7 +4,8 @@ These deliberately avoid the library's own matrix-propagation route so that
 agreement is evidence and not tautology.  The one exception is
 inverse_linear_entries_scalar, the library's inverse-linear formula written
 for one point: a reference for the bits of the array formula, not an oracle
-for its accuracy.
+for its accuracy.  x_power_by_matrix_power is the dense matrix route the
+perturbation layer's ladder walk replaced.
 """
 
 from __future__ import annotations
@@ -79,6 +80,35 @@ def inverse_linear_cycle_gain_mp(v, lam, n_cycles, dps=60):
         once = leg(1.0 / lam, -u, 1.0 / lam) * leg(1.0, u, lam)
         total = once ** n_cycles
         return float(sum(mpmath.re(x) ** 2 for x in total) / 2)
+
+
+def inverse_linear_energy_mp(omega0, v, lam, e_initial, dps=50):
+    """energy_inverse_linear's closed form in dps-digit complex arithmetic:
+
+        E = E0 [lam^(2 delta) + lam^(-2 delta) + 2 (4 delta^2 - 1)] / (8 lam delta^2)
+
+    with delta^2 = 1/4 - (omega0/v)^2 from the float arguments, in place of
+    the library's real cosh/sinc form.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        d2 = mpmath.mpf(0.25) - (mpmath.mpf(omega0) / mpmath.mpf(v)) ** 2
+        delta = mpmath.sqrt(mpmath.mpc(d2))
+        lam = mpmath.mpf(lam)
+        num = lam ** (2 * delta) + lam ** (-2 * delta) + 2 * (4 * d2 - 1)
+        return float(mpmath.re(mpmath.mpf(e_initial) * num / (8 * lam * d2)))
+
+
+def x_power_by_matrix_power(power, cutoff):
+    """numpy's matrix power of the tridiagonal x, <k+1|x|k> = sqrt((k+1)/2),
+    truncated to |0> .. |cutoff-1>.  The truncation spoils columns n >=
+    cutoff - power; the others are x^power up to rounding.
+    """
+    k = np.arange(1, cutoff)
+    x = np.zeros((cutoff, cutoff))
+    x[k, k - 1] = x[k - 1, k] = np.sqrt(k / 2.0)
+    return np.linalg.matrix_power(x, power)
 
 
 def inverse_linear_entries_scalar(omega0, v, lam):

@@ -695,8 +695,8 @@ class TestPerturb:
 
     @pytest.mark.parametrize("power", [1, 2, 3, 4])
     def test_output_matches_golden_bytes(self, tmp_path, power):
-        # frozen from a basis 32 rows wider than needed; the bytes must not
-        # depend on the basis size
+        # frozen bytes: powers 1 and 2 from a truncated-basis matrix power,
+        # which the ladder walk reproduces; 3 and 4 from the walk
         path = tmp_path / "p.csv"
         argv = ["perturb", "--power", str(power), "--epsilon", "0.0007", "--drive-freq", "1.9"]
         assert main(argv + ["--output", str(path)]) == 0
@@ -783,11 +783,11 @@ class TestSameBytesOnEveryCpu:
     differ (see README, "Numerical guarantees").
 
     OpenBLAS picks its kernels at run time too; the closed-form Bessel runs
-    also write the same stdout with its Nehalem kernels
+    and perturb also write the same stdout with its Nehalem kernels
     (OPENBLAS_CORETYPE=Nehalem), which have no FMA.  An OpenBLAS built
     without DYNAMIC_ARCH ignores the variable and runs the same kernels
-    twice.  The routes through the ODE and perturb --power >= 3 still
-    differ between OpenBLAS kernels."""
+    twice.  The routes through the ODE still differ between OpenBLAS
+    kernels."""
 
     RUNS = {
         "scan": ["scan", "--family", "inverse-linear", "--v-grid", "0.03:50:80",
@@ -809,7 +809,9 @@ class TestSameBytesOnEveryCpu:
         "propagate-power": ["propagate", "--family", "power", "--k", "-3", "--v-grid", "0.1:30:40",
                             "--lambda", "0.1"],
     }
+    PERTURB_RUNS = {f"perturb-power-{n}": ["perturb", "--power", str(n)] for n in (1, 2, 3, 4)}
     NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}
+    EVERY_KERNEL = ({}, NO_AVX512, {"OPENBLAS_CORETYPE": "Nehalem"})
 
     @staticmethod
     def _stdouts(argv, settings):
@@ -834,9 +836,14 @@ class TestSameBytesOnEveryCpu:
 
     @pytest.mark.parametrize("name", sorted(BESSEL_RUNS))
     def test_bessel_stdout_is_the_same_with_every_kernel(self, name):
-        native, *others = self._stdouts(self.BESSEL_RUNS[name],
-                                        ({}, self.NO_AVX512, {"OPENBLAS_CORETYPE": "Nehalem"}))
+        native, *others = self._stdouts(self.BESSEL_RUNS[name], self.EVERY_KERNEL)
         assert native.count("\n") >= 3 and others == [native, native]  # header, columns, rows
+
+    @pytest.mark.parametrize("name", sorted(PERTURB_RUNS))
+    def test_perturb_stdout_is_the_same_with_every_kernel(self, name):
+        # x^N's elements are a ladder walk in Python floats, not a BLAS product
+        native, *others = self._stdouts(self.PERTURB_RUNS[name], self.EVERY_KERNEL)
+        assert native.count("\n") > 5 and others == [native, native]
 
 
 class TestIntegratedGoldens:

@@ -30,7 +30,7 @@ from cyclosc import (
     propagate_inverse_linear,
     propagate_power_law,
 )
-from oracles import inverse_linear_entries_scalar
+from oracles import inverse_linear_energy_mp, inverse_linear_entries_scalar
 
 # ODE oracle, inverse-linear omega0=1, v=1, lambda=2.
 IL_ORACLE = (
@@ -144,6 +144,25 @@ class TestInverseLinear:
             assert energy_inverse_linear(1.0, v, lam, 0.5) == pytest.approx(
                 via_matrix, rel=1e-11
             )
+
+    @pytest.mark.parametrize("eps_lo, eps_hi", [(1e-9, 1e-6), (1e-6, 1e-3), (1e-3, 1e3)])
+    def test_energy_near_the_confluent_point_matches_mpmath(self, eps_lo, eps_hi):
+        # Omega = (1 +- eps)/2 with lambda log-uniform over 1e-8 .. 1e8.  The
+        # energy's (cosh(2 delta ln lam) - 1)/delta^2 is read as 2 sinch^2,
+        # which does not cancel just past the series cut (1.8e-10 when it
+        # was formed as a difference)
+        rng = np.random.default_rng(17)
+        points = [(0.49999999397498257, 1.0, 704.03)]
+        for _ in range(150):
+            eps = 10.0 ** rng.uniform(math.log10(eps_lo), math.log10(eps_hi))
+            omega = 0.5 * (1.0 + eps * rng.choice([-1.0, 1.0]))
+            lam = 10.0 ** rng.uniform(-8.0, 8.0)
+            if omega > 0.0:
+                points.append((omega, 1.0 if lam > 1.0 else -1.0, lam))
+        for omega, v, lam in points:
+            want = inverse_linear_energy_mp(omega, v, lam, 0.5)
+            assert energy_inverse_linear(omega, v, lam, 0.5) == pytest.approx(want, rel=1e-13, abs=0.0), (
+                omega, lam)
 
     def test_adiabatic_limit(self):
         # slow change keeps the adiabatic invariant E/omega: E_f -> omega_f/2

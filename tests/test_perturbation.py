@@ -25,7 +25,8 @@ from cyclosc import (
     transition_probability,
     x_power_matrix,
 )
-from cyclosc.perturbation import _exact_operator
+from cyclosc.perturbation import _amplitude, _ladder_column
+from oracles import x_power_by_matrix_power
 
 EPS = 1e-3
 T_DRIVE = 6.0
@@ -43,58 +44,92 @@ def reference_drive(eps: float = EPS, n_samples: int = 4097) -> Drive:
     return Drive.from_callable(g, T_DRIVE, n_samples)
 
 
-class TestOperatorMatrix:
+class TestLadderElements:
     def test_position_elements(self):
         x = x_power_matrix(1, 40)
-        assert x.element(1, 0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert x.element(3, 2) == pytest.approx(math.sqrt(1.5), rel=1e-15)
-        assert x.element(0, 0) == 0.0
-        assert x.element(3, 1) == 0.0
+        assert x[1, 0] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert x[3, 2] == pytest.approx(math.sqrt(1.5), rel=1e-15)
+        assert x[0, 0] == 0.0
+        assert x[3, 1] == 0.0
 
     def test_square_elements(self):
         # x^2 diagonal is n + 1/2; two-step ladder is sqrt((n+1)(n+2))/2
         x2 = x_power_matrix(2, 40)
-        assert x2.element(3, 3) == pytest.approx(3.5, rel=1e-15)
-        assert x2.element(0, 2) == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
-        assert x2.element(2, 0) == x2.element(0, 2)
-        assert x2.element(5, 1) == 0.0
+        assert x2[3, 3] == pytest.approx(3.5, rel=1e-15)
+        assert x2[0, 2] == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-15)
+        assert x2[2, 0] == x2[0, 2]
+        assert x2[5, 1] == 0.0
 
     def test_quartic_diagonal(self):
         x4 = x_power_matrix(4, 40)
         for n in (0, 3, 7):
             want = 0.75 * (2.0 * n * n + 2.0 * n + 1.0)
-            assert x4.element(n, n) == pytest.approx(want, rel=1e-13)
+            assert x4[n, n] == pytest.approx(want, rel=1e-13)
 
-    def test_edge_rows_are_refused(self):
-        op = x_power_matrix(2, 10)
-        assert op.usable_dim == 8
-        op.element(7, 7)
-        with pytest.raises(DomainError):
-            op.element(8, 0)
-        with pytest.raises(DomainError):
-            op.element(0, -1)
-
-    @pytest.mark.parametrize("power", range(1, 7))
-    def test_exact_size_operator_matches_a_wide_basis(self, power):
-        # a basis N rows past the higher state already has no truncation error
-        wide = x_power_matrix(power, 200)
+    @pytest.mark.parametrize("power", range(1, 9))
+    def test_walk_matches_the_matrix_power_of_a_wide_basis(self, power):
+        # the oracle's columns n < 64 - power carry no truncation error; its
+        # zeros are exactly the walk's missing keys (the selection rule).
+        # Both round: at (N, n, f) = (7, 37, 36) the walk is 1.8 ulp below a
+        # 50-digit value and the matrix power 2.2 ulp above it.
+        wide = x_power_by_matrix_power(power, 64)
         for n in range(41):
-            for f in range(max(n - power, 0), n + power + 1):
-                if (power - (f - n)) % 2:
-                    continue
-                exact = _exact_operator(power, max(n, f)).element(f, n)
-                if f != n:
-                    assert exact == wide.element(f, n), (n, f)
-                else:
-                    # a diagonal is a sum of squares, which the matrix product
-                    # may round differently at different sizes
-                    assert abs(exact - wide.element(f, n)) <= math.ulp(exact), n
+            column = _ladder_column(power, n)
+            assert set(column) == set(np.flatnonzero(wide[:, n]).tolist()), n
+            for f, element in column.items():
+                assert abs(element - wide[f, n]) <= 4 * math.ulp(wide[f, n]), (n, f)
 
-    def test_bad_construction(self):
+    @pytest.mark.parametrize("power", [1, 2, 3, 8])
+    @pytest.mark.parametrize("cutoff", [1, 5, 12])
+    def test_matrix_columns_are_the_walk_bit_for_bit(self, power, cutoff):
+        matrix = x_power_matrix(power, cutoff)
+        assert matrix.shape == (cutoff, cutoff)
+        for n in range(cutoff):
+            want = np.zeros(cutoff)
+            for f, element in _ladder_column(power, n).items():
+                if f < cutoff:
+                    want[f] = element
+            assert matrix[:, n].tobytes() == want.tobytes(), n
+
+    def test_a_million_quanta_need_no_basis(self):
+        n = 10**6
+        d = reference_drive()
+        column = _ladder_column(2, n)
+        up, down = math.sqrt((n + 1) * (n + 2)) / 2.0, math.sqrt(n * (n - 1)) / 2.0
+        assert abs(column[n + 2] - up) <= 4 * math.ulp(up)
+        assert abs(column[n - 2] - down) <= 4 * math.ulp(down)
+        assert abs(column[n] - (n + 0.5)) <= 4 * math.ulp(n + 0.5)
+        a2 = abs(_amplitude(d, 2.0)) ** 2
+        p_up, p_down = transition_probability(d, n, n + 2, 2), transition_probability(d, n, n - 2, 2)
+        assert p_up == pytest.approx(a2 * up * up, rel=4e-15)
+        assert p_down == pytest.approx(a2 * down * down, rel=4e-15)
+        # the two channels, each weighted by its energy change; their sum
+        # is |A|^2 (2n + 1), which cancels all but ~1e-6 of each term
+        shift = first_order_energy_shift(d, n, 2)
+        assert shift == -2.0 * p_down + 2.0 * p_up
+        assert shift == pytest.approx(a2 * (2 * n + 1), rel=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda d: transition_probability(d, 0, 2, 2.5),
+        lambda d: transition_probability(d, 0, 2, 0),
+        lambda d: transition_probability(d, 0, 2, -2),
+        lambda d: transition_probability(d, -1, 1, 2),
+        lambda d: transition_probability(d, 0, -2, 2),
+        lambda d: transition_probability(d, 0, 2.0, 2),
+        lambda d: first_order_energy_shift(d, 0, 2.5),
+        lambda d: first_order_energy_shift(d, 2.5, 2),
+        lambda d: first_order_energy_shift(d, -1, 2),
+        lambda d: check_inequality(2.5, 3),
+        lambda d: check_inequality(0, 3),
+        lambda d: check_inequality(2, -1),
+        lambda d: x_power_matrix(0, 10),
+        lambda d: x_power_matrix(2.5, 10),
+        lambda d: x_power_matrix(2, 0),
+        lambda d: x_power_matrix(2, 4.0),
+    ])
+    def test_powers_and_state_indices_are_checked_alike(self, call):
         with pytest.raises(DomainError):
-            x_power_matrix(0, 10)
-        with pytest.raises(DomainError):
-            x_power_matrix(5, 5)
+            call(reference_drive())
 
 
 class TestDrive:
@@ -137,6 +172,8 @@ class TestTransitionProbability:
         assert transition_probability(d, 0, 1, 2) == 0.0
         assert transition_probability(d, 0, 3, 2) == 0.0
         assert transition_probability(d, 0, 4, 2) == 0.0  # beyond reach of x^2
+        assert transition_probability(d, 5, 0, 3) == 0.0
+        assert transition_probability(d, 2, 2, 3) == 0.0
 
     def test_frozen_value_and_detailed_balance(self):
         d = reference_drive()

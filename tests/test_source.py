@@ -242,3 +242,16 @@ def test_package_exports_match_the_submodules():
             if name not in cyclosc.__all__ or getattr(cyclosc, name) is not getattr(module, name):
                 unexported.add((path.stem, name))
     assert unexported == set()
+
+
+def test_perturbation_elements_take_no_matrix_product():
+    # column n of x^N is a ladder walk in Python floats: no BLAS product
+    # (np.linalg, @, matmul), whose kernel the host picks at run time
+    tree = ast.parse((PACKAGE / "perturbation.py").read_text(encoding="utf-8"))
+    products = [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in ("linalg", "matmul", "dot", "matrix_power")
+        or isinstance(node, ast.Name) and node.id in ("linalg", "matmul")
+    ]
+    assert products == []
