@@ -223,8 +223,8 @@ def shift_planck_spectrum(spec: CavitySpec, n_points: int = 257) -> PlanckShift:
     is exactly a Planck spectrum at T/lambda (the fitted temperature
     returned alongside the samples).
     """
-    if n_points < 16:
-        raise DomainError("n_points too small to resolve the spectrum")
+    if not _whole_count(n_points, 16):
+        raise DomainError(f"n_points must be an integer >= 16 to resolve the spectrum, got {n_points!r}")
     scale = BOLTZMANN_K * spec.T / PLANCK_H
     if not 0.0 < scale < math.inf:
         raise DomainError(f"k T / h at T = {spec.T!r} K leaves the float range")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -101,34 +102,42 @@ def _cosh_sinch(s2: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return ch, sh
 
 
-def _check_inverse_linear_args(omega0: float, v: float, lam: float) -> None:
-    if not omega0 > 0.0:
-        raise DomainError(f"omega0 must be positive, got {omega0!r}")
-    if not lam > 0.0:
-        raise DomainError(f"lambda must be positive, got {lam!r}")
-    if lam == math.inf:
-        raise DomainError("lambda must be finite, got inf")
-    if lam != 1.0:
-        if v == 0.0:
-            raise DomainError("v = 0 cannot reach lambda != 1")
-        if (lam - 1.0) / v < 0.0:
-            raise DomainError(
+def _inverse_linear_domain(
+    omega0: np.ndarray, v: np.ndarray, lam: np.ndarray
+) -> Tuple[Tuple[np.ndarray, Callable[[float, float, float], str]], ...]:
+    """The inverse-linear leg's domain, elementwise over float arrays: its
+    conditions in the order they are checked, each as (holds, message), with
+    message naming a leg (omega0, v, lam) of Python floats that fails it.
+    Every condition after the third binds only where lam != 1."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        still = lam == 1.0
+        return (
+            (omega0 > 0.0, lambda w, v, lam: f"omega0 must be positive, got {w!r}"),
+            (lam > 0.0, lambda w, v, lam: f"lambda must be positive, got {lam!r}"),
+            (lam != math.inf, lambda w, v, lam: "lambda must be finite, got inf"),
+            (still | (v != 0.0), lambda w, v, lam: "v = 0 cannot reach lambda != 1"),
+            (still | ~((lam - 1.0) / v < 0.0), lambda w, v, lam: (
                 f"lambda = {lam!r} is not reachable with rate v = {v!r} "
-                "(the sign of v must match lambda - 1)"
-            )
-        if not (omega0 <= _SQUARE_MAX and abs(omega0 / v) <= _SQUARE_MAX):
-            raise DomainError(
-                f"omega0 = {omega0!r} with rate v = {v!r} is out of range: "
-                "(omega0/v)**2 or omega0**2 overflows"
-            )
+                "(the sign of v must match lambda - 1)")),
+            (still | ((omega0 <= _SQUARE_MAX) & (np.abs(omega0 / v) <= _SQUARE_MAX)), lambda w, v, lam: (
+                f"omega0 = {w!r} with rate v = {v!r} is out of range: "
+                "(omega0/v)**2 or omega0**2 overflows")),
+        )
 
 
 def _inverse_linear_args_ok(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Elementwise: True where _check_inverse_linear_args would not raise."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        reachable = (v != 0.0) & ~((lam - 1.0) / v < 0.0)
-        in_range = (omega0 <= _SQUARE_MAX) & (np.abs(omega0 / v) <= _SQUARE_MAX)
-    return (omega0 > 0.0) & (0.0 < lam) & (lam < math.inf) & ((lam == 1.0) | (reachable & in_range))
+    """Elementwise: True where a leg is inside its domain."""
+    return reduce(np.logical_and, (holds for holds, _ in _inverse_linear_domain(omega0, v, lam)))
+
+
+def _check_inverse_linear_args(omega0: np.ndarray, v: np.ndarray, lam: np.ndarray) -> None:
+    """Raise the DomainError of the first leg outside the domain, for the
+    first condition it fails; omega0, v and lam are broadcast float arrays."""
+    failing = np.flatnonzero(~_inverse_linear_args_ok(omega0, v, lam))
+    if failing.size:
+        leg = [x[failing[0], None] for x in (omega0, v, lam)]
+        message = next(message for holds, message in _inverse_linear_domain(*leg) if not holds[0])
+        raise DomainError(message(*(x.item() for x in leg)))
 
 
 def _inverse_linear_entries(
@@ -164,8 +173,7 @@ def propagate_inverse_linear(
     """
     scalar = np.ndim(omega0) == np.ndim(v) == np.ndim(lam) == 0
     omega0, v, lam = np.broadcast_arrays(*(np.array(x, dtype=float, ndmin=1) for x in (omega0, v, lam)))
-    for args in zip(omega0.tolist(), v.tolist(), lam.tolist()):
-        _check_inverse_linear_args(*args)
+    _check_inverse_linear_args(omega0, v, lam)
     moved = lam != 1.0
     if moved.all():
         entries = _inverse_linear_entries(omega0, v, lam)
@@ -187,7 +195,7 @@ def energy_inverse_linear(omega0: float, v: float, lam: float, e_initial: float)
     formula is invariant under time rescaling, so only Omega = omega0/v and
     lam enter.
     """
-    _check_inverse_linear_args(omega0, v, lam)
+    _check_inverse_linear_args(*(np.array(x, dtype=float, ndmin=1) for x in (omega0, v, lam)))
     if not e_initial > 0.0:
         raise DomainError(f"e_initial must be positive, got {e_initial!r}")
     if lam == 1.0:

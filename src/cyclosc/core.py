@@ -68,10 +68,17 @@ def _libm_each(fn: Callable[..., float], x: np.ndarray, *args: float) -> np.ndar
     return np.fromiter(map(fn, x.tolist(), *(repeat(a, x.size) for a in args)), float, count=x.size)
 
 
-def _whole_count(n: object) -> bool:
-    """True for a Python or numpy integer >= 1: a count of cycles, grid
-    points, modes or ladder steps."""
-    return isinstance(n, (int, np.integer)) and n >= 1
+def _whole_count(n: object, least: int = 1) -> bool:
+    """True for a Python or numpy integer >= least that is not a bool: a
+    count of cycles, grid points, samples, steps, modes or ladder steps."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= least
+
+
+def _state_index(n: object) -> int:
+    """n as an int, for an integer >= 0 that is not a bool: the state |n>."""
+    if not _whole_count(n, 0):
+        raise DomainError(f"state index must be an integer >= 0, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,7 @@ class EvolutionMatrix:
     def from_array(cls, arr) -> "EvolutionMatrix":
         arr = np.asarray(arr, dtype=float)
         if arr.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 array, got shape {arr.shape}")
+            raise DomainError(f"expected a 2x2 array, got shape {arr.shape}")
         return cls(float(arr[0, 0]), float(arr[0, 1]), float(arr[1, 0]), float(arr[1, 1]))
 
     @classmethod
@@ -113,7 +120,7 @@ class EvolutionMatrix:
     def squeeze(cls, s: float) -> "EvolutionMatrix":
         """diag(s, 1/s); scales q by s and p by 1/s."""
         if s == 0.0:
-            raise ValueError("squeeze factor must be nonzero")
+            raise DomainError("squeeze factor must be nonzero")
         return cls(s, 0.0, 0.0, 1.0 / s)
 
     def inverse(self) -> "EvolutionMatrix":
@@ -166,10 +173,9 @@ class StationaryState:
     omega0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
-            raise ValueError(f"quantum number must be a nonnegative integer, got {self.n!r}")
+        _state_index(self.n)
         if not self.omega0 > 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0!r}")
+            raise DomainError(f"omega0 must be positive, got {self.omega0!r}")
 
     @property
     def energy(self) -> float:
@@ -300,7 +306,7 @@ def final_energy(s: EvolutionMatrix, state: StationaryState, omega_final: float)
     """
     _require_symplectic(s, "final_energy")
     if state.omega0 != 1.0:
-        raise ValueError(
+        raise DomainError(
             f"final_energy requires a state with omega0 = 1, got {state.omega0!r}; "
             "normalize the profile or use Covariance"
         )

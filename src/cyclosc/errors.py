@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "SymplecticError", "IntegrationError", "QuadratureError"]
+
 
 class DomainError(ValueError):
     """Parameters outside the validity domain of a profile or propagator."""

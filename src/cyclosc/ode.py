@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import EvolutionMatrix, StationaryState, _libm_each, compose, final_energy
+from .core import EvolutionMatrix, StationaryState, _libm_each, _whole_count, compose, final_energy
 from .errors import DomainError, IntegrationError
 from .profiles import FrequencyProfile, LaneMap, Piecewise
 
@@ -57,9 +57,9 @@ class IntegratorConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rtol < 1.0 and 0.0 < self.atol < 1.0):
-            raise ValueError("tolerances must lie in (0, 1)")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be positive")
+            raise DomainError("tolerances must lie in (0, 1)")
+        if not _whole_count(self.max_steps):
+            raise DomainError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
 
 
 DEFAULT_CONFIG = IntegratorConfig()

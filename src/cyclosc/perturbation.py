@@ -26,7 +26,7 @@ from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
-from .core import _whole_count
+from .core import _state_index, _whole_count
 from .errors import DomainError, QuadratureError
 from .profiles import LaneMap, _at
 
@@ -39,12 +39,6 @@ __all__ = [
     "InequalityReport",
     "first_order_energy_shift",
 ]
-
-
-def _state_index(n: object) -> int:
-    if not (isinstance(n, (int, np.integer)) and n >= 0):
-        raise DomainError(f"state index must be an integer >= 0, got {n!r}")
-    return int(n)
 
 
 def _ladder_column(power: int, n: int) -> Dict[int, float]:
@@ -150,6 +144,8 @@ class Drive:
         call where fn's type has a stacked formula (see profiles.LaneMap)."""
         if not t_final > 0.0:
             raise DomainError(f"t_final must be positive, got {t_final!r}")
+        if not _whole_count(n_samples):
+            raise DomainError(f"n_samples must be an integer >= 1, got {n_samples!r}")
         t = np.linspace(0.0, t_final, n_samples)
         sample = LaneMap([fn])
         lane = np.zeros(1, dtype=int)

@@ -5,7 +5,8 @@ agreement is evidence and not tautology.  The one exception is
 inverse_linear_entries_scalar, the library's inverse-linear formula written
 for one point: a reference for the bits of the array formula, not an oracle
 for its accuracy.  x_power_by_matrix_power is the dense matrix route the
-perturbation layer's ladder walk replaced.
+perturbation layer's ladder walk replaced, and check_inverse_linear_scalar
+the one-leg check the inverse-linear domain's array form replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from cyclosc.core import _SQUARE_MAX
+from cyclosc.errors import DomainError
 
 
 def moment_oracle(profile, kappa, t_final, state):
@@ -134,6 +138,30 @@ def inverse_linear_entries_scalar(omega0, v, lam):
         r = math.sqrt(-s2)
         ch, sh = math.cos(r * ln), math.sin(r * ln) / r
     return rt * (ch - 0.5 * sh), rt * sh / v, -(omega0 * omega0 / v) * sh / rt, (ch + 0.5 * sh) / rt
+
+
+def check_inverse_linear_scalar(omega0, v, lam):
+    """The inverse-linear leg's domain for one leg of Python floats, as an
+    if-chain: raises the DomainError of the first condition it fails."""
+    if not omega0 > 0.0:
+        raise DomainError(f"omega0 must be positive, got {omega0!r}")
+    if not lam > 0.0:
+        raise DomainError(f"lambda must be positive, got {lam!r}")
+    if lam == math.inf:
+        raise DomainError("lambda must be finite, got inf")
+    if lam != 1.0:
+        if v == 0.0:
+            raise DomainError("v = 0 cannot reach lambda != 1")
+        if (lam - 1.0) / v < 0.0:
+            raise DomainError(
+                f"lambda = {lam!r} is not reachable with rate v = {v!r} "
+                "(the sign of v must match lambda - 1)"
+            )
+        if not (omega0 <= _SQUARE_MAX and abs(omega0 / v) <= _SQUARE_MAX):
+            raise DomainError(
+                f"omega0 = {omega0!r} with rate v = {v!r} is out of range: "
+                "(omega0/v)**2 or omega0**2 overflows"
+            )
 
 
 def mode_map(s, w_start, w_end):

@@ -71,7 +71,7 @@ class TestMultimode:
         with pytest.raises(IntegrationError, match="step budget"):
             multimode_from_hamiltonian(coupling, 10.0, IntegratorConfig(max_steps=10))
 
-    @pytest.mark.parametrize("n_modes", [2.5, "3", 0, -1, 3.0])
+    @pytest.mark.parametrize("n_modes", [2.5, "3", 0, -1, 3.0, True])
     def test_random_coupling_refuses_a_mode_count_that_is_not_a_whole_number(self, n_modes):
         with pytest.raises(DomainError, match="n_modes must be an integer >= 1"):
             random_coupling(np.random.default_rng(0), n_modes, 1.0)

@@ -30,7 +30,7 @@ from cyclosc import (
     propagate_inverse_linear,
     propagate_power_law,
 )
-from oracles import inverse_linear_energy_mp, inverse_linear_entries_scalar
+from oracles import check_inverse_linear_scalar, inverse_linear_energy_mp, inverse_linear_entries_scalar
 
 # ODE oracle, inverse-linear omega0=1, v=1, lambda=2.
 IL_ORACLE = (
@@ -353,6 +353,44 @@ def test_property_inverse_linear_batch_is_each_leg_alone(points):
         bits = [x.hex() for x in (one.a, one.b, one.c, one.d)]
         assert [x[i].item().hex() for x in (batch.a, batch.b, batch.c, batch.d)] == bits
         assert [x.hex() for x in inverse_linear_entries_scalar(*point)] == bits
+
+
+def _scalar_refusal(omega0, v, lam):
+    """The message the one-leg if-chain raises for a leg, or None."""
+    try:
+        check_inverse_linear_scalar(omega0, v, lam)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+# zeros, infinities, nan, 1, subnormals and the ends of the float range, any
+# float, or a positive one (every leg of a batch must pass the first checks
+# for a later check or a later leg to be reached)
+_EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308]
+) | st.floats() | st.floats(min_value=5e-324, max_value=1e10) | st.floats(min_value=0.5, max_value=2.0)
+
+
+@given(st.lists(st.tuples(_EDGE_FLOATS, _EDGE_FLOATS, _EDGE_FLOATS), min_size=1, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_property_inverse_linear_domain_is_the_scalar_chain(points):
+    # the domain, stated once as arrays, refuses exactly the legs the
+    # one-leg if-chain refuses; a batch raises its first such leg's message
+    refusals = [_scalar_refusal(*point) for point in points]
+    arrays = [np.array(x) for x in zip(*points)]
+    assert cyclosc.closed_form._inverse_linear_args_ok(*arrays).tolist() == [r is None for r in refusals]
+    first = next((r for r in refusals if r is not None), None)
+    if first is None:
+        propagate_inverse_linear(*arrays)
+    else:
+        with pytest.raises(DomainError) as batch:
+            propagate_inverse_linear(*arrays)
+        assert str(batch.value) == first
+    if refusals[0] is not None:
+        with pytest.raises(DomainError) as one:
+            energy_inverse_linear(*points[0], 1.0)
+        assert str(one.value) == refusals[0]
 
 
 @given(

@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from cyclosc import (
     CavitySpec,
     Covariance,
+    CycleSpec,
     DomainError,
     EvolutionMatrix,
     GridAxis,
+    IntegratorConfig,
     StationaryState,
     SymplecticError,
     asymptotic_energy,
@@ -25,6 +27,7 @@ from cyclosc import (
     gain_factor,
     random_coupling,
     random_symplectic,
+    shift_planck_spectrum,
     symplectic_error,
     thermal_occupation,
     to_bogoliubov,
@@ -429,13 +432,28 @@ def test_extreme_arguments_give_typed_errors_or_values(call, expected):
 
 
 # a NaN makes every comparison False, so each check is written to fail on
-# it; a grid count must be a whole number
+# it; a count must be a whole number, and a bool is not one
 @pytest.mark.parametrize("call,error", [
     (lambda: Covariance([[1.0, math.nan], [math.nan, 1.0]]), DomainError),
     (lambda: CavitySpec(1e-2, 300.0, 0.5, math.nan), DomainError),
     (lambda: GridAxis(0.0, 1.0, 2.5).values(), DomainError),
     (lambda: random_coupling(np.random.default_rng(0), 0, 1.0), DomainError),
-], ids=["moment-nan-d", "cavity-nan-rate", "grid-fractional-count", "coupling-no-modes"])
+    (lambda: GridAxis(1.0, 2.0, True).values(), DomainError),
+    (lambda: CycleSpec("inverse-linear", n_cycles=True), DomainError),
+    (lambda: IntegratorConfig(max_steps=1.5), DomainError),
+    (lambda: IntegratorConfig(max_steps=math.nan), DomainError),
+    (lambda: IntegratorConfig(max_steps=True), DomainError),
+    (lambda: IntegratorConfig(rtol=math.nan), DomainError),
+    (lambda: shift_planck_spectrum(CavitySpec(1.0, 300.0, 0.5, 0.0), n_points=16.5), DomainError),
+    (lambda: StationaryState(True), DomainError),
+    (lambda: StationaryState(-1), DomainError),
+    (lambda: final_energy(EvolutionMatrix.identity(), StationaryState(0, 2.0), 1.0), DomainError),
+    (lambda: EvolutionMatrix.from_array(np.eye(3)), DomainError),
+    (lambda: EvolutionMatrix.squeeze(0.0), DomainError),
+], ids=["moment-nan-d", "cavity-nan-rate", "grid-fractional-count", "coupling-no-modes",
+        "grid-bool-count", "cycles-bool-count", "steps-fractional", "steps-nan", "steps-bool",
+        "tolerance-nan", "spectrum-fractional-points", "state-bool-index", "state-negative-index",
+        "energy-unnormalized-state", "matrix-not-2x2", "squeeze-zero"])
 def test_validators_refuse_nan_and_fractional_counts(call, error):
     with pytest.raises(error):
         call()

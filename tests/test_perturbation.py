@@ -126,6 +126,13 @@ class TestLadderElements:
         lambda d: x_power_matrix(2.5, 10),
         lambda d: x_power_matrix(2, 0),
         lambda d: x_power_matrix(2, 4.0),
+        lambda d: x_power_matrix(True, 3),
+        lambda d: check_inequality(True, 3),
+        lambda d: transition_probability(d, True, 3, 2),
+        lambda d: transition_probability(d, 1, True, 2),
+        lambda d: first_order_energy_shift(d, True, 2),
+        lambda d: Drive.from_callable(lambda t: 0.0, 1.0, 16.5),
+        lambda d: Drive.from_callable(lambda t: 0.0, 1.0, True),
     ])
     def test_powers_and_state_indices_are_checked_alike(self, call):
         with pytest.raises(DomainError):

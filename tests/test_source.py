@@ -33,7 +33,8 @@ def _unused_imports(path: Path):
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                imported.add((alias.asname or alias.name).split(".")[0])
+                if alias.name != "*":  # a star import re-exports its module's __all__
+                    imported.add((alias.asname or alias.name).split(".")[0])
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:  # names re-exported through __all__
         if isinstance(node, ast.Assign) and any(
@@ -242,6 +243,28 @@ def test_package_exports_match_the_submodules():
             if name not in cyclosc.__all__ or getattr(cyclosc, name) is not getattr(module, name):
                 unexported.add((path.stem, name))
     assert unexported == set()
+
+
+def test_package_declares_each_public_name_once():
+    # each library module's __all__ is its public surface; __init__ star-
+    # imports the modules and binds only __version__ and the concatenation
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert all(isinstance(node, ast.ImportFrom) and node.level == 1
+               and [alias.name for alias in node.names] == ["*"] for node in imports)
+    modules = [node.module for node in imports]
+    library = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__", "cli"}
+    assert sorted(modules) == sorted(library)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    assert bound == {"__version__", "__all__"}
+    declared = [importlib.import_module(f"cyclosc.{module}").__all__ for module in modules]
+    assert cyclosc.__all__ == ["__version__", *(name for names in declared for name in names)]
 
 
 def test_perturbation_elements_take_no_matrix_product():
