@@ -15,10 +15,9 @@ Power-law, omega(t)^2 = z^(k-2) with z = 1 + v t:
     positive argument branch is used for either sign of k v.
 
 Exponential, omega(t) = exp(v t) and z = exp(v t):
-    coordinate solutions J_0(z / |v|) and Y_0(z / |v|).
-
-Each propagator assembles the evolution matrix from the two fundamental
-solutions via the Wronskian, which keeps det S = 1 to machine accuracy.
+    coordinate solutions J_0(z / |v|) and Y_0(z / |v|), the order-0 case of
+    the power-law frame: both Bessel families share one frame formula and
+    one assembly through the Wronskian, constant along a frame.
 """
 
 from __future__ import annotations
@@ -45,6 +44,10 @@ __all__ = [
 
 # Bessel order |1/k| beyond this is outside the accuracy contract.
 MAX_BESSEL_ORDER = 10.0
+
+# A Bessel frame's Wronskian is constant along a leg: a leg whose end and
+# start Wronskians differ by this relative amount is refused.
+WRONSKIAN_DRIFT_MAX = 1e-6
 
 # Below this, cosh(sqrt(s2) x) etc. switch to their Taylor series in
 # u = s2 x^2; at u = 1e-6 the first dropped term is ~1e-26.
@@ -205,42 +208,33 @@ def energy_inverse_linear(omega0: float, v: float, lam: float, e_initial: float)
     # numerator/(8 lam s2) is ((cosh(2 delta ln lam) - 1)/delta^2 + 4)/(4 lam),
     # and (cosh(2 y) - 1)/delta^2 = 2 (sinh(y)/delta)^2 with y = delta ln lam:
     # no cancellation, and finite at the confluent point s2 = 0.
-    return e_initial * (sh.item() ** 2 + 2.0) / (2.0 * lam)
+    sh = sh.item()
+    energy = e_initial * (sh**2 + 2.0) / (2.0 * lam) if abs(sh) <= _SQUARE_MAX else math.inf
+    if energy == math.inf:
+        raise DomainError(f"the energy at omega0 = {omega0!r}, v = {v!r}, lambda = {lam!r} leaves the float range")
+    return energy
 
 
-def _bessel_order_check(nu: float) -> None:
-    if abs(nu) > MAX_BESSEL_ORDER:
-        raise DomainError(
-            f"Bessel order 1/k = {nu!r} outside the supported range |1/k| <= {MAX_BESSEL_ORDER}"
-        )
+def _bessel_order_ok(nu: float) -> bool:
+    """False where |nu| exceeds MAX_BESSEL_ORDER; a nan order passes."""
+    return not abs(nu) > MAX_BESSEL_ORDER
 
 
-def _wronskian_map(start: EvolutionMatrix, end: EvolutionMatrix) -> EvolutionMatrix:
-    """Evolution matrix end @ start^-1 between two fundamental frames.
-
-    start is inverted through its adjugate over its determinant, the
-    Wronskian, which is constant along the frame.  The frames are built
-    from Python floats, so an entry that left the floats is inf or nan, and
-    is refused here, as is a map whose entries leave the float range.
-    """
-    w = start.det()  # not finite where any entry of start is not
-    if not (math.isfinite(w) and all(map(math.isfinite, (end.a, end.b, end.c, end.d)))):
-        raise DomainError(f"the Bessel frame is not finite: its Wronskian evaluates to {w!r}")
-    if w == 0.0:
-        raise DomainError("the Bessel frame is degenerate: its Wronskian evaluates to 0")
-    s = end @ EvolutionMatrix(start.d / w, -start.b / w, -start.c / w, start.a / w)
-    if not all(map(math.isfinite, (s.a, s.b, s.c, s.d))):
-        raise DomainError(f"the Bessel map leaves the float range: {s!r}")
-    return s
+def _bessel_frame(nu: float, w: float, g: float, g_x: float, w_x: float, x_dot: float, jv, yv) -> EvolutionMatrix:
+    """Fundamental-solution frame [[q1, q2], [p1, p2]] of both Bessel families:
+    q_i = g Z_nu(w) for Z = J, Y, with g and w functions of a variable x, and
+    p_i = dq_i/dt = x_dot (g_x Z + (g Z'(w)) w_x), Z' = Z_(nu-1) - (nu/w) Z_nu."""
+    orders = [nu, nu - 1.0]
+    (jw, jm), (yw, ym) = jv(orders, w).tolist(), yv(orders, w).tolist()
+    nu_w = nu / w if nu else 0.0  # order 0 takes w = 0 too
+    jp = jm - nu_w * jw
+    yp = ym - nu_w * yw
+    return EvolutionMatrix(g * jw, g * yw, x_dot * (g_x * jw + g * jp * w_x), x_dot * (g_x * yw + g * yp * w_x))
 
 
-def _power_law_frame(z: float, k: float, v: float, jv: Callable, yv: Callable) -> EvolutionMatrix:
-    """Fundamental-solution frame [[q1, q2], [p1, p2]] at scale z.
-
-    q_i are sqrt(z) J_nu(w) and sqrt(z) Y_nu(w) with nu = 1/k and
-    w = (2/|k v|) z^(k/2); p_i = v dq_i/dz.
-    """
-    nu = 1.0 / k
+def _power_law_frame(z: float, v: float, jv, yv, k: float) -> EvolutionMatrix:
+    """The power-law frame at scale z: x = z, nu = 1/k, g = sqrt(z),
+    w = (2/|k v|) z^(k/2) and x_dot = v."""
     try:
         w = 2.0 / abs(k * v) * z ** (0.5 * k)
     except (OverflowError, ZeroDivisionError):  # k v or z^(k/2) left the float range
@@ -248,14 +242,45 @@ def _power_law_frame(z: float, k: float, v: float, jv: Callable, yv: Callable) -
     if not 0.0 < w < math.inf:
         raise DomainError(f"w = (2/|k v|) z^(k/2) is not a positive float at z = {z!r}, k = {k!r}, v = {v!r}")
     rt = math.sqrt(z)
-    (jw, jm), (yw, ym) = jv([nu, nu - 1.0], w).tolist(), yv([nu, nu - 1.0], w).tolist()
-    # Z_nu'(w) = Z_(nu-1)(w) - (nu/w) Z_nu(w); dw/dz = (k/2) w / z.
-    dwdz = 0.5 * k * w / z
-    jp = jm - (nu / w) * jw
-    yp = ym - (nu / w) * yw
-    dq1 = 0.5 / rt * jw + rt * jp * dwdz
-    dq2 = 0.5 / rt * yw + rt * yp * dwdz
-    return EvolutionMatrix(rt * jw, rt * yw, v * dq1, v * dq2)
+    return _bessel_frame(1.0 / k, w, rt, 0.5 / rt, 0.5 * k * w / z, v, jv, yv)
+
+
+def _exponential_frame(z: float, v: float, jv, yv) -> EvolutionMatrix:
+    """The exponential frame at scale z, of order 0: x = w = z/|v|, g = 1 and
+    x_dot = dw/dt = v w; g_x = -0.0 adds exactly, so a p whose J_1 underflows keeps its sign."""
+    w = z / abs(v)
+    return _bessel_frame(0.0, w, 1.0, -0.0, 1.0, v * w, jv, yv)
+
+
+def _bessel_leg(frame: Callable[..., EvolutionMatrix], v: float, z_final: float, *args: float) -> EvolutionMatrix:
+    """Evolution matrix Phi(z_final) Phi(1)^-1 of a Bessel family's frame.
+
+    Phi(1) is inverted through its Wronskian, constant along the frame.  A
+    frame entry that left the floats (inf or nan), an end Wronskian that
+    drifts from the start's and a map past the float range are refused."""
+    if not z_final > 0.0:
+        raise DomainError(f"z_final must be positive, got {z_final!r}")
+    if z_final == 1.0:
+        return EvolutionMatrix.identity()
+    if v == 0.0 or (z_final - 1.0) / v < 0.0:
+        raise DomainError(f"z_final = {z_final!r} is not reachable with rate v = {v!r}")
+    from scipy.special import jv, yv  # on the first Bessel leg: `import cyclosc` loads no scipy
+    start, end = frame(1.0, v, jv, yv, *args), frame(z_final, v, jv, yv, *args)
+    w = start.det()  # not finite where any entry of start is not
+    if not math.isfinite(w):
+        raise DomainError(f"the Bessel frame is not finite: its Wronskian evaluates to {w!r}")
+    if not all(map(math.isfinite, (end.a, end.b, end.c, end.d))):
+        raise DomainError(f"the Bessel frame at z = {z_final!r} is not finite")
+    if w == 0.0:
+        raise DomainError("the Bessel frame is degenerate: its Wronskian evaluates to 0")
+    drift = abs(end.det() / w - 1.0)
+    if not drift < WRONSKIAN_DRIFT_MAX:
+        raise DomainError(f"the Bessel frame at z = {z_final!r} is inaccurate: its Wronskian drifts by "
+                          f"{drift!r} (tolerance {WRONSKIAN_DRIFT_MAX!r})")
+    s = end @ EvolutionMatrix(start.d / w, -start.b / w, -start.c / w, start.a / w)
+    if not all(map(math.isfinite, (s.a, s.b, s.c, s.d))):
+        raise DomainError(f"the Bessel map leaves the float range: {s!r}")
+    return s
 
 
 def propagate_power_law(k: float, v: float, z_final: float) -> EvolutionMatrix:
@@ -268,43 +293,18 @@ def propagate_power_law(k: float, v: float, z_final: float) -> EvolutionMatrix:
     """
     if k == 0.0:
         raise DomainError("k = 0 is the inverse-linear family; use propagate_inverse_linear")
-    _bessel_order_check(1.0 / k)
-    if not z_final > 0.0:
-        raise DomainError(f"z_final must be positive, got {z_final!r}")
-    if z_final == 1.0:
-        return EvolutionMatrix.identity()
-    if v == 0.0 or (z_final - 1.0) / v < 0.0:
-        raise DomainError(
-            f"z_final = {z_final!r} is not reachable with rate v = {v!r}"
-        )
-    from scipy.special import jv, yv  # on the first Bessel leg: `import cyclosc` loads no scipy
-    return _wronskian_map(_power_law_frame(1.0, k, v, jv, yv), _power_law_frame(z_final, k, v, jv, yv))
-
-
-def _exponential_frame(z: float, v: float, jv: Callable, yv: Callable) -> EvolutionMatrix:
-    """Fundamental frame for omega = exp(v t): q_i = {J0, Y0}(z/|v|), p_i = dq_i/dt."""
-    w = z / abs(v)
-    (j0, j1), (y0, y1) = jv([0.0, 1.0], w).tolist(), yv([0.0, 1.0], w).tolist()
-    # d/dt Z0(w(t)) = -Z1(w) * dw/dt with dw/dt = v w.
-    return EvolutionMatrix(j0, y0, -v * w * j1, -v * w * y1)
+    if not _bessel_order_ok(1.0 / k):
+        raise DomainError(f"Bessel order 1/k = {1.0 / k!r} outside the supported range |1/k| <= {MAX_BESSEL_ORDER}")
+    return _bessel_leg(_power_law_frame, v, z_final, k)
 
 
 def propagate_exponential(v: float, z_final: float) -> EvolutionMatrix:
     """Evolution matrix for omega(t) = exp(v t) up to z = exp(v t) = z_final.
 
-    Same Wronskian assembly as the power-law case; the t-Wronskian of the
+    The power-law assembly with the order-0 frame; the t-Wronskian of the
     frame is the constant 2 v / pi.
     """
-    if not z_final > 0.0:
-        raise DomainError(f"z_final must be positive, got {z_final!r}")
-    if z_final == 1.0:
-        return EvolutionMatrix.identity()
-    if v == 0.0 or math.log(z_final) / v < 0.0:
-        raise DomainError(
-            f"z_final = {z_final!r} is not reachable with rate v = {v!r}"
-        )
-    from scipy.special import jv, yv  # imported on the first Bessel leg, as in propagate_power_law
-    return _wronskian_map(_exponential_frame(1.0, v, jv, yv), _exponential_frame(z_final, v, jv, yv))
+    return _bessel_leg(_exponential_frame, v, z_final)
 
 
 def asymptotic_energy(lam: float, omega: float = 1.0) -> float:

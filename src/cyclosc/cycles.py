@@ -14,8 +14,8 @@ the reversed leg is P S^-1 P = [[d, b], [c, a]] for an outbound S =
 
 A custom cycle is integrated numerically unless its profile is a Piecewise
 run over its whole duration whose segments are all family members
-(InverseLinear, Exponential, PowerLaw with omega0 = 1 and |1/k| <=
-MAX_BESSEL_ORDER, each at a rate of at least _SLOW_RATE times its starting
+(InverseLinear, Exponential, PowerLaw with omega0 = 1 and an order 1/k
+closed_form admits, each at a rate of at least _SLOW_RATE times its starting
 frequency) or full-length TimeReversed mirrors of them.  Such a cycle is
 the product of the segments' closed forms, each mirror by the same P S^-1 P.
 
@@ -33,7 +33,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .closed_form import (
-    MAX_BESSEL_ORDER,
+    _bessel_order_ok,
     _inverse_linear_args_ok,
     _inverse_linear_entries,
     propagate_exponential,
@@ -243,7 +243,7 @@ def _segment_step(prof: FrequencyProfile, dur: float) -> Optional[Tuple[_Leg, bo
     omega0 = prof.omega(0.0)
     if not abs(prof.v) >= _SLOW_RATE * omega0:
         return None
-    if isinstance(prof, PowerLaw) and (prof.omega0 != 1.0 or abs(1.0 / prof.k) > MAX_BESSEL_ORDER):
+    if isinstance(prof, PowerLaw) and (prof.omega0 != 1.0 or not _bessel_order_ok(1.0 / prof.k)):
         return None
     return (type(prof), prof.v, prof.scale(dur), omega0, getattr(prof, "k", 0.0)), False
 

@@ -7,6 +7,8 @@ for one point: a reference for the bits of the array formula, not an oracle
 for its accuracy.  x_power_by_matrix_power is the dense matrix route the
 perturbation layer's ladder walk replaced, and check_inverse_linear_scalar
 the one-leg check the inverse-linear domain's array form replaced.
+power_law_leg_reference and exponential_leg_reference are the two Bessel
+legs, each with its own frame, that the single Bessel leg replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from cyclosc.core import _SQUARE_MAX
+from cyclosc.closed_form import MAX_BESSEL_ORDER
+from cyclosc.core import _SQUARE_MAX, EvolutionMatrix
 from cyclosc.errors import DomainError
 
 
@@ -162,6 +165,84 @@ def check_inverse_linear_scalar(omega0, v, lam):
                 f"omega0 = {omega0!r} with rate v = {v!r} is out of range: "
                 "(omega0/v)**2 or omega0**2 overflows"
             )
+
+
+def _power_law_frame(z, k, v, jv, yv):
+    """Fundamental-solution frame [[q1, q2], [p1, p2]] at scale z.
+
+    q_i are sqrt(z) J_nu(w) and sqrt(z) Y_nu(w) with nu = 1/k and
+    w = (2/|k v|) z^(k/2); p_i = v dq_i/dz.
+    """
+    nu = 1.0 / k
+    try:
+        w = 2.0 / abs(k * v) * z ** (0.5 * k)
+    except (OverflowError, ZeroDivisionError):  # k v or z^(k/2) left the float range
+        w = math.nan
+    if not 0.0 < w < math.inf:
+        raise DomainError(f"w = (2/|k v|) z^(k/2) is not a positive float at z = {z!r}, k = {k!r}, v = {v!r}")
+    rt = math.sqrt(z)
+    (jw, jm), (yw, ym) = jv([nu, nu - 1.0], w).tolist(), yv([nu, nu - 1.0], w).tolist()
+    # Z_nu'(w) = Z_(nu-1)(w) - (nu/w) Z_nu(w); dw/dz = (k/2) w / z.
+    dwdz = 0.5 * k * w / z
+    jp = jm - (nu / w) * jw
+    yp = ym - (nu / w) * yw
+    dq1 = 0.5 / rt * jw + rt * jp * dwdz
+    dq2 = 0.5 / rt * yw + rt * yp * dwdz
+    return EvolutionMatrix(rt * jw, rt * yw, v * dq1, v * dq2)
+
+
+def _exponential_frame(z, v, jv, yv):
+    """Fundamental frame for omega = exp(v t): q_i = {J0, Y0}(z/|v|), p_i = dq_i/dt."""
+    w = z / abs(v)
+    (j0, j1), (y0, y1) = jv([0.0, 1.0], w).tolist(), yv([0.0, 1.0], w).tolist()
+    # d/dt Z0(w(t)) = -Z1(w) * dw/dt with dw/dt = v w.
+    return EvolutionMatrix(j0, y0, -v * w * j1, -v * w * y1)
+
+
+def _wronskian_map(start, end, z_final):
+    """end @ start^-1 through the Wronskian, with the library's refusals of
+    frames and maps that leave the floats, but not its drift refusal."""
+    w = start.det()
+    if not math.isfinite(w):
+        raise DomainError(f"the Bessel frame is not finite: its Wronskian evaluates to {w!r}")
+    if not all(map(math.isfinite, (end.a, end.b, end.c, end.d))):
+        raise DomainError(f"the Bessel frame at z = {z_final!r} is not finite")
+    if w == 0.0:
+        raise DomainError("the Bessel frame is degenerate: its Wronskian evaluates to 0")
+    s = end @ EvolutionMatrix(start.d / w, -start.b / w, -start.c / w, start.a / w)
+    if not all(map(math.isfinite, (s.a, s.b, s.c, s.d))):
+        raise DomainError(f"the Bessel map leaves the float range: {s!r}")
+    return s
+
+
+def power_law_leg_reference(k, v, z_final):
+    """propagate_power_law as the power-law family's own frame and checks."""
+    if k == 0.0:
+        raise DomainError("k = 0 is the inverse-linear family; use propagate_inverse_linear")
+    if abs(1.0 / k) > MAX_BESSEL_ORDER:
+        raise DomainError(
+            f"Bessel order 1/k = {1.0 / k!r} outside the supported range |1/k| <= {MAX_BESSEL_ORDER}"
+        )
+    if not z_final > 0.0:
+        raise DomainError(f"z_final must be positive, got {z_final!r}")
+    if z_final == 1.0:
+        return EvolutionMatrix.identity()
+    if v == 0.0 or (z_final - 1.0) / v < 0.0:
+        raise DomainError(f"z_final = {z_final!r} is not reachable with rate v = {v!r}")
+    from scipy.special import jv, yv
+    return _wronskian_map(_power_law_frame(1.0, k, v, jv, yv), _power_law_frame(z_final, k, v, jv, yv), z_final)
+
+
+def exponential_leg_reference(v, z_final):
+    """propagate_exponential as the exponential family's own frame and checks."""
+    if not z_final > 0.0:
+        raise DomainError(f"z_final must be positive, got {z_final!r}")
+    if z_final == 1.0:
+        return EvolutionMatrix.identity()
+    if v == 0.0 or math.log(z_final) / v < 0.0:
+        raise DomainError(f"z_final = {z_final!r} is not reachable with rate v = {v!r}")
+    from scipy.special import jv, yv
+    return _wronskian_map(_exponential_frame(1.0, v, jv, yv), _exponential_frame(z_final, v, jv, yv), z_final)
 
 
 def mode_map(s, w_start, w_end):

@@ -376,22 +376,26 @@ class TestDeterminism:
         "1,1000,20,98.141653222057101,1.5130008357289171e-11,\n"
     )
 
-    # Bessel-family runs: NaN rows from compose's checks and from a
-    # degenerate Bessel frame, an omega0 axis, a cycle and a v-grid of legs
+    # Bessel-family runs: NaN rows from drifting and degenerate Bessel
+    # frames, an omega0 axis, a cycle and a v-grid of legs.  The v = 1e-150
+    # and 1e150 legs of power-scan are wrong (a 400-digit mpmath map gives
+    # R - 1 <= 5e-269 for all four), so their Wronskians drift.
     BESSEL = {
         "power-scan": (
             ["scan", "--family", "power", "--k", "-3", "--v-grid", "1e-150:1e150:3:log",
              "--lambda-grid", "1e-10:1e10:2:log", "--cycles", "2"],
             f"#cyclosc {__version__} scan cycles=2 family=power-law k=-3\n"
             "omega0,lambda,v,gain,det_error,note\n"
-            "1,1e-10,1e-150,nan,nan,compose: det = 0.038848212045467054 deviates from 1 by "
-            "0.9611517879545329 (tolerance 3.8848212045467054e-08)\n"
+            "1,1e-10,1e-150,nan,nan,the Bessel frame at z = 9.999999999999995e-05 is inaccurate: "
+            "its Wronskian drifts by 0.8029005021684047 (tolerance 1e-06)\n"
             "1,1e-10,1,1.0938248202371099,2.2204460492503131e-16,\n"
-            "1,1e-10,9.9999999999999998e+149,1.6728940220375059e+284,0.99999999999999989,\n"
-            "1,10000000000,1e-150,nan,nan,compose: det = 2.1842513182622136 deviates from 1 by "
-            "1.1842513182622136 (tolerance 2.1842513182622137e-06)\n"
+            "1,1e-10,9.9999999999999998e+149,nan,nan,the Bessel frame at z = 9.999999999999995e-05 "
+            "is inaccurate: its Wronskian drifts by 0.99993896484375 (tolerance 1e-06)\n"
+            "1,10000000000,1e-150,nan,nan,the Bessel frame at z = 10000.000000000005 is inaccurate: "
+            "its Wronskian drifts by 0.47792128283688173 (tolerance 1e-06)\n"
             "1,10000000000,1,12427696867102862,0,\n"
-            "1,10000000000,9.9999999999999998e+149,nan,nan,compose: Tr[S S^T]/2 overflows to inf\n",
+            "1,10000000000,9.9999999999999998e+149,nan,nan,the Bessel frame at z = 10000.000000000005 "
+            "is inaccurate: its Wronskian drifts by 4097.0 (tolerance 1e-06)\n",
         ),
         "exponential-scan": (
             ["scan", "--family", "exponential", "--v-grid", "1e-150:10:3:log",
@@ -808,6 +812,8 @@ class TestSameBytesOnEveryCpu:
                              "--lambda-grid", "0.2:5:10", "--cycles", "3"],
         "propagate-power": ["propagate", "--family", "power", "--k", "-3", "--v-grid", "0.1:30:40",
                             "--lambda", "0.1"],
+        "propagate-exponential": ["propagate", "--family", "exponential", "--v-grid", "0.3:30:40",
+                                  "--lambda", "3"],
     }
     PERTURB_RUNS = {f"perturb-power-{n}": ["perturb", "--power", str(n)] for n in (1, 2, 3, 4)}
     NO_AVX512 = {"NPY_DISABLE_CPU_FEATURES": "X86_V4"}
@@ -897,6 +903,10 @@ class TestErrorPromise:
         # Bessel frames that overflow
         (("propagate", "--family", "power", "--k", "-1", "--v", "1e160", "--lambda", "2"), 3),
         (("propagate", "--family", "exponential", "--v", "1.7e308", "--lambda", "0.5"), 3),
+        # Bessel frames whose Wronskian drifts: det_error 1.68, and 0.99999999 at gain 4.99e291
+        (("propagate", "--family", "power", "--k", "-4", "--v", "1.0854980928510594e-06",
+          "--lambda", "1.2878e-18"), 3),
+        (("cycle", "--family", "power", "--k", "-3", "--v", "1e150", "--lambda", "1e-10"), 3),
     ]
 
     @pytest.mark.parametrize(

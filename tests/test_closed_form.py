@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclosc.closed_form
@@ -30,7 +30,13 @@ from cyclosc import (
     propagate_inverse_linear,
     propagate_power_law,
 )
-from oracles import check_inverse_linear_scalar, inverse_linear_energy_mp, inverse_linear_entries_scalar
+from oracles import (
+    check_inverse_linear_scalar,
+    exponential_leg_reference,
+    inverse_linear_energy_mp,
+    inverse_linear_entries_scalar,
+    power_law_leg_reference,
+)
 
 # ODE oracle, inverse-linear omega0=1, v=1, lambda=2.
 IL_ORACLE = (
@@ -111,6 +117,10 @@ class TestInverseLinear:
             with pytest.raises(DomainError, match="overflows"):
                 energy_inverse_linear(omega0, v, lam, 0.5)
         assert propagate_inverse_linear(1.0, 1.0 / top, 2.0).det_error() < 1e-12
+        # the energy past the float range: sh ** 2 overflows, or E0 (sh^2 + 2)/(2 lam) does
+        for omega0, v, lam in ((1e-300, -1.0, 5e-324), (1e-3, -1.0, 1e-300)):
+            with pytest.raises(DomainError, match=r"leaves the float range$"):
+                energy_inverse_linear(omega0, v, lam, 1.0)
         assert propagate_inverse_linear(1e-300, 1e-300, 1.0) == propagate_inverse_linear(1.0, 1.0, 1.0)
 
     def test_infinite_lambda_is_a_domain_error(self):
@@ -240,10 +250,9 @@ class TestPowerLaw:
         (3.0, -2.0, 0.5, (0.9740612539325618, 0.2480514233737805, -0.18607101076365673, 0.9792452138718528)),
         (-0.1, 1e-10, 1e10, (-176648.33337283498, 20448.543191700843, -6.466397138151704e-07,
                              -5.586110783167619e-06)),
+        # det_error 1.0 at R ~ 2.4e256, but its Wronskian drifts by only 1.3e-14
         (0.1, -0.5, 1e-150, (5.209319987068916e-08, 8.4612958371932e-08, -1.1566653967154282e+128,
                              -1.8787266150951846e+128)),
-        (-50.0, 1e-300, 1e10, (-7.53014827157423e+129, -1.2746010305230148e+113, -1.0010415475915505e-146,
-                               -7.53014827157423e-131)),
     ])
     def test_extreme_valid_points_keep_their_bits(self, k, v, z, entries):
         s = propagate_power_law(k, v, z)
@@ -255,11 +264,32 @@ class TestPowerLaw:
         not_finite = r"^the Bessel frame is not finite: its Wronskian evaluates to -inf$"
         with pytest.raises(DomainError, match=not_finite):
             propagate_power_law(-2.0, 1e205, math.sqrt(2.0))
+        # the start frame and its Wronskian are finite, the end frame is not
+        with pytest.raises(DomainError, match=r"^the Bessel frame at z = 1e\+300 is not finite$"):
+            propagate_power_law(-1.0, 1.0, 1e300)
 
-    @pytest.mark.parametrize("k, v, z", [(-2.0, 1e-300, 1.7e308), (-1.0, -1e150, 1e-300)])
+    @pytest.mark.parametrize("k, v, z", [(-1.0, -1e150, 1e-300)])
     def test_map_past_the_float_range_is_a_domain_error(self, k, v, z):
         # both frames and the Wronskian are finite, their product is not
         with pytest.raises(DomainError, match=r"^the Bessel map leaves the float range: "):
+            propagate_power_law(k, v, z)
+
+    # Legs whose end Wronskian drifts from the start's: the entries the two
+    # frames give are wrong.  A 400-digit mpmath map (the same at 700 digits):
+    # (-4, -1.0854980928510594e-06, 1.088002219210647e-06): drift 2.79, entries
+    #     (-9.75e-10, 7.59e-11, 1.42e8, 1.83e9) against (6.79e-10, 9.10e-10, -7.06e8, 5.27e8);
+    # (-50, 1e-300, 1e10): drift 0.43, (-7.53e129, -1.27e113, -1.00e-146, -7.53e-131)
+    #     against (9.12e129, -4.10e129, 4.10e-131, 9.12e-131);
+    # (-2, 1e-300, 1.7e308): the end Wronskian underflows to 0 and the map
+    #     reads a = -inf, against the finite (1.29e308, 1.11e308, 7.60e-301, 6.51e-301);
+    # (-3, -1e150, 9.999999999999995e-05), the leg of `cycle --family power --k -3
+    #     --v 1e150 --lambda 1e-10`: drift 0.99994, (1.22e-4, 0, -4.09e149, 0.75)
+    #     against (1.0, 1.0e-150, -2.5e-135, 1.0).
+    @pytest.mark.parametrize("k, v, z", [(-4.0, -1.0854980928510594e-06, 1.088002219210647e-06),
+                                         (-50.0, 1e-300, 1e10), (-2.0, 1e-300, 1.7e308),
+                                         (-3.0, -1e150, 9.999999999999995e-05)])
+    def test_drifting_wronskian_is_a_domain_error(self, k, v, z):
+        with pytest.raises(DomainError, match=r"is inaccurate: its Wronskian drifts by .* \(tolerance 1e-06\)$"):
             propagate_power_law(k, v, z)
 
     @pytest.mark.parametrize("k, v, z", [(-0.1, 5e-324, 2.0), (-1e300, 5e-324, 2.0), (3.0, 1e-300, 1e300),
@@ -410,3 +440,47 @@ def test_property_power_law_det_is_one(k, v, z):
 @settings(max_examples=150, deadline=None)
 def test_property_exponential_det_is_one(v, z):
     assert propagate_exponential(v, z).det_error() < 1e-10
+
+
+def _leg_outcome(run, *args):
+    """A leg's entries as hex strings, or the message of its DomainError."""
+    try:
+        s = run(*args)
+    except DomainError as exc:
+        return str(exc)
+    return [x.hex() for x in (s.a, s.b, s.c, s.d)]
+
+
+def _same_leg_as_reference(run, reference, *args):
+    outcome = _leg_outcome(run, *args)
+    if isinstance(outcome, str) and "its Wronskian drifts by" in outcome:
+        return  # the reference has no drift refusal: its entries here are wrong
+    assert outcome == _leg_outcome(reference, *args)
+
+
+# ends of the float range, subnormals, zeros, infinities and nan, any float,
+# and rates and scales in the working range
+_LEG_FLOATS = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 1e300, -1e300,
+     1.7e308, 1.0, -1.0]
+) | st.floats() | st.floats(min_value=1e-3, max_value=1e3) | st.floats(min_value=-1e3, max_value=-1e-3)
+
+
+@given(
+    k=st.sampled_from([-4.0, -3.0, -2.0, -1.0, -0.5, 0.5, 1.0, 3.0, 0.1, -0.1, 50.0, 0.0, math.nan])
+    | st.floats(min_value=-5.0, max_value=5.0) | st.floats(),
+    v=_LEG_FLOATS,
+    z=_LEG_FLOATS,
+)
+@settings(max_examples=400, deadline=None)
+def test_property_power_law_leg_is_the_reference(k, v, z):
+    # the single Bessel leg gives the bits and messages of the power-law
+    # family's own frame, wherever it does not refuse a drifting Wronskian
+    _same_leg_as_reference(propagate_power_law, power_law_leg_reference, k, v, z)
+
+
+@given(v=_LEG_FLOATS, z=_LEG_FLOATS)
+@example(v=-1e300, z=7.354155559224435e-05)  # J_1 underflows to 0 in the end frame: c is +0.0
+@settings(max_examples=400, deadline=None)
+def test_property_exponential_leg_is_the_reference(v, z):
+    _same_leg_as_reference(propagate_exponential, exponential_leg_reference, v, z)

@@ -199,7 +199,7 @@ def test_every_package_2x2_is_an_evolution_matrix():
     # differently from plain products.  The Bessel frames, their Wronskian
     # map and the orthogonality check are EvolutionMatrix arithmetic on
     # Python floats, and nothing in the package builds one from an array.
-    checked = {"closed_form": {"_wronskian_map", "_power_law_frame", "_exponential_frame",
+    checked = {"closed_form": {"_bessel_frame", "_bessel_leg", "_power_law_frame", "_exponential_frame",
                                "propagate_power_law", "propagate_exponential"},
                "core": {"is_orthogonal"}}
     for module, names in checked.items():
@@ -213,6 +213,26 @@ def test_every_package_2x2_is_an_evolution_matrix():
             ]
             assert numpy_names == [], (module, f.name)
     assert _call_sites("from_array") == []
+
+
+def test_one_bessel_leg_serves_both_families():
+    # one frame formula calls scipy's Bessel functions, for the power-law
+    # order 1/k and the exponential order 0; one assembly inverts the frames
+    assert _call_sites("jv") == _call_sites("yv") == [("closed_form", "_bessel_frame")]
+    assert sorted(_call_sites("_bessel_frame")) == [
+        ("closed_form", "_exponential_frame"), ("closed_form", "_power_law_frame"),
+    ]
+    assert sorted(_call_sites("_bessel_leg")) == [
+        ("closed_form", "propagate_exponential"), ("closed_form", "propagate_power_law"),
+    ]
+    # the order bound is stated once: cycles asks closed_form, not the constant
+    readers = {
+        path.stem for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id == "MAX_BESSEL_ORDER"
+        or isinstance(node, ast.alias) and node.name == "MAX_BESSEL_ORDER"
+    }
+    assert readers == {"closed_form"}
 
 
 def test_core_writes_the_energy_form_once():
