@@ -187,13 +187,20 @@ def _fmt(value: object) -> str:
 _float_text = "{:.17g}".format
 
 
+def _float_texts(values: List[float]) -> List[str]:
+    """_float_text of each float, from one %-format of the whole list."""
+    return ("%.17g\n" * len(values) % tuple(values)).split("\n")[:-1]
+
+
 def _float_cells(column: np.ndarray) -> List[str]:
     """Cells of a float64 column, each distinct bit pattern formatted once.
 
     Keyed on the int64 view, so -0.0 and 0.0 stay apart ("-0" and "0").
     """
     _, first, inverse = np.unique(column.view(np.int64), return_index=True, return_inverse=True)
-    text = np.array(list(map(_float_text, column[first].tolist())), dtype=object)
+    if first.size == column.size:  # every value distinct, as in a gain column
+        return _float_texts(column.tolist())
+    text = np.array(_float_texts(column[first].tolist()), dtype=object)
     return text[inverse].tolist()
 
 
@@ -224,6 +231,8 @@ def _csv_cells(column: Sequence[object], quoted: _CsvQuoted) -> List[str]:
     are quoted as csv.writer would."""
     if isinstance(column, np.ndarray) and column.dtype == np.float64:
         return _float_cells(column)
+    if set(map(type, column)) == {str}:  # text cells need no formatting
+        return list(map(quoted.__getitem__, column))
     return [quoted[_fmt(x)] for x in column]
 
 

@@ -144,14 +144,14 @@ def _check_inverse_linear_args(omega0: np.ndarray, v: np.ndarray, lam: np.ndarra
 
 
 def _inverse_linear_entries(
-    omega0: np.ndarray, v: np.ndarray, lam: np.ndarray
+    omega0: np.ndarray, v: np.ndarray, lam: np.ndarray, ln_lam: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Entries (a, b, c, d) of propagate_inverse_linear(omega0, v, lam),
-    elementwise over 1-D arrays that pass its checks, with lam != 1.
-    Entries past the float range read inf or nan."""
+    elementwise over 1-D arrays that pass its checks, with lam != 1 and
+    ln_lam libm's log of lam.  Entries past the float range read inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
         w = omega0 / v
-        ch, sh = _cosh_sinch(0.25 - w * w, _libm_each(math.log, lam))
+        ch, sh = _cosh_sinch(0.25 - w * w, ln_lam)
         rt = np.sqrt(lam)
         return (
             rt * (ch - 0.5 * sh),
@@ -179,10 +179,11 @@ def propagate_inverse_linear(
     _check_inverse_linear_args(omega0, v, lam)
     moved = lam != 1.0
     if moved.all():
-        entries = _inverse_linear_entries(omega0, v, lam)
+        entries = _inverse_linear_entries(omega0, v, lam, _libm_each(math.log, lam))
     else:  # the identity where lam = 1
         entries = [np.full(lam.shape, x) for x in (1.0, 0.0, 0.0, 1.0)]
-        for entry, x in zip(entries, _inverse_linear_entries(omega0[moved], v[moved], lam[moved])):
+        legs = omega0[moved], v[moved], lam[moved]
+        for entry, x in zip(entries, _inverse_linear_entries(*legs, _libm_each(math.log, legs[2]))):
             entry[moved] = x
     if scalar:
         return EvolutionMatrix(*(x.item() for x in entries))

@@ -40,7 +40,7 @@ from .closed_form import (
     propagate_inverse_linear,
     propagate_power_law,
 )
-from .core import EvolutionMatrix, _whole_count, compose, gain_factor
+from .core import EvolutionMatrix, _libm_each, _whole_count, compose, gain_factor
 from .errors import DomainError, IntegrationError, SymplecticError
 from .ode import DEFAULT_CONFIG, IntegratorConfig, propagate_ode, propagate_ode_batch
 from .profiles import (
@@ -387,7 +387,9 @@ def _inverse_linear_scan(
     legs of every point come from one call of the formula every leg uses,
     _inverse_linear_entries, and each check of compose and gain_factor and
     the gain itself are made on the same products, so every other point
-    carries the per-point path's bits.
+    carries the per-point path's bits.  libm's log is taken once per run of
+    equal lam among the legs, which in grid order (v fastest) is once per
+    lam value and leg direction.
     """
     # entries overflow where the cycle grows, and 1/lam where lam is
     # subnormal; those points fail a symplectic check or the argument checks
@@ -400,8 +402,13 @@ def _inverse_linear_scan(
                             & _inverse_linear_args_ok(1.0, u_out, lam)
                             & _inverse_linear_args_ok(inv, -u_out, inv))
         u_at, inv_at = u_out[at], inv[at]
+        lam_legs = np.concatenate((lam[at], inv_at))
+        bits = lam_legs.view(np.int64)
+        # a run starts where a leg's bits differ from the previous leg's (~b != b for the first)
+        starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))
+        ln_lam = np.repeat(_libm_each(math.log, lam_legs[starts]), np.diff(starts, append=bits.size))
         entries = _inverse_linear_entries(np.concatenate((np.ones(at.size), inv_at)),
-                                          np.concatenate((u_at, -u_at)), np.concatenate((lam[at], inv_at)))
+                                          np.concatenate((u_at, -u_at)), lam_legs, ln_lam)
         out, back = (EvolutionMatrix(*half) for half in zip(*(np.split(x, 2) for x in entries)))
         ok = out.is_symplectic() & back.is_symplectic()
         once = total = back @ out

@@ -267,16 +267,23 @@ _MIXED = st.one_of(
 )
 
 
+def _float_bits(x):
+    return np.float64(x).view(np.int64).item()
+
+
 @st.composite
 def _tables(draw):
     rows = draw(st.integers(0, 12))
     names = draw(st.lists(_TEXT, min_size=1, max_size=4))
     columns = []
     for _ in names:
-        kind = draw(st.sampled_from(["float", "text", "mixed"]))
+        kind = draw(st.sampled_from(["float", "distinct", "text", "mixed"]))
         if kind == "float":
             pool = draw(st.lists(_FLOAT, min_size=1, max_size=4))
             columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=rows, max_size=rows))))
+        elif kind == "distinct":  # every bit pattern once, as in a gain column
+            cells = st.lists(_FLOAT, min_size=rows, max_size=rows, unique_by=_float_bits)
+            columns.append(np.array(draw(cells)))
         else:
             cells = draw(st.lists(_TEXT if kind == "text" else _MIXED, min_size=rows, max_size=rows))
             columns.append(tuple(cells) if kind == "text" else cells)
@@ -470,7 +477,21 @@ class TestDeterminism:
     @given(table=_tables())
     @settings(max_examples=300, deadline=None)
     def test_csv_table_is_what_csv_writer_writes(self, table):
-        names, columns = table
+        self.assert_csv_writer_bytes(*table)
+
+    # all-text columns whose cells need quoting, with the lone empty cell
+    # csv.writer quotes in a one-cell row; all-distinct float columns
+    QUOTED = ("a,b", 'say "hi"', "two\nlines", "", "plain")
+    DISTINCT = np.array([0.1, -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1.0 / 3.0])
+
+    @pytest.mark.parametrize("columns", [
+        [QUOTED], [QUOTED, QUOTED[::-1]], [DISTINCT], [DISTINCT[:5], QUOTED], [QUOTED, DISTINCT[3:]],
+    ])
+    def test_text_and_distinct_float_columns_are_what_csv_writer_writes(self, columns):
+        self.assert_csv_writer_bytes([f"c{i}" for i in range(len(columns))], columns)
+
+    @staticmethod
+    def assert_csv_writer_bytes(names, columns):
         want = io.StringIO()
         want.write(f"#cyclosc {__version__} t\n")
         writer = csv.writer(want, lineterminator="\n")
@@ -758,9 +779,9 @@ class TestVerify:
         sizes, batches = [], []
         formula = cyclosc.closed_form._inverse_linear_entries
 
-        def counted(omega0, v, lam):
+        def counted(omega0, v, lam, ln_lam):
             sizes.append(lam.size)
-            return formula(omega0, v, lam)
+            return formula(omega0, v, lam, ln_lam)
 
         def spy(name):
             real = getattr(cli, name)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclosc.closed_form
 import cyclosc.cycles
 from cyclosc import (
     Custom,
@@ -514,6 +515,71 @@ class TestScan:
         for w, l, u in zip(omega0[:5].tolist(), lam[:5].tolist(), v[:5].tolist()):
             with pytest.raises(DomainError):
                 CycleSpec("inverse-linear", v=u, lam=l, omega0=w)
+
+    # (omega0, lam, v) in no grid order: lam repeats in runs, stands alone,
+    # equals another point's 1/lam across the outbound/return boundary, or
+    # lets no point reach the array pass (lam = 1, or a bad argument)
+    UNORDERED = {
+        "runs": ([1.0, 2.0, 1.0, 1.0, 0.5, 2.0, 1.0, 3.0, 1.0, 1.0],
+                 [3.0, 3.0, 3.0, 0.25, 0.25, 3.0, 3.0, 7.0, 7.0, 0.25],
+                 [0.5, 1.5, 2.0, 0.7, 0.3, 0.9, 4.0, 1.1, 2.5, 6.0]),
+        "singles": ([1.0, 2.0, 0.5, 1.0, 3.0], [5.0, 0.2, 2.5, 9.0, 0.7], [1.3, 0.4, 2.2, 0.8, 5.0]),
+        "reciprocal-across-legs": ([1.0, 1.5, 1.0, 2.0], [2.0, 4.0, 4.0, 0.5], [0.6, 1.2, 3.0, 0.9]),
+        "none-reach-the-arrays": ([1.0, 1.0, 2.0, 1.0], [1.0, 2.0, 1.0, 0.0], [0.5, -1.0, 2.0, 1.0]),
+        "lambda-1-among-runs": ([1.0, 1.0, 1.0, 1.0], [2.0, 1.0, 2.0, 0.5], [0.8, 1.0, 1.4, 2.0]),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("case", sorted(UNORDERED))
+    def test_array_scan_in_any_order_equals_per_point_path(self, case, n):
+        omega0, lam, v = (np.array(x) for x in self.UNORDERED[case])
+        gain, det_err = cyclosc.cycles._inverse_linear_scan(omega0, lam, v, n)
+        reached = 0
+        for w, l, u, g, d in zip(omega0.tolist(), lam.tolist(), v.tolist(), gain.tolist(), det_err.tolist()):
+            try:
+                s = build_cycle(CycleSpec("inverse-linear", v=u, lam=l, omega0=w, n_cycles=n))
+                want = (gain_factor(s), s.det_error())
+            except (DomainError, SymplecticError):
+                want = (math.nan, math.nan)
+            if l == 1.0:
+                want = (math.nan, math.nan)
+            assert np.array_equal((g, d), want, equal_nan=True), (w, l, u)
+            reached += not math.isnan(g)
+        assert reached == (0 if case == "none-reach-the-arrays" else lam.size - (lam == 1.0).sum())
+
+    def test_scan_takes_log_once_per_lambda_and_leg_direction(self, monkeypatch):
+        # a 7 x 5 x 2 grid, every point valid: 140 legs, two of them on the
+        # series branch of _cosh_sinch (v/omega0 = 1/2 or 2/3 with lambda
+        # 4 or 3), which takes no libm value
+        counts = dict.fromkeys(("log", "cosh", "sinh", "cos", "sin"), 0)
+        legs, series = [], []
+
+        def counted(name):
+            real = getattr(math, name)
+
+            def each(x):
+                counts[name] += 1
+                return real(x)
+            return each
+
+        cosh_sinch = cyclosc.closed_form._cosh_sinch
+
+        def split(s2, x):
+            legs.append(x.size)
+            series.append(int((np.abs(s2 * x * x) < cyclosc.closed_form._SERIES_CUT).sum()))
+            return cosh_sinch(s2, x)
+
+        for name in counts:
+            monkeypatch.setattr(math, name, counted(name))
+        monkeypatch.setattr(cyclosc.closed_form, "_cosh_sinch", split)
+        v_axis, lam_axis, omega0_axis = GridAxis(0.5, 3.0, 7), GridAxis(2.0, 6.0, 5), GridAxis(1.0, 2.0, 2)
+        res = scan_gain("inverse-linear", v_axis, lam_axis, omega0_axis)
+        monkeypatch.undo()
+        assert res.error == ("",) * 70
+        assert (legs, series) == ([140], [2])
+        assert counts["log"] == 2 * lam_axis.count * omega0_axis.count
+        assert counts["cosh"] + counts["cos"] == counts["sinh"] + counts["sin"] == 140 - 2
 
     def test_all_gains_bounded_below(self):
         res = scan_gain(

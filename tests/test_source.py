@@ -169,18 +169,20 @@ def test_libm_is_reached_per_element_only_through_one_helper():
     # last bit.  The inverse-linear formula and the ODE step control take
     # libm's values per element through core._libm_each, use none of those
     # numpy functions (nor ** on arrays), and nothing lifts a scalar function
-    # to arrays any other way.
+    # to arrays any other way.  The formula takes ln lam from its callers:
+    # propagate_inverse_linear per leg, the array scan per run of equal lam.
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "frompyfunc" not in text and "vectorize" not in text, path.name
     assert sorted(_call_sites("_libm_each")) == [
         ("closed_form", "_cosh_sinch"), ("closed_form", "_cosh_sinch"),
-        ("closed_form", "_inverse_linear_entries"), ("ode", "solve_ivp"),
+        ("closed_form", "propagate_inverse_linear"), ("closed_form", "propagate_inverse_linear"),
+        ("cycles", "_inverse_linear_scan"), ("ode", "solve_ivp"),
     ]
     host_dependent = {"exp", "expm1", "exp2", "log", "log1p", "log2", "log10", "cosh", "sinh",
                       "tanh", "cos", "sin", "tan", "power", "float_power", "geomspace", "logspace"}
     checked = {"closed_form": {"_cosh_sinch", "_inverse_linear_entries", "propagate_inverse_linear"},
-               "ode": {"solve_ivp"}}
+               "cycles": {"_inverse_linear_scan"}, "ode": {"solve_ivp"}}
     for module, names in checked.items():
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in names]
