@@ -22,22 +22,27 @@ the product of the segments' closed forms, each mirror by the same P S^-1 P.
 All gains are computed in cycle-normalized units omega(0) = 1: a physical
 omega0 is absorbed by rescaling t -> omega0 t, v -> v/omega0, under which
 the gain factor is invariant.
+
+One fold (_fold) forms every closed cycle with compose's and gain_factor's
+checks: on floats in build_cycle(s), where a failed check raises, and on
+arrays over a scan's grid, where it masks the point.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .closed_form import (
     _bessel_order_ok,
+    _check_inverse_linear_args,
     _inverse_linear_args_ok,
     _inverse_linear_entries,
     propagate_exponential,
-    propagate_inverse_linear,
     propagate_power_law,
 )
 from .core import EvolutionMatrix, _libm_each, _whole_count, compose, gain_factor
@@ -53,6 +58,9 @@ from .profiles import (
     SineSeries,
     TimeReversed,
 )
+
+# Not called here, but bench/tracing.py wraps this name in this module.
+from .closed_form import propagate_inverse_linear  # noqa: F401
 
 __all__ = [
     "FAMILIES",
@@ -154,30 +162,43 @@ def _leg_end(family: str, v: float, lam: float, k: float) -> Tuple[type, float, 
 
 
 # A closed-form leg (cls, rate, end, omega0, k): the family profile cls of
-# this rate (omega0 and k if it has them), run from scale 1 to scale end.
+# this rate (omega0 and k if it has them), run from scale 1 to scale end;
+# rate, end and omega0 are floats, or arrays over a scan's points (a column).
 _Leg = Tuple[type, float, float, float, float]
 
 
-def _closed_legs(legs: Iterable[_Leg]) -> Dict[_Leg, EvolutionMatrix]:
-    """Closed form of each distinct leg: the power-law and exponential legs
-    one by one, in order, then all the inverse-linear legs together, as arrays."""
-    mats, inverse_linear = {}, []
-    for leg in legs:
-        if leg in mats:
-            continue
-        cls, rate, end, _, k = leg
-        if cls is InverseLinear:
-            inverse_linear.append(leg)
-            mats[leg] = None
-        elif cls is PowerLaw:
-            mats[leg] = propagate_power_law(k, rate, end)
-        else:
-            mats[leg] = propagate_exponential(rate, end)
-    if inverse_linear:
-        _, rate, end, omega0, _ = zip(*inverse_linear)
-        s = propagate_inverse_linear(np.array(omega0), np.array(rate), np.array(end))
-        mats.update(zip(inverse_linear, map(EvolutionMatrix, s.a.tolist(), s.b.tolist(), s.c.tolist(), s.d.tolist())))
-    return mats
+def _closed_legs(legs: Sequence[_Leg]) -> Tuple[List[EvolutionMatrix], Optional[np.ndarray]]:
+    """(mats, at): the closed form of each leg, the one place where a family
+    picks it: the Bessel legs (floats) one by one, in order, then all the
+    inverse-linear legs as arrays, with libm's log once per run of equal end
+    and one _inverse_linear_entries call.  Float legs give floats, and the
+    first failing leg raises its error; columns give arrays over the points
+    at where every leg is inside its domain (at is None for floats)."""
+    mats = [None if cls is InverseLinear else propagate_power_law(k, rate, end) if cls is PowerLaw
+            else propagate_exponential(rate, end) for cls, rate, end, _, k in legs]
+    il = [i for i, s in enumerate(mats) if s is None]  # the inverse-linear legs
+    if not il:
+        return mats, None
+    columns = isinstance(legs[0][2], np.ndarray)  # else a float leg is a column of one point
+    omega0, rate, end = ((np.concatenate if columns else np.array)([legs[i][j] for i in il]) for j in (3, 1, 2))
+    ok = _inverse_linear_args_ok(omega0, rate, end)
+    if not (columns or ok.all()):
+        _check_inverse_linear_args(omega0, rate, end)
+    n = end.size // len(il)
+    at = np.flatnonzero(ok.reshape(len(il), n).all(axis=0)) if columns else None
+    use = slice(None) if at is None or at.size == n else (at + n * np.arange(len(il))[:, None]).ravel()
+    lam = end[use]
+    bits = lam.view(np.int64)  # a run of equal lam starts where a leg's bits differ from the previous leg's
+    edges = np.ones(lam.size + 1, bool)
+    edges[1:-1] = bits[1:] != bits[:-1]
+    edges = np.flatnonzero(edges)
+    ln_lam = np.repeat(_libm_each(math.log, lam[edges[:-1]]), edges[1:] - edges[:-1])
+    entries = _inverse_linear_entries(omega0[use], rate[use], lam, ln_lam)
+    if not (lam != 1.0).all():  # a leg that ends at scale 1 is the identity
+        entries = [np.where(lam != 1.0, x, one) for x, one in zip(entries, (1.0, 0.0, 0.0, 1.0))]
+    for i, part in zip(il, zip(*(np.split(x, len(il)) if columns else x.tolist() for x in entries))):
+        mats[i] = EvolutionMatrix(*part)
+    return mats, at
 
 
 def _in_order(batch: Callable[[Sequence], list], items: Sequence) -> list:
@@ -204,15 +225,9 @@ def legs(runs: Sequence[Tuple[str, float, float, float]], method: str = "closed"
     for family, v, _, k in runs:
         _check_leg_args(family, v, k, method)
     if method == "closed":
-        return _in_order(_closed_runs, runs)
+        return _in_order(lambda runs: _closed_legs([(*_leg_end(*run), 1.0, run[3]) for run in runs])[0], runs)
     profiles = [_leg_profile(*run) for run in runs]
     return propagate_ode_batch([p for p, _ in profiles], [t for _, t in profiles])
-
-
-def _closed_runs(runs: Sequence[Tuple[str, float, float, float]]) -> List[EvolutionMatrix]:
-    legs = [(*_leg_end(*run), 1.0, run[3]) for run in runs]
-    mats = _closed_legs(legs)
-    return [mats[leg] for leg in legs]
 
 
 def leg(family: str, v: float, lam: float, k: float = -2.0, method: str = "closed") -> EvolutionMatrix:
@@ -225,9 +240,9 @@ def _reversed(s: EvolutionMatrix) -> EvolutionMatrix:
     return EvolutionMatrix(s.d, s.b, s.c, s.a)
 
 
-# One cycle from closed forms: its steps (leg, mirrored) in time order; a
-# mirrored step runs its leg backwards.
-_Plan = Tuple[Tuple[_Leg, bool], ...]
+# One cycle from closed forms: its distinct legs, and its steps in time
+# order as (index of the leg, mirrored); a mirrored step runs its leg backwards.
+_Plan = Tuple[Tuple[_Leg, ...], Tuple[Tuple[int, bool], ...]]
 
 
 def _segment_step(prof: FrequencyProfile, dur: float) -> Optional[Tuple[_Leg, bool]]:
@@ -253,54 +268,59 @@ def _piecewise_plan(profile: FrequencyProfile, duration: float) -> Optional[_Pla
     segment, or a run shorter than the profile, needs the ODE."""
     if not isinstance(profile, Piecewise) or duration != profile.duration:
         return None
-    steps = []
-    for prof, dur in profile.segments:
-        step = _segment_step(prof, dur)
-        if step is None:
-            return None
-        steps.append(step)
-    return tuple(steps)
+    steps = [_segment_step(prof, dur) for prof, dur in profile.segments]
+    if None in steps:
+        return None
+    legs = list(dict.fromkeys(leg for leg, _ in steps))
+    return tuple(legs), tuple((legs.index(leg), mirrored) for leg, mirrored in steps)
+
+
+def _family_plan(out: _Leg, lam) -> _Plan:
+    """A family cycle out to scale lam along the leg out, and back."""
+    cls, rate, _, _, k = out
+    if cls is not InverseLinear:  # the outbound leg run backwards
+        return (out,), ((0, False), (0, True))
+    inv = 1.0 / lam  # the return leg of the module docstring, from omega0 = 1/lam
+    return (out, (cls, -rate, inv, inv, k)), ((0, False), (1, False))
 
 
 def _cycle_plan(spec: CycleSpec) -> Optional[_Plan]:
     """One cycle's closed-form plan, or None for a custom cycle to integrate."""
-    lam = spec.lam
     if spec.family == "custom":
         return _piecewise_plan(spec.profile, spec.duration)
-    u = spec.v / spec.omega0  # normalized rate; gain is invariant under this rescaling
+    lam, u = spec.lam, spec.v / spec.omega0  # normalized rate; gain is invariant under this rescaling
     if lam == 1.0:
-        return ()
-    if spec.family != "inverse-linear":  # u may leave the float range; inverse-linear takes u = inf
-        _check_leg_args(spec.family, u, spec.k)
-    cls, rate, end = _leg_end(spec.family, u, lam, spec.k)
-    out = (cls, rate, end, 1.0, spec.k)
-    if cls is InverseLinear:  # the return leg of the module docstring, from omega0 = 1/lam
-        return (out, False), ((cls, -rate, 1.0 / lam, 1.0 / lam, spec.k), False)
-    return (out, False), (out, True)
+        return (), ()
+    if spec.family != "inverse-linear" and not 0.0 < u < math.inf:  # inverse-linear takes u = inf
+        raise DomainError(f"v/omega0 = {u!r} leaves the float range at v = {spec.v!r}, omega0 = {spec.omega0!r}")
+    return _family_plan((*_leg_end(spec.family, u, lam, spec.k), 1.0, spec.k), lam)
 
 
-def _fold(mats: Dict[_Leg, EvolutionMatrix], plan: _Plan) -> EvolutionMatrix:
-    """Product of the plan's steps, each composed onto the ones before it."""
+def _fold(mats: Sequence[EvolutionMatrix], order: Sequence[Tuple[int, bool]], n_cycles: int) -> tuple:
+    """(S, R, ok): the product S of n_cycles repeats of a cycle whose steps
+    (i, mirrored), in time order, run the leg of matrix mats[i], backwards if
+    mirrored; with the checks of compose and gain_factor in their order: each
+    step and the product so far before each compose, the one-cycle product
+    before each repeat, and S before its gain R.  On floats a failed compose
+    check raises, and R and ok are None (gain_factor makes the last check);
+    on arrays ok masks the points that pass every check."""
+    ok = True if mats and isinstance(mats[0].a, np.ndarray) else None
+
+    def times(s2: EvolutionMatrix, s1: EvolutionMatrix) -> EvolutionMatrix:
+        nonlocal ok
+        if ok is None:
+            return compose(s2, s1)
+        ok = ok & s1.is_symplectic() & s2.is_symplectic()
+        return s2 @ s1
+
     total = None
-    for leg, mirrored in plan:
-        s = _reversed(mats[leg]) if mirrored else mats[leg]
-        total = s if total is None else compose(s, total)
-    return EvolutionMatrix.identity() if total is None else total
-
-
-def _closed_cycles(specs: Sequence[CycleSpec]) -> List[Optional[EvolutionMatrix]]:
-    """One cycle of each spec from closed forms (None for a custom cycle to
-    integrate); the inverse-linear legs of all specs are evaluated together."""
-    plans = [_cycle_plan(spec) for spec in specs]
-    mats = _closed_legs(leg for plan in plans if plan is not None for leg, _ in plan)
-    return [None if plan is None else _fold(mats, plan) for plan in plans]
-
-
-def _repeat(once: EvolutionMatrix, n_cycles: int) -> EvolutionMatrix:
-    total = once
+    for i, mirrored in order:
+        s = _reversed(mats[i]) if mirrored else mats[i]
+        total = s if total is None else times(s, total)
+    total = once = EvolutionMatrix.identity() if total is None else total
     for _ in range(n_cycles - 1):
-        total = compose(once, total)
-    return total
+        total = times(once, total)
+    return (total, None, None) if ok is None else (total, total._energy_ratio(), ok & total.is_symplectic())
 
 
 def build_cycle(spec: CycleSpec, cfg: IntegratorConfig = DEFAULT_CONFIG) -> EvolutionMatrix:
@@ -311,24 +331,27 @@ def build_cycle(spec: CycleSpec, cfg: IntegratorConfig = DEFAULT_CONFIG) -> Evol
     """
     plan = _cycle_plan(spec)
     if plan is None:
-        once = propagate_ode(spec.profile, spec.duration, cfg)
-    else:
-        once = _fold(_closed_legs(leg for leg, _ in plan), plan)
-    return _repeat(once, spec.n_cycles)
+        return _fold([propagate_ode(spec.profile, spec.duration, cfg)], ((0, False),), spec.n_cycles)[0]
+    return _fold(_closed_legs(plan[0])[0], plan[1], spec.n_cycles)[0]
 
 
 def build_cycles(specs: Sequence[CycleSpec], cfg: IntegratorConfig = DEFAULT_CONFIG) -> List[EvolutionMatrix]:
-    """build_cycle of each spec.  The inverse-linear legs of all the specs are
-    evaluated together, as arrays, and the custom cycles that need the ODE
-    are integrated together, as one batch."""
-    once = _in_order(_closed_cycles, specs)
-    todo = [i for i, s in enumerate(once) if s is None]
-    integrated = propagate_ode_batch(
-        [specs[i].profile for i in todo], [specs[i].duration for i in todo], cfg
-    )
+    """build_cycle of each spec: the closed-form legs of all the specs are
+    evaluated together (_closed_legs), the cycles that need the ODE are
+    integrated as one batch, and the first spec failing on its own raises."""
+
+    def closed(specs: Sequence[CycleSpec]) -> list:  # None for a cycle to integrate
+        plans = [_cycle_plan(spec) for spec in specs]
+        mats = iter(_closed_legs([leg for plan in plans if plan is not None for leg in plan[0]])[0])
+        return [None if plan is None else _fold([next(mats) for _ in plan[0]], plan[1], spec.n_cycles)[0]
+                for plan, spec in zip(plans, specs)]
+
+    cycles = _in_order(closed, specs)
+    todo = [i for i, s in enumerate(cycles) if s is None]
+    integrated = propagate_ode_batch([specs[i].profile for i in todo], [specs[i].duration for i in todo], cfg)
     for i, s in zip(todo, integrated):
-        once[i] = s
-    return [_repeat(s, spec.n_cycles) for s, spec in zip(once, specs)]
+        cycles[i] = _fold([s], ((0, False),), specs[i].n_cycles)[0]
+    return cycles
 
 
 def cycle_gain(spec: CycleSpec, cfg: IntegratorConfig = DEFAULT_CONFIG) -> float:
@@ -377,55 +400,40 @@ class ScanResult:
     error: Tuple[str, ...]
 
 
-def _inverse_linear_scan(
-    omega0: np.ndarray, lam: np.ndarray, v: np.ndarray, n_cycles: int
+def _scan_points(
+    family: str, omega0: np.ndarray, lam: np.ndarray, v: np.ndarray, n_cycles: int, k: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(gain, det_err): gain_factor and det_error of build_cycle, as arrays.
-
-    Both are NaN where build_cycle or gain_factor would raise, and at lam = 1
-    (the identity, with no formula), for the per-point path to fill in.  Both
-    legs of every point come from one call of the formula every leg uses,
-    _inverse_linear_entries, and each check of compose and gain_factor and
-    the gain itself are made on the same products, so every other point
-    carries the per-point path's bits.  libm's log is taken once per run of
-    equal lam among the legs, which in grid order (v fastest) is once per
-    lam value and leg direction.
+    """(gain, det_err): gain_factor and det_error of build_cycle's cycle at
+    each point, from one _fold of arrays; NaN where build_cycle or gain_factor
+    would raise, and at lambda = 1, for the per-point path.  Inverse-linear
+    legs are columns over the points; each Bessel leg is evaluated on its own,
+    its end scale from _leg_end (libm's pow), and the steps packed into arrays.
     """
-    # entries overflow where the cycle grows, and 1/lam where lam is
-    # subnormal; those points fail a symplectic check or the argument checks
+    gain, det_err = np.full(v.shape, math.nan), np.full(v.shape, math.nan)
+    if not _whole_count(n_cycles):
+        return gain, det_err
+    # overflows (growing cycles, 1/lam of a subnormal lam) fail a check or a leg's domain
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        u = v / omega0
-        u_out = np.where(lam > 1.0, u, -u)
-        inv = 1.0 / lam
-        at = np.flatnonzero((0.0 < v) & (v < math.inf) & (0.0 < omega0) & (omega0 < math.inf)
-                            & (lam != 1.0)
-                            & _inverse_linear_args_ok(1.0, u_out, lam)
-                            & _inverse_linear_args_ok(inv, -u_out, inv))
-        u_at, inv_at = u_out[at], inv[at]
-        lam_legs = np.concatenate((lam[at], inv_at))
-        bits = lam_legs.view(np.int64)
-        # a run starts where a leg's bits differ from the previous leg's (~b != b for the first)
-        starts = np.flatnonzero(np.diff(bits, prepend=~bits[:1]))
-        ln_lam = np.repeat(_libm_each(math.log, lam_legs[starts]), np.diff(starts, append=bits.size))
-        entries = _inverse_linear_entries(np.concatenate((np.ones(at.size), inv_at)),
-                                          np.concatenate((u_at, -u_at)), lam_legs, ln_lam)
-        out, back = (EvolutionMatrix(*half) for half in zip(*(np.split(x, 2) for x in entries)))
-        ok = out.is_symplectic() & back.is_symplectic()
-        once = total = back @ out
-        for _ in range(n_cycles - 1):
-            ok &= total.is_symplectic()
-            if not ok.any():
-                break
-            total = once @ total
-        ok &= total.is_symplectic()
-        det_err = total.det_error()
-        r = total._energy_ratio()
-    at = at[ok]
-    gain = np.full(v.shape, math.nan)
-    gain[at] = r[ok]
-    det = np.full(v.shape, math.nan)
-    det[at] = det_err[ok]
-    return gain, det
+        at = np.flatnonzero((0.0 < v) & (v < math.inf) & (0.0 < omega0) & (omega0 < math.inf) & (lam != 1.0))
+        u, lam = v[at] / omega0[at], lam[at]
+        if family == "inverse-linear":
+            legs, order = _family_plan((InverseLinear, np.where(lam > 1.0, u, -u), lam, np.ones(at.size), k), lam)
+            mats, kept = _closed_legs(legs)
+        else:
+            rows = []  # each point, then the entries of its cycle's leg (order is the same at every point)
+            for j, (uj, lam_j) in enumerate(zip(u.tolist(), lam.tolist())):
+                with contextlib.suppress(DomainError):
+                    _check_leg_args(family, uj, k)
+                    legs, order = _family_plan((*_leg_end(family, uj, lam_j, k), 1.0, k), lam_j)
+                    rows.append([j, *(x for s in _closed_legs(legs)[0] for x in (s.a, s.b, s.c, s.d))])
+            if not rows:
+                return gain, det_err
+            kept, *entries = np.array(rows).T
+            mats, kept = [EvolutionMatrix(*entries[i:i + 4]) for i in range(0, len(entries), 4)], kept.astype(int)
+        total, r, ok = _fold(mats, order, n_cycles)
+        at = at[kept][ok]
+        gain[at], det_err[at] = r[ok], total.det_error()[ok]
+    return gain, det_err
 
 
 def scan_gain(
@@ -436,31 +444,18 @@ def scan_gain(
     n_cycles: int = 1,
     k: float = -2.0,
 ) -> ScanResult:
-    """Gain factor over the grid omega0 x lambda x v (v fastest).
-
-    A point whose cycle cannot be built stays in place as a NaN row
-    carrying the reason in ``error``, so the grid stays rectangular.  An
-    inverse-linear scan is evaluated as arrays; its failing points, and
-    every point of the other families, go through build_cycle one by one.
-    """
-    omega0, lam, v = (
-        axis.ravel()
-        for axis in np.meshgrid(
-            omega0_axis.values(), lam_axis.values(), v_axis.values(), indexing="ij"
-        )
-    )
-    if family == "inverse-linear" and _whole_count(n_cycles):
-        gain, det_err = _inverse_linear_scan(omega0, lam, v, n_cycles)
-    else:
-        gain, det_err = np.full(v.shape, math.nan), np.full(v.shape, math.nan)
+    """Gain factor over the grid omega0 x lambda x v (v fastest), as one _fold
+    of arrays (_scan_points).  A point whose cycle cannot be built stays in
+    place as a NaN row carrying the reason in ``error``; those points and the
+    ones at lambda = 1 go through build_cycle one by one."""
+    axes = np.meshgrid(omega0_axis.values(), lam_axis.values(), v_axis.values(), indexing="ij")
+    omega0, lam, v = (axis.ravel() for axis in axes)
+    gain, det_err = _scan_points(family, omega0, lam, v, n_cycles, k)
     error = [""] * v.size
     for i in np.flatnonzero(np.isnan(gain)).tolist():
         try:
-            spec = CycleSpec(
-                family, v=v.item(i), lam=lam.item(i), omega0=omega0.item(i),
-                n_cycles=n_cycles, k=k,
-            )
-            s = build_cycle(spec)
+            s = build_cycle(CycleSpec(family, v=v.item(i), lam=lam.item(i), omega0=omega0.item(i),
+                                      n_cycles=n_cycles, k=k))
             gain[i], det_err[i] = gain_factor(s), s.det_error()
         except (DomainError, IntegrationError, SymplecticError) as exc:
             error[i] = str(exc)

@@ -250,6 +250,19 @@ class TestCycleAndScan:
         assert (rc, err) == (0, "")
         assert out.splitlines()[2:] == [f"1e-300,2,{v},nan,nan,{note}" for v in ("0.5", "1.25", "2")]
 
+    # v/omega0 overflows although v itself is finite; the note says so
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_normalized_rate_is_named_in_the_note(self, capsys):
+        rc, out, err = run(
+            capsys, "scan", "--family", "exponential", "--v-grid", "1e300:1e300:1",
+            "--omega0-grid", "1e-10:1e-10:1", "--lambda", "2",
+        )
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            '1e-10,2,1.0000000000000001e+300,nan,nan,'
+            '"v/omega0 = inf leaves the float range at v = 1e+300, omega0 = 1e-10"'
+        ]
+
 
 # Float columns with repeats, signed zeros, nan, infinities and subnormals;
 # text cells with csv's special characters; mixed Python and numpy values.
@@ -792,7 +805,8 @@ class TestVerify:
                 return real(*args)
             return wrapper
 
-        monkeypatch.setattr(cyclosc.closed_form, "_inverse_linear_entries", counted)
+        for module in (cyclosc.closed_form, cyclosc.cycles):
+            monkeypatch.setattr(module, "_inverse_linear_entries", counted)
         for name in ("build_cycles", "legs"):
             monkeypatch.setattr(cli, name, spy(name))
         assert run(capsys, "verify", "--seed", "0")[0] == 0

@@ -428,33 +428,82 @@ class TestScan:
         ),
     }
 
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
-    def test_array_scan_equals_per_point_path(self, case, monkeypatch):
-        # the inverse-linear scan runs as arrays; every row must carry the
-        # bits build_cycle + gain_factor/det_error give for its point, and
-        # only the rows the array pass leaves over (a failure, or lambda =
-        # 1) may be built one by one
-        v_axis, lam_axis, omega0_axis, n = self.ARRAY_CASES[case]
+    @staticmethod
+    def scan_per_point(monkeypatch, family, axes, n, k=-2.0):
+        """scan_gain(family, *axes, n_cycles=n, k=k), checked row by row: every
+        row must carry the bits build_cycle + gain_factor/det_error give for
+        its point, or its error as a note, and only the rows the array fold
+        leaves over (a failure, or lambda = 1) may be built one by one."""
         calls = []
         monkeypatch.setattr(
             cyclosc.cycles, "CycleSpec", lambda *a, **kw: calls.append(a) or CycleSpec(*a, **kw)
         )
-        res = scan_gain("inverse-linear", v_axis, lam_axis, omega0_axis, n_cycles=n)
+        res = scan_gain(family, *axes, n_cycles=n, k=k)
         monkeypatch.undo()
-        assert len(res.error) == v_axis.count * lam_axis.count * omega0_axis.count
+        assert len(res.error) == math.prod(axis.count for axis in axes)
         for v, lam, omega0, gain, det_err, error in zip(
             res.v.tolist(), res.lam.tolist(), res.omega0.tolist(),
             res.gain.tolist(), res.det_err.tolist(), res.error,
         ):
             try:
-                spec = CycleSpec("inverse-linear", v=v, lam=lam, omega0=omega0, n_cycles=n)
-                s = build_cycle(spec)
+                s = build_cycle(CycleSpec(family, v=v, lam=lam, omega0=omega0, n_cycles=n, k=k))
                 assert (gain, det_err, error) == (gain_factor(s), s.det_error(), "")
             except (DomainError, SymplecticError) as exc:
                 assert math.isnan(gain) and math.isnan(det_err)
                 assert error == str(exc)
         assert len(calls) == sum(1 for e, lam in zip(res.error, res.lam) if e or lam == 1.0)
+        return res
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", sorted(ARRAY_CASES))
+    def test_array_scan_equals_per_point_path(self, case, monkeypatch):
+        *axes, n = self.ARRAY_CASES[case]
+        self.scan_per_point(monkeypatch, "inverse-linear", axes, n)
+
+    # (v axis, lambda axis, omega0 axis) of Bessel-family scans.  The log
+    # lambdas include end scales lambda^(-2/(k-2)) that numpy's power rounds
+    # differently from libm's pow (k = -3 and 3, on an AVX-512 host); the
+    # other grid has a lambda = 1 row, and points that fail: v/omega0 past the
+    # float range, frames that are not finite or whose Wronskian drifts, and
+    # stacks that overflow
+    BESSEL_GRIDS = {
+        "log-lambdas": (GridAxis(0.05, 50.0, 5, "log"), GridAxis(0.1, 10.0, 30, "log"), GridAxis(0.5, 2.0, 2)),
+        "failing-and-lambda-1": (
+            GridAxis(1e-3, 1e200, 7, "log"), GridAxis(0.5, 1.5, 3), GridAxis(1e-150, 1.0, 2, "log"),
+        ),
+    }
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", sorted(BESSEL_GRIDS))
+    @pytest.mark.parametrize("family,k", [
+        ("power-law", -4.0), ("power-law", -3.0), ("power-law", -1.0), ("power-law", 1.0),
+        ("power-law", 3.0), ("exponential", -2.0),
+    ])
+    def test_bessel_scan_equals_per_point_path(self, family, k, grid, monkeypatch):
+        notes = set()
+        for n in (1, 2, 3):
+            res = self.scan_per_point(monkeypatch, family, self.BESSEL_GRIDS[grid], n, k)
+            notes |= set(res.error)
+        assert "" in notes and (len(notes) > 1) == (grid != "log-lambdas")
+
+    def test_bessel_grids_reach_every_failure(self):
+        notes = [
+            note for k in (-4.0, -3.0, 3.0)
+            for note in scan_gain("power-law", *self.BESSEL_GRIDS["failing-and-lambda-1"], k=k).error
+        ]
+        for part in ("v/omega0 = inf leaves the float range", "the Bessel frame is not finite",
+                     "is inaccurate: its Wronskian drifts", "compose: Tr[S S^T]/2 overflows to inf"):
+            assert any(part in note for note in notes), part
+
+    @pytest.mark.parametrize("family", ["power-law", "exponential"])
+    def test_overflowing_normalized_rate_names_both_inputs(self, family):
+        # v is finite, but v/omega0 is not: the note names the ratio and both
+        note = "v/omega0 = inf leaves the float range at v = 1e+300, omega0 = 1e-10"
+        with pytest.raises(DomainError) as exc:
+            build_cycle(CycleSpec(family, v=1e300, lam=2.0, omega0=1e-10))
+        assert str(exc.value) == note
+        res = scan_gain(family, GridAxis(1e300, 1e300, 1), GridAxis(2.0, 2.0, 1), GridAxis(1e-10, 1e-10, 1))
+        assert res.error == (note,)
 
     def test_array_cases_reach_every_branch(self):
         cases = self.ARRAY_CASES
@@ -509,7 +558,7 @@ class TestScan:
         omega0 = np.array([1.0, 1.0, 1.0, inf, nan, 1.0])
         lam = np.array([2.0, inf, nan, 2.0, 2.0, 2.0])
         v = np.array([inf, 1.0, 1.0, 1.0, 1.0, 1.0])
-        gain, det_err = cyclosc.cycles._inverse_linear_scan(omega0, lam, v, 1)
+        gain, det_err = cyclosc.cycles._scan_points("inverse-linear", omega0, lam, v, 1, -2.0)
         assert np.isnan(gain[:5]).all() and np.isnan(det_err[:5]).all()
         assert gain[5] == cycle_gain(CycleSpec("inverse-linear", v=1.0, lam=2.0))
         for w, l, u in zip(omega0[:5].tolist(), lam[:5].tolist(), v[:5].tolist()):
@@ -534,7 +583,7 @@ class TestScan:
     @pytest.mark.parametrize("case", sorted(UNORDERED))
     def test_array_scan_in_any_order_equals_per_point_path(self, case, n):
         omega0, lam, v = (np.array(x) for x in self.UNORDERED[case])
-        gain, det_err = cyclosc.cycles._inverse_linear_scan(omega0, lam, v, n)
+        gain, det_err = cyclosc.cycles._scan_points("inverse-linear", omega0, lam, v, n, -2.0)
         reached = 0
         for w, l, u, g, d in zip(omega0.tolist(), lam.tolist(), v.tolist(), gain.tolist(), det_err.tolist()):
             try:
@@ -761,3 +810,51 @@ class TestRandomCycles:
 def test_property_inverse_linear_cycle_gains(v, lam):
     r = cycle_gain(CycleSpec("inverse-linear", v=v, lam=lam))
     assert r >= 1.0 - 1e-9
+
+
+# specs that fail on their own: a Bessel frame that is not finite, lambda
+# past the inverse-linear domain, v/omega0 past the float range, and a stack
+# whose det check fails at repeat 626
+FAILING_SPECS = (
+    CycleSpec("power-law", v=0.5, lam=2.0, omega0=1e-300, k=-3.0),
+    CycleSpec("inverse-linear", v=1.0, lam=1e-320),
+    CycleSpec("exponential", v=1e300, lam=2.0, omega0=1e-10),
+    CycleSpec("inverse-linear", v=0.02551539332291277, lam=408136468856.3615, n_cycles=1000),
+)
+
+
+@st.composite
+def closed_cycle_specs(draw):
+    """random_cycle_spec draws of 1 to 3 cycles, with Piecewise customs in
+    place of the Fourier ones, so that every cycle is composed from closed forms."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = random_cycle_spec(rng)
+    if spec.family == "custom" and not isinstance(spec.profile, Piecewise):
+        profile = random_piecewise_cycle(rng)
+        spec = replace(spec, profile=profile, duration=profile.duration)
+    return replace(spec, n_cycles=draw(st.integers(1, 3)))
+
+
+@given(
+    specs=st.lists(closed_cycle_specs(), max_size=8),
+    failing=st.lists(st.tuples(st.integers(0, 8), st.sampled_from(FAILING_SPECS)), max_size=2),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_build_cycles_is_build_cycle_of_each_spec(specs, failing):
+    for at, spec in failing:
+        specs.insert(at, spec)
+    alone = []
+    for spec in specs:
+        try:
+            s = build_cycle(spec)
+        except (DomainError, SymplecticError) as exc:
+            alone.append(exc)
+        else:
+            alone.append(np.array([s.a, s.b, s.c, s.d]).view(np.int64).tolist())
+    first = next((x for x in alone if isinstance(x, Exception)), None)
+    if first is None:
+        assert [np.array([s.a, s.b, s.c, s.d]).view(np.int64).tolist() for s in build_cycles(specs)] == alone
+    else:
+        with pytest.raises(type(first)) as batch:
+            build_cycles(specs)
+        assert str(batch.value) == str(first)

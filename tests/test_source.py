@@ -22,6 +22,7 @@ TRACED_IMPORTS = {
     ("cli", "random_cycle_gain"),
     ("cli", "multimode_from_hamiltonian"),
     ("cavity", "solve_ivp"),
+    ("cycles", "propagate_inverse_linear"),
 }
 
 
@@ -107,15 +108,18 @@ def test_moments_are_real_and_one_contract_covers_one_and_n_modes():
 
 
 def test_each_closed_form_is_called_only_from_the_leg_dispatcher():
-    # the family -> closed form choice is written once, in cycles._closed_legs
-    names = ["propagate_exponential", "propagate_inverse_linear", "propagate_power_law"]
+    # the family -> closed form choice is written once, in cycles._closed_legs,
+    # whose inverse-linear legs go through the array formula itself, not
+    # through propagate_inverse_linear
+    names = ["_inverse_linear_entries", "propagate_exponential", "propagate_power_law"]
     tree = ast.parse((PACKAGE / "cycles.py").read_text(encoding="utf-8"))
     dispatcher = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_closed_legs")
 
     def calls(root):
         return sorted(
             node.func.id for node in ast.walk(root)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in names
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names + ["propagate_inverse_linear"]
         )
 
     assert calls(tree) == calls(dispatcher) == names
@@ -170,19 +174,19 @@ def test_libm_is_reached_per_element_only_through_one_helper():
     # libm's values per element through core._libm_each, use none of those
     # numpy functions (nor ** on arrays), and nothing lifts a scalar function
     # to arrays any other way.  The formula takes ln lam from its callers:
-    # propagate_inverse_linear per leg, the array scan per run of equal lam.
+    # propagate_inverse_linear per leg, the leg dispatcher per run of equal lam.
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "frompyfunc" not in text and "vectorize" not in text, path.name
     assert sorted(_call_sites("_libm_each")) == [
         ("closed_form", "_cosh_sinch"), ("closed_form", "_cosh_sinch"),
         ("closed_form", "propagate_inverse_linear"), ("closed_form", "propagate_inverse_linear"),
-        ("cycles", "_inverse_linear_scan"), ("ode", "solve_ivp"),
+        ("cycles", "_closed_legs"), ("ode", "solve_ivp"),
     ]
     host_dependent = {"exp", "expm1", "exp2", "log", "log1p", "log2", "log10", "cosh", "sinh",
                       "tanh", "cos", "sin", "tan", "power", "float_power", "geomspace", "logspace"}
     checked = {"closed_form": {"_cosh_sinch", "_inverse_linear_entries", "propagate_inverse_linear"},
-               "cycles": {"_inverse_linear_scan"}, "ode": {"solve_ivp"}}
+               "cycles": {"_closed_legs"}, "ode": {"solve_ivp"}}
     for module, names in checked.items():
         tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
         functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name in names]
@@ -240,15 +244,33 @@ def test_one_bessel_leg_serves_both_families():
 def test_core_writes_the_energy_form_once():
     # (omega_f^2 (a^2 + b^2) + c^2 + d^2)/2 from products x * x; R is its
     # value at omega_f = 1, read by the symplectic check, gain_factor,
-    # final_energy and the array scan
+    # final_energy and the cycle fold
     tree = ast.parse((PACKAGE / "core.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_energy_form" not in functions
     assert not [node for node in ast.walk(functions["gain_factor"]) if isinstance(node, ast.Pow)]
     assert sorted(_call_sites("_energy_ratio")) == [
         ("core", "_require_symplectic"), ("core", "final_energy"), ("core", "gain_factor"),
-        ("core", "is_symplectic"), ("cycles", "_inverse_linear_scan"),
+        ("core", "is_symplectic"), ("cycles", "_fold"),
     ]
+
+
+def test_one_fold_multiplies_the_cycles():
+    # every closed cycle, repeated or not, in build_cycle, build_cycles and
+    # scan_gain, is the product _fold forms: no other function in cycles.py
+    # multiplies evolution matrices, by @ or by compose, or reads their gain
+    tree = ast.parse((PACKAGE / "cycles.py").read_text(encoding="utf-8"))
+
+    def products(root):
+        return [
+            node for node in ast.walk(root)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "compose"
+            or isinstance(node, ast.Attribute) and node.attr == "_energy_ratio"
+        ]
+
+    fold = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_fold")
+    assert products(fold) and len(products(fold)) == len(products(tree))
 
 
 def test_package_exports_match_the_submodules():
