@@ -111,7 +111,7 @@ def multimode_from_hamiltonian_batch(
     out: List[np.ndarray] = [None] * len(couplings)  # type: ignore[list-item]
     for n in dict.fromkeys(sizes):
         lanes = [i for i, size in enumerate(sizes) if size == n]
-        y = _run_lanes(LaneMap([couplings[i] for i in lanes]), n, 2 * n, [t_finals[i] for i in lanes], cfg)
+        y = _run_lanes(LaneMap([couplings[i] for i in lanes]), n, [t_finals[i] for i in lanes], cfg)
         for i, s in zip(lanes, y):
             out[i] = s
     return out

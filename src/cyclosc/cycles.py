@@ -291,7 +291,7 @@ def _cycle_plan(spec: CycleSpec) -> Optional[_Plan]:
     lam, u = spec.lam, spec.v / spec.omega0  # normalized rate; gain is invariant under this rescaling
     if lam == 1.0:
         return (), ()
-    if spec.family != "inverse-linear" and not 0.0 < u < math.inf:  # inverse-linear takes u = inf
+    if not (0.0 < u < math.inf or u == math.inf and spec.family == "inverse-linear"):  # the sudden limit
         raise DomainError(f"v/omega0 = {u!r} leaves the float range at v = {spec.v!r}, omega0 = {spec.omega0!r}")
     return _family_plan((*_leg_end(spec.family, u, lam, spec.k), 1.0, spec.k), lam)
 

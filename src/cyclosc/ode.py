@@ -20,7 +20,9 @@ control of scipy's solve_ivp, run over a batch of independent lanes.  A
 lane is one initial value problem from t = 0 with its own end and step
 size, and its own accept/reject decisions; each Runge-Kutta stage is one
 array operation over the lanes still running, and a lane leaves the batch
-when it reaches its end.  A batch of one is the plain integrator.
+when it reaches its end.  A batch of one is the plain integrator.  A Hill
+or forced run is cut into time pieces, each a lane of its own, and their
+maps are multiplied back together (_propagate).
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and the per-lane budget of attempted steps."""
+    """Tolerances and the per-lane budget of attempted steps; a lane is one
+    time piece of a Hill or forced run (see _propagate)."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -205,20 +208,23 @@ class _Oscillators:
 
         dY/dt = G(t) Y,    G = [[0, 1], [-W(t), 0]],
 
-    plus kappa(t) in the velocity of the last column when drives are given.
-    W comes from one LaneMap: a squared frequency per lane for n = 1, an
-    n x n coupling matrix for n > 1.
+    plus kappa(t) in the velocity of column 2n when drives are given.  W
+    comes from one LaneMap: a squared frequency per lane for n = 1, an n x n
+    coupling matrix for n > 1.  cols counts the solutions a lane carries: the
+    2n fundamental ones, then the driven one; a lane may hold zero columns
+    after them (see _run_lanes), which stay zero.
 
     terms(t, h, lanes) evaluates h G and h kappa, with a step h per lane, at
     the times t, shape (stages, m), of the m running lanes, whose indices
     into the batch are the array `lanes`.  rhs(terms, s, y, out) writes
-    h dY/dt of those lanes, y of shape (m, 2n, cols), at the times of row s.
+    h dY/dt of those lanes, y of shape (m, 2n, width), at the times of row s.
     For n = 1, h G Y = (h P, -h w Q) is Y with its rows swapped, times one
     factor per row: one elementwise multiply instead of a matmul.
     """
 
     def __init__(self, w: LaneMap, n: int, drive: Optional[Callable]) -> None:
         self.w, self.n, self.drive = w, n, drive
+        self.cols = 2 * n + (drive is not None)
 
     def terms(self, t: np.ndarray, h: np.ndarray, lanes: np.ndarray) -> tuple:
         n, w = self.n, self.w(t, lanes)
@@ -239,7 +245,7 @@ class _Oscillators:
         else:
             np.matmul(hg[s], y, out=out)
         if drive is not None:
-            out[:, -1, -1] += drive[s]
+            out[:, -1, self.cols - 1] += drive[s]
 
 
 def solve_ivp(
@@ -249,10 +255,11 @@ def solve_ivp(
     first_step: np.ndarray,
     cfg: IntegratorConfig,
 ) -> BatchSolution:
-    """Integrate each lane of y0, shape (L, 2n, cols), from 0 to t_final.
+    """Integrate each lane of y0, shape (L, 2n, width), from 0 to t_final.
 
     Each lane takes DOP853 steps under scipy's control: the error norm of
-    the 5th-order estimator damped by the 3rd-order one, acceptance below
+    the 5th-order estimator damped by the 3rd-order one over the lane's
+    first system.cols columns (the rest are zero padding), acceptance below
     1, the next step scaled by 0.9 err^(-1/8) within [0.2, 10] (at most 1
     right after a rejection), the last step cut to end exactly at t_final,
     and failure when a step falls below ten spacings of the floats at t.
@@ -264,6 +271,8 @@ def solve_ivp(
     t, t_end, h_abs = np.zeros(lanes.size), t_final[lanes], first_step[lanes]
     lane = y_final.shape[1:]
     m, n = lanes.size, math.prod(lane)
+    cols = system.cols
+    n_norm = lane[0] * cols  # the entries the error norm is taken over
     times = [np.zeros(1)]
     if m == 0:
         return BatchSolution(y_final, times[0], 0)
@@ -299,11 +308,11 @@ def solve_ivp(
         nfev += 12 * m
 
         scale = atol + np.maximum(np.abs(rows[0]), np.abs(y_new)) * rtol
-        err = (_W_ERR @ X).reshape(2, m, n) / scale.reshape(m, n)
-        e5, e3 = (err * err).sum(axis=2)
+        err = (_W_ERR @ X).reshape(2, m, *lane)[..., :cols] / scale[..., :cols]
+        e5, e3 = (err * err).reshape(2, m, n_norm).sum(axis=2)
         # the rows carry h, so this is scipy's |h| e5 / sqrt((e5 + e3 / 100) n);
         # _TINY only keeps 0 / 0 and 0^(-1/8) out, below where the factor caps at 10
-        error_norm = e5 / np.sqrt((e5 + 0.01 * e3) * n + _TINY)
+        error_norm = e5 / np.sqrt((e5 + 0.01 * e3) * n_norm + _TINY)
         # libm's pow per lane, as scipy's scalar control takes it (numpy's power depends on the CPU)
         factor = _SAFETY * _libm_each(math.pow, np.maximum(error_norm, _TINY), _EXPONENT)
         accepted = error_norm < 1.0
@@ -342,27 +351,49 @@ def solve_ivp(
 def _run_lanes(
     w: LaneMap,
     n: int,
-    cols: int,
     t_finals: Sequence[float],
     cfg: IntegratorConfig,
     drive: Optional[Callable] = None,
 ) -> np.ndarray:
-    """Final Y, shape (lanes, 2n, cols), of _Oscillators lanes run over
+    """Final Y, shape (lanes, 2n, width), of _Oscillators lanes run over
     [0, t_final], held to cfg's tolerances and step budget.
 
-    Every lane starts from the first cols columns of I_2n: the fundamental
-    solutions (q, p) = (1, 0) and (0, 1), then the driven one at rest; all
-    of I_2n for n modes.  Its first step is 0.1 / max(omega, 1), capped at
-    its span, where omega^2 is the largest entry of W at t = 0.
+    Every lane starts from columns of I_2n: the fundamental solutions
+    (q, p) = (1, 0) and (0, 1), then the driven one at rest; all of I_2n for
+    n modes.  A driven lane gets a zero fourth column, so that every lane
+    holds a multiple of 4 entries: a BLAS sum over the lanes then treats
+    each lane's entries alike wherever the lane sits in the batch.  A
+    lane's first step is 0.1 / max(omega, 1), capped at its span, where
+    omega^2 is the largest entry of W at t = 0.
     """
+    system = _Oscillators(w, n, drive)
     t_final = np.array(t_finals, dtype=float)
     size = t_final.size
-    y0 = np.broadcast_to(np.eye(2 * n, cols), (size, 2 * n, cols))
+    start = np.eye(2 * n, system.cols + system.cols % 2)
+    y0 = np.broadcast_to(start, (size, *start.shape))
     if not size:
         return y0
     w0 = w(np.zeros((1, size)), np.arange(size)).reshape(size, -1).max(axis=1)
     first = np.minimum(0.1 / np.maximum(np.sqrt(np.maximum(w0, 0.0)), 1.0), t_final)
-    return solve_ivp(_Oscillators(w, n, drive), t_final, y0, first, cfg).y
+    return solve_ivp(system, t_final, y0, first, cfg).y
+
+
+# Each smooth piece of a Hill or forced run is integrated as _SPLIT equal
+# time pieces, each one lane from the identity: q'' = -omega^2(t) q is
+# linear, so the piece's map is the product of theirs, and a batch runs as
+# many steps as its longest lane.  Chosen by measurement: from 6 to 12 pieces
+# verify's batches take about the same time, and 12 is the fewest at which
+# every value of the propagate ODE goldens is at least as close to its closed
+# form as with one piece.
+_SPLIT = 12
+
+
+def _split(t_final: float) -> list:
+    """(start, end) of the _SPLIT equal time pieces of [0, t_final]; the
+    whole span as one piece when it is too short for distinct float starts."""
+    cuts = [t_final * j / _SPLIT for j in range(_SPLIT)] + [t_final]
+    pieces = list(zip(cuts, cuts[1:]))
+    return pieces if all(a < b for a, b in pieces) else [(0.0, t_final)]
 
 
 def _pieces(profile: FrequencyProfile, t_final: float, edge: float = 0.0):
@@ -389,30 +420,37 @@ def _propagate(
 ) -> List[ForcedResult]:
     """Matrix and driven trajectory (at rest without kappas) of each run.
 
-    Every smooth piece of every run is one lane of a single batch, its
-    drive read at t + edge on the run's clock.  A Piecewise run folds its
-    pieces in time order as affine maps, with exact handoff at the
-    breakpoints: (S, c) after (S0, c0) is (S S0, S c0 + c).
+    Every smooth piece of every run is cut into time pieces (_split), and
+    each time piece is one lane of a single batch, which reads its profile
+    at t + offset, offset being its start within the smooth piece, and its
+    drive at t + edge + offset on the run's clock.  The split depends on the
+    run alone, so a run gives the same bits alone or in any batch.  Each
+    run folds its lanes in time order as affine maps, with exact handoff:
+    (S, c) after (S0, c0) is (S S0, S c0 + c).
     """
-    runs = [(i, *piece) for i, (profile, t_final) in enumerate(zip(profiles, t_finals))
-            for piece in _pieces(profile, t_final)]
-    edges = np.array([edge for *_, edge in runs])
+    runs = [(i, prof, b - a, a, edge + a)
+            for i, (profile, t_final) in enumerate(zip(profiles, t_finals))
+            for prof, span, edge in _pieces(profile, t_final)
+            for a, b in _split(span)]
+    offsets = np.array([offset for *_, offset, _ in runs])
+    shifts = np.array([shift for *_, shift in runs])
+    omega_sq = LaneMap([prof for _, prof, *_ in runs], lambda profile: profile.omega_sq)
+    w = lambda t, lanes: omega_sq(t + offsets[lanes], lanes)
     kappa = None if kappas is None else LaneMap([kappas[i] for i, *_ in runs])
-    drive = None if kappa is None else lambda t, lanes: kappa(t + edges[lanes], lanes)
-    w = LaneMap([p for _, p, _, _ in runs], lambda profile: profile.omega_sq)
-    y = _run_lanes(w, 1, 2 if drive is None else 3, [t for _, _, t, _ in runs], cfg, drive)
-    start = ForcedResult(EvolutionMatrix.identity(), 0.0, 0.0)
-    out = [start if isinstance(p, Piecewise) else None for p in profiles]
+    drive = None if kappa is None else lambda t, lanes: kappa(t + shifts[lanes], lanes)
+    y = _run_lanes(w, 1, [span for _, _, span, *_ in runs], cfg, drive)
+    folded: list = [None] * len(profiles)  # (S, qc, qc_dot) of each run so far
     for (i, *_), (q, p) in zip(runs, y.tolist()):
         s = EvolutionMatrix(q[0], q[1], p[0], p[1])
         qc, pc = (0.0, 0.0) if drive is None else (q[2], p[2])
-        done = out[i]
-        out[i] = ForcedResult(s, qc, pc) if done is None else ForcedResult(
-            compose(s, done.matrix),
-            s.a * done.qc + s.b * done.qc_dot + qc,
-            s.c * done.qc + s.d * done.qc_dot + pc,
+        done = folded[i]
+        folded[i] = (s, qc, pc) if done is None else (
+            compose(s, done[0]),
+            s.a * done[1] + s.b * done[2] + qc,
+            s.c * done[1] + s.d * done[2] + pc,
         )
-    return out  # type: ignore[return-value]
+    start = ForcedResult(EvolutionMatrix.identity(), 0.0, 0.0)  # a run with no piece
+    return [start if r is None else ForcedResult(*r) for r in folded]
 
 
 def propagate_ode_batch(

@@ -263,6 +263,20 @@ class TestCycleAndScan:
             '"v/omega0 = inf leaves the float range at v = 1e+300, omega0 = 1e-10"'
         ]
 
+    # inverse-linear takes v/omega0 = inf, the sudden limit, but not 0, which
+    # a positive v reaches only by underflow
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_normalized_rate_is_named_in_the_note(self, capsys):
+        rc, out, err = run(
+            capsys, "scan", "--family", "inverse-linear", "--v-grid", "1e-320:1e-320:1",
+            "--omega0-grid", "1e10:1e10:1", "--lambda", "2",
+        )
+        assert (rc, err) == (0, "")
+        assert out.splitlines()[2:] == [
+            '10000000000,2,9.9998886718268301e-321,nan,nan,'
+            '"v/omega0 = 0.0 leaves the float range at v = 1e-320, omega0 = 10000000000.0"'
+        ]
+
 
 # Float columns with repeats, signed zeros, nan, infinities and subnormals;
 # text cells with csv's special characters; mixed Python and numpy values.
@@ -721,6 +735,12 @@ class TestForced:
         a = run_json(capsys, "forced", "--samples", "2", "--seed", "1")
         b = run_json(capsys, "forced", "--samples", "2", "--seed", "2")
         assert a["rows"] != b["rows"]
+
+    def test_a_sample_does_not_depend_on_how_many_are_drawn(self, capsys):
+        # every forced lane holds 8 entries (a zero fourth column), so its
+        # stage sums do not depend on its place in the batch
+        rows = [run(capsys, "forced", "--seed", "3", "--samples", n)[1].splitlines()[2] for n in ("1", "2", "5")]
+        assert rows[0].startswith("0,") and rows[0] == rows[1] == rows[2]
 
 
 class TestPerturb:

@@ -505,6 +505,17 @@ class TestScan:
         res = scan_gain(family, GridAxis(1e300, 1e300, 1), GridAxis(2.0, 2.0, 1), GridAxis(1e-10, 1e-10, 1))
         assert res.error == (note,)
 
+    def test_inverse_linear_refuses_an_underflowing_rate_but_not_the_sudden_limit(self):
+        note = "v/omega0 = 0.0 leaves the float range at v = 1e-320, omega0 = 10000000000.0"
+        with pytest.raises(DomainError) as exc:
+            build_cycle(CycleSpec("inverse-linear", v=1e-320, lam=2.0, omega0=1e10))
+        assert str(exc.value) == note
+        res = scan_gain("inverse-linear", GridAxis(1e-320, 1e-320, 1), GridAxis(2.0, 2.0, 1), GridAxis(1e10, 1e10, 1))
+        assert res.error == (note,)
+        # v/omega0 = inf is the sudden limit, a cycle that changes nothing to within roundoff
+        s = build_cycle(CycleSpec("inverse-linear", v=1e300, lam=2.0, omega0=1e-10))
+        assert np.max(np.abs(s.as_array() - np.eye(2))) <= 1e-15
+
     def test_array_cases_reach_every_branch(self):
         cases = self.ARRAY_CASES
         notes = [

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclosc import ode
 from cyclosc import (
@@ -316,6 +318,22 @@ def _scipy_matrix(prof, t_final, cfg=DEFAULT_CONFIG):
     return np.array([[q1, q2], [p1, p2]])
 
 
+# a reference an order of magnitude tighter than TIGHT
+REFERENCE = IntegratorConfig(rtol=1e-13, atol=1e-15)
+
+
+def _one_lane(prof, t_final, cfg, kappa=None):
+    """Final (Q; P) of the whole span run as one lane of ode._run_lanes, with
+    no time pieces: the integrator alone."""
+    drive = None if kappa is None else LaneMap([kappa])
+    return ode._run_lanes(LaneMap([prof], lambda p: p.omega_sq), 1, [t_final], cfg, drive)[0]
+
+
+def _forced_entries(lane):
+    """(a, b, c, d, qc, qc_dot) of a forced lane's final (Q; P)."""
+    return np.append(lane[:, :2].ravel(), lane[:, 2])
+
+
 def _per_point(prof):
     """The same omega^2 as prof, reached one scalar call at a time."""
     if isinstance(prof, Piecewise):
@@ -340,16 +358,21 @@ class TestBatch:
             assert ours.shape == theirs.shape
             assert np.array_equal(ours, theirs)
 
-    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT], ids=["default", "tight"])
-    def test_fourier_lanes_match_batches_of_one_and_scipy(self, cfg):
+    # the route's bound against REFERENCE: 3x the largest error measured on
+    # these profiles (1.6e-11 at the default tolerances, 1.7e-13 at TIGHT)
+    @pytest.mark.parametrize("cfg, bound", [(DEFAULT_CONFIG, 5e-11), (TIGHT, 5e-13)], ids=["default", "tight"])
+    def test_fourier_lanes_match_batches_of_one_and_scipy(self, cfg, bound):
         rng = np.random.default_rng(5)
         profs = [random_fourier_profile(rng) for _ in range(12)]
         batch = propagate_ode_batch(profs, [p.duration for p in profs], cfg)
         for prof, s in zip(profs, batch):
             one = propagate_ode(prof, prof.duration, cfg)
             assert np.max(np.abs(s.as_array() - one.as_array())) <= 1e-12
+            # the integrator: the whole span as one lane is scipy's DOP853
             ref = _scipy_matrix(prof, prof.duration, cfg)
-            assert np.max(np.abs(s.as_array() - ref)) <= 1e-12
+            assert np.max(np.abs(_one_lane(prof, prof.duration, cfg) - ref)) <= 1e-12
+            # the route, time pieces and fold, against a tighter run
+            assert np.max(np.abs(s.as_array() - _one_lane(prof, prof.duration, REFERENCE))) <= bound
 
     def test_forced_lanes_match_batches_of_one_and_scipy(self):
         rng = np.random.default_rng(8)
@@ -368,7 +391,13 @@ class TestBatch:
             q1, p1, q2, p2, qc, pc = _scipy_final(
                 rhs, np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), prof.duration, 1.0, DEFAULT_CONFIG
             )
-            assert np.max(np.abs(got - [q1, q2, p1, p2, qc, pc])) <= 1e-12
+            # the integrator: the whole span as one lane, whose fourth column stays zero
+            lane = _one_lane(prof, prof.duration, DEFAULT_CONFIG, kappa)
+            assert not lane[:, 3].any()
+            assert np.max(np.abs(_forced_entries(lane) - [q1, q2, p1, p2, qc, pc])) <= 1e-12
+            # the route against a tighter run: 3x the largest error measured here (1.6e-11)
+            ref = _forced_entries(_one_lane(prof, prof.duration, REFERENCE, kappa))
+            assert np.max(np.abs(got - ref)) <= 5e-11
 
     @pytest.mark.parametrize("n_modes", [1, 3])
     def test_multimode_matches_scipy(self, n_modes):
@@ -417,6 +446,28 @@ class TestBatch:
         with pytest.raises(IntegrationError, match="less than spacing between numbers"):
             propagate_ode_batch([InverseLinear(1.0, 1.0), prof], [1.0, 2.0])
 
+    def test_verify_seed_0_batches_take_pinned_loop_iterations(self, monkeypatch):
+        # the three Hill and forced batches of verify --seed 0 took 49, 43 and
+        # 46 loop iterations before runs were cut into time pieces
+        from cyclosc import cli
+
+        batches = []  # [lane rows 2n, terms calls] of each solve_ivp call
+        solve, terms = ode.solve_ivp, ode._Oscillators.terms
+
+        def counted_solve(system, *args):
+            batches.append([2 * system.n, 0])
+            return solve(system, *args)
+
+        def counted_terms(self, *args):
+            batches[-1][1] += 1
+            return terms(self, *args)
+
+        monkeypatch.setattr(ode, "solve_ivp", counted_solve)
+        monkeypatch.setattr(ode._Oscillators, "terms", counted_terms)
+        assert cli.main(["verify", "--seed", "0", "--output", os.devnull]) == 0
+        # terms runs once at the start, then once per loop iteration
+        assert [calls - 1 for rows, calls in batches if rows == 2] == [6, 7, 6]
+
     def test_verify_needs_no_scipy_integrate(self):
         src = str(Path(ode.__file__).resolve().parents[1])
         code = (
@@ -440,6 +491,54 @@ def _lane_times(rng, durations, count=2000):
     durations = np.asarray(durations, dtype=float)
     inside = rng.uniform(0.0, 1.0, size=(count, durations.size)) * durations
     return np.vstack([np.zeros(durations.size), durations, 1.0000001 * durations, inside])
+
+
+@st.composite
+def hill_runs(draw):
+    """(profile, t_final, drive) of a run: a Fourier profile, a family leg or
+    a random Piecewise cycle, over its whole span, a random part of it, 0 or
+    a few ulps of 0; the drive is a sine series that vanishes at both ends."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["fourier", "leg", "piecewise"]))
+    if kind == "fourier":
+        profile = random_fourier_profile(rng)
+    elif kind == "piecewise":
+        profile = random_piecewise_cycle(rng)
+    else:
+        v = float(rng.uniform(0.2, 2.0))
+        profile = [InverseLinear(1.0, v), PowerLaw(float(rng.choice([-3.0, 1.0, 3.0])), v), Exponential(-v)][
+            int(rng.integers(0, 3))
+        ]
+    duration = getattr(profile, "duration", float(rng.uniform(0.5, 4.0)))
+    span = draw(st.sampled_from(["whole", "part", "zero", "ulps"]))
+    t_final = {
+        "whole": duration, "part": float(rng.uniform(0.0, duration)), "zero": 0.0,
+        "ulps": draw(st.integers(1, 4)) * 5e-324,
+    }[span]
+    # a series over a subnormal span would round its phase at the end
+    return profile, t_final, SineSeries(rng.normal(0.0, 0.5, size=3), duration if t_final < 1.0e-300 else t_final)
+
+
+def _run_bits(forced, runs):
+    """Bits of (S, qc, qc_dot) of each run, integrated as one batch."""
+    profiles, t_finals, kappas = zip(*runs)
+    if forced:
+        results = propagate_forced_batch(profiles, kappas, t_finals)
+    else:
+        results = [ode.ForcedResult(s, 0.0, 0.0) for s in propagate_ode_batch(profiles, t_finals)]
+    return [_bits([r.matrix.a, r.matrix.b, r.matrix.c, r.matrix.d, r.qc, r.qc_dot]).tolist() for r in results]
+
+
+@given(runs=st.lists(hill_runs(), min_size=1, max_size=5), forced=st.booleans(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_property_a_run_gives_the_same_bits_alone_and_in_any_batch(runs, forced, data):
+    # a run's time pieces depend on the run alone, and every lane holds a
+    # multiple of 4 entries, so neither its neighbours nor its place count
+    whole = _run_bits(forced, runs)
+    for run, bits in zip(runs, whole):
+        assert _run_bits(forced, [run]) == [bits]
+    order = data.draw(st.permutations(range(len(runs))))[: data.draw(st.integers(1, len(runs)))]
+    assert _run_bits(forced, [runs[i] for i in order]) == [whole[i] for i in order]
 
 
 class TestStackedTerms:
@@ -528,10 +627,9 @@ class TestStackedBatches:
 
     @pytest.mark.parametrize("piecewise", [False, True], ids=["fourier", "piecewise"])
     def test_forced_lanes_equal_their_per_point_twins(self, piecewise):
-        # forced lanes (6 columns each) are not bit-identical to batches of
-        # one, so the same batch is run once more with every omega^2 and
-        # kappa called per point, which must give the same bits; past a
-        # Piecewise run's first segment a drive is read at t + edge
+        # the same batch run once more with every omega^2 and kappa called
+        # per point must give the same bits; past a Piecewise run's first
+        # segment a drive is read at t + edge
         rng = np.random.default_rng(32)
         profiles = [random_fourier_profile(rng) for _ in range(5)]
         if piecewise:  # Fourier segments glued to random piecewise cycles, one of them nested
